@@ -178,18 +178,18 @@ def test_ablation_crowd_vs_sequential(benchmark):
     to parallelize other parts of QMCPACK"): batching the same-electron
     orbital evaluations of many walkers into one kernel call.  Live
     measurement; trajectories are verified identical in
-    tests/qmc/test_crowd.py.
+    tests/qmc/test_batched_step.py.
     """
-    from tests.qmc.test_crowd import build_crowd
+    from tests.qmc.test_batched_step import build_population
     from repro.qmc import sweep
-    from repro.qmc.crowd import Crowd
+    from repro.qmc.batched_step import CrowdState, batched_sweep
 
     n_walkers = 6
-    wfs_c, rngs_c = build_crowd(n_walkers, n_orb=8, seed=77)
-    wfs_s, rngs_s = build_crowd(n_walkers, n_orb=8, seed=77)
+    wfs_c, rngs_c = build_population(n_walkers, n_orb=8, seed=77)
+    wfs_s, rngs_s = build_population(n_walkers, n_orb=8, seed=77)
 
     t0 = time.perf_counter()
-    Crowd(wfs_c, rngs_c).sweep(0.2)
+    batched_sweep(CrowdState(wfs_c, rngs_c), 0.2)
     t_crowd = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -212,9 +212,9 @@ def test_ablation_crowd_vs_sequential(benchmark):
     # crowd is at least competitive (it wins decisively as N grows).
     assert t_crowd < 2.0 * t_seq
 
-    wfs_b, rngs_b = build_crowd(2, n_orb=8, seed=5)
-    crowd = Crowd(wfs_b, rngs_b)
-    benchmark(lambda: crowd.sweep(0.2))
+    wfs_b, rngs_b = build_population(2, n_orb=8, seed=5)
+    state = CrowdState(wfs_b, rngs_b)
+    benchmark(lambda: batched_sweep(state, 0.2))
 
 
 def test_ablation_delayed_updates(benchmark):

@@ -11,7 +11,7 @@ tensor-contraction schedule (interpreter-dispatch is Python's "SIMD").
 import time
 
 from benchmarks.conftest import emit
-from repro.miniqmc import build_app, run_profiled
+from repro.miniqmc.app import build_app, run_profiled
 from repro.perf import format_table
 
 

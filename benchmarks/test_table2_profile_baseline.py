@@ -16,7 +16,7 @@ groups together dominate the run time (paper: "Their total amounts to
 """
 
 from benchmarks.conftest import emit
-from repro.miniqmc import build_app, run_profiled
+from repro.miniqmc.app import build_app, run_profiled
 from repro.perf import format_table
 
 PAPER = {

@@ -15,7 +15,7 @@ becomes the dominant group.
 """
 
 from benchmarks.conftest import emit
-from repro.miniqmc import build_app, run_profiled
+from repro.miniqmc.app import build_app, run_profiled
 from repro.perf import format_table
 
 PAPER = {

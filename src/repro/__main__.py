@@ -95,15 +95,6 @@ def _dmc_main(argv: list[str]) -> int:
         "block per process, clamped by the planner)",
     )
     parser.add_argument(
-        "--step-mode",
-        default=None,
-        choices=("batched", "walker"),
-        help="advance the population through the batched crowd kernels "
-        "(default) or the per-walker sweep; trajectories are "
-        "bit-identical either way; unset resolves through --config / "
-        "REPRO_STEP_MODE",
-    )
-    parser.add_argument(
         "--config",
         default=None,
         metavar="FILE",
@@ -271,7 +262,6 @@ def _dmc_main(argv: list[str]) -> int:
                 checkpoint_path=args.checkpoint_path,
                 resume=args.resume,
                 guard=GuardConfig(on_nonfinite_energy=args.on_bad_energy),
-                step_mode=args.step_mode,
                 fleet=fleet,
                 split=args.split,
                 orbital_shards=args.orbital_shards,
@@ -296,8 +286,6 @@ def _dmc_main(argv: list[str]) -> int:
                 checkpoint_path=args.checkpoint_path,
                 resume=args.resume,
                 guard=GuardConfig(on_nonfinite_energy=args.on_bad_energy),
-                step_mode=args.step_mode,
-                config=run_config,
             )
     except CheckpointError as exc:
         print(f"python -m repro dmc: error: {exc}", file=sys.stderr)

@@ -1,16 +1,16 @@
 """repro.config — one RunConfig, one documented resolution order.
 
 Every tunable the execution paths grew over eight PRs — chunk and tile
-blocking (PR5), kernel backend (PR7), step mode and process count
-(PR6), delayed-update rank (PR6) — used to travel as per-call kwargs
+blocking (PR5), kernel backend (PR7), process count (PR6),
+delayed-update rank (PR6) — used to travel as per-call kwargs
 with per-module env fallbacks.  :class:`RunConfig` replaces that with a
 single frozen dataclass and **one** resolution order, applied per
 field:
 
 1. **explicit kwarg** — a value passed by the caller;
 2. **environment** — ``REPRO_CHUNK_SIZE``, ``REPRO_TILE_SIZE``,
-   ``REPRO_BACKEND``, ``REPRO_STEP_MODE``, ``REPRO_PROCESSES``,
-   ``REPRO_ORBITAL_SHARDS``, ``REPRO_DELAY``, ``REPRO_TUNE``;
+   ``REPRO_BACKEND``, ``REPRO_PROCESSES``, ``REPRO_ORBITAL_SHARDS``,
+   ``REPRO_DELAY``, ``REPRO_TUNE``;
 3. **tuned database entry** — a measured winner from the per-host
    :class:`repro.tune.db.TuneDB`, tier-filtered so a bit-gated path is
    never served an ``allclose``-tier config;
@@ -50,7 +50,6 @@ __all__ = [
     "TUNE_LOOKUP",
     "TUNE_SEARCH",
     "deprecated_kwargs",
-    "effective_step_mode",
     "load_run_config",
 ]
 
@@ -59,14 +58,11 @@ TUNE_LOOKUP = "lookup"
 TUNE_SEARCH = "search"
 _TUNE_MODES = (TUNE_OFF, TUNE_LOOKUP, TUNE_SEARCH)
 
-_STEP_MODES = ("batched", "walker")
-
 #: Env var per field (rung 2 of the resolution order).
 _ENV_VARS = {
     "chunk_size": "REPRO_CHUNK_SIZE",
     "tile_size": "REPRO_TILE_SIZE",
     "backend": "REPRO_BACKEND",
-    "step_mode": "REPRO_STEP_MODE",
     "processes": "REPRO_PROCESSES",
     "orbital_shards": "REPRO_ORBITAL_SHARDS",
     "delay": "REPRO_DELAY",
@@ -122,9 +118,9 @@ class RunConfig:
     """The one bag of execution knobs every entry point accepts.
 
     ``None`` in any field means "not decided yet" — the consumer either
-    applies its own default (``step_mode``, ``processes``, ``delay``)
-    or, for the blocking parameters, asks :meth:`resolved_for` to walk
-    rungs 3-4 of the resolution order.
+    applies its own default (``processes``, ``delay``) or, for the
+    blocking parameters, asks :meth:`resolved_for` to walk rungs 3-4 of
+    the resolution order.
 
     Attributes
     ----------
@@ -134,8 +130,6 @@ class RunConfig:
     backend:
         Kernel-backend spec for :func:`repro.backends.resolve_backend`
         (name, ``"auto"``, or None).
-    step_mode:
-        Driver stepping: ``"batched"`` (crowd-fused) or ``"walker"``.
     processes:
         Worker-process count for the parallel drivers (None = the
         driver's own default, usually sequential).
@@ -159,7 +153,6 @@ class RunConfig:
     chunk_size: int | None = None
     tile_size: int | None = None
     backend: str | None = None
-    step_mode: str | None = None
     processes: int | None = None
     orbital_shards: int | None = None
     delay: int | None = None
@@ -168,10 +161,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tune", _normalize_tune(self.tune))
-        if self.step_mode is not None and self.step_mode not in _STEP_MODES:
-            raise ValueError(
-                f"step_mode must be one of {_STEP_MODES}, got {self.step_mode!r}"
-            )
         for field in _INT_FIELDS:
             value = getattr(self, field)
             if value is not None and int(value) <= 0:
@@ -271,9 +260,7 @@ class RunConfig:
         :attr:`tune` mode — ``"search"`` micro-benchmarks on a miss and
         persists), else the cache-budget heuristic (rung 4).  A
         ``backend="auto"`` config additionally adopts the winner's
-        measured backend (the tuner's third searched axis).  Also
-        fills ``step_mode`` with its documented default (``"batched"``)
-        so workers inherit a fully-determined config.
+        measured backend (the tuner's third searched axis).
 
         Resolution happens **parent-side**: the returned config carries
         concrete ints, so shipping it to a worker process reproduces
@@ -342,13 +329,11 @@ class RunConfig:
             # only pays when walkers < processes, which resolved_for
             # cannot see — the split="auto" planner upgrades this.
             shards, prov["orbital_shards"] = 1, SOURCE_HEURISTIC
-        step_mode = self.step_mode if self.step_mode is not None else "batched"
         return dataclasses.replace(
             self,
             chunk_size=int(chunk),
             tile_size=int(tile),
             backend=backend,
-            step_mode=step_mode,
             processes=None if processes is None else int(processes),
             orbital_shards=int(shards),
             provenance=tuple(sorted(prov.items())),
@@ -391,26 +376,6 @@ def load_run_config(path) -> RunConfig:
         sorted((f, SOURCE_KWARG) for f in _ENV_VARS if data.get(f) is not None)
     )
     return dataclasses.replace(cfg, provenance=prov)
-
-
-def effective_step_mode(
-    step_mode: str | None = None,
-    config: "RunConfig | None" = None,
-    default: str = "batched",
-) -> str:
-    """Step-mode resolution for the run drivers, in rung order.
-
-    Explicit kwarg > ``config.step_mode`` > ``REPRO_STEP_MODE`` >
-    ``default``.  Kept as a helper (rather than forcing every driver to
-    build a full config) because ``step_mode`` is the one knob the
-    walker-path drivers need even when they never touch the batched
-    engine.
-    """
-    if step_mode is not None:
-        return step_mode
-    if config is not None and config.step_mode is not None:
-        return config.step_mode
-    return os.environ.get("REPRO_STEP_MODE") or default
 
 
 def deprecated_kwargs(api: str, replacement: str = "config=RunConfig(...)", **used) -> None:

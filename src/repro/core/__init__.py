@@ -19,8 +19,8 @@ Public surface:
   :class:`Engine` protocol every engine implements —
   ``evaluate(kind, pos, out)`` / ``evaluate_batch(kind, positions, out)``
   / ``new_output(kind, n=1)``.
-* Nested threading (Opt C): :class:`NestedEvaluator`,
-  :func:`partition_tiles`.
+* Nested threading (Opt C): :class:`NestedEvaluator`, over the static
+  split of :func:`repro.core.partition.partition`.
 * Tiling arithmetic and auto-tuning: :mod:`repro.core.tiling`.
 * Batched-path cache planning: :func:`pad_table_3d` (ghost-padded
   tables), :func:`detect_caches` / :func:`plan_tiles` and their result
@@ -52,7 +52,7 @@ from repro.core.layout_aos import BsplineAoS
 from repro.core.layout_aosoa import BsplineAoSoA
 from repro.core.layout_fused import BsplineFused
 from repro.core.layout_soa import BsplineSoA
-from repro.core.nested import NestedEvaluator, partition_tiles
+from repro.core.nested import NestedEvaluator
 from repro.core.spline1d import CubicBspline1D
 from repro.tune.planner import CacheInfo, TilePlan, detect_caches, plan_tiles
 from repro.core.tiling import (
@@ -94,7 +94,6 @@ __all__ = [
     "WalkerSoA",
     "WalkerTiled",
     "NestedEvaluator",
-    "partition_tiles",
     "VectorSoA3D",
     "CubicBspline1D",
     "aligned_empty",

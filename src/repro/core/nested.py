@@ -19,7 +19,6 @@ hardware-model results for paper Fig. 9 come from
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,30 +29,7 @@ from repro.core.partition import partition
 from repro.core.walker import WalkerTiled
 from repro.obs import OBS
 
-__all__ = ["partition_tiles", "NestedEvaluator"]
-
-_PARTITION_TILES_WARNED = False
-
-
-def partition_tiles(n_tiles: int, n_threads: int) -> list[range]:
-    """Deprecated alias of :func:`repro.core.partition.partition`.
-
-    The thread-side (Opt C nested) and process-side (orbital shard)
-    partitions now share one implementation in
-    :mod:`repro.core.partition`; this spelling is kept one release for
-    external callers and warns once per process.
-    """
-    global _PARTITION_TILES_WARNED
-    if not _PARTITION_TILES_WARNED:
-        _PARTITION_TILES_WARNED = True
-        warnings.warn(
-            "repro.core.nested.partition_tiles is deprecated since PR10, "
-            "use repro.core.partition.partition instead "
-            "(removed next release)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return partition(n_tiles, n_threads)
+__all__ = ["NestedEvaluator"]
 
 
 class NestedEvaluator:

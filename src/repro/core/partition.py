@@ -8,8 +8,7 @@ of this repo need exactly that split — the nested thread evaluator
 (:mod:`repro.parallel.orbital`), and the tuner's candidate generator —
 and they must *agree*, or a thread-side and a process-side run of the
 same shape would block the spline axis differently.  This module is the
-single home; ``repro.core.nested.partition_tiles`` is a deprecated
-alias.
+single home.
 
 :func:`plan_orbital_blocks` adds the one extra rule the bitwise
 contract needs: **no width-1 block**.  NumPy's einsum dispatches a

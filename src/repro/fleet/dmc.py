@@ -47,13 +47,9 @@ class _FleetExecutor:
     """
 
     def __init__(
-        self,
-        supervisor: FleetSupervisor,
-        step_mode: str,
-        injector: FaultInjector | None,
+        self, supervisor: FleetSupervisor, injector: FaultInjector | None
     ):
         self._sup = supervisor
-        self._step_mode = step_mode
         self._injector = injector
         self._armed: set[int] = set()  # indices into injector.process_faults
 
@@ -137,9 +133,7 @@ class _FleetExecutor:
         self, states: list[_WalkerState], gen: int, tau: float, ion_charge: float
     ) -> list[dict]:
         self._arm_faults(gen)
-        return self._scatter(
-            states, "propagate", tau, ion_charge, self._step_mode
-        )
+        return self._scatter(states, "propagate", tau, ion_charge)
 
     def generation_end(
         self, gen: int, states: list[_WalkerState], seconds: float
@@ -174,7 +168,6 @@ def run_dmc_supervised(
     resume=None,
     guard: GuardConfig | None = None,
     start_method: str | None = None,
-    step_mode: str | None = None,
     fleet: FleetConfig | None = None,
     injector: FaultInjector | None = None,
 ) -> DmcResult:
@@ -190,17 +183,8 @@ def run_dmc_supervised(
 
     The supervision outcome lands on ``result.fleet`` (restart /
     rebalance / scale counts, MTTR samples, final worker count) and, when
-    observability is on, in the OBS registry.  ``step_mode=None``
-    resolves through the spec's :class:`~repro.config.RunConfig`, then
-    ``REPRO_STEP_MODE``.
+    observability is on, in the OBS registry.
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, spec.config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     fleet = fleet or FleetConfig()
     table = solve_spec_table(spec)
     shared = SharedTable.create(pad_table_3d(table))
@@ -215,7 +199,7 @@ def run_dmc_supervised(
             start_method=start_method,
         ) as supervisor:
             return _run_dmc_loop(
-                _FleetExecutor(supervisor, step_mode, injector),
+                _FleetExecutor(supervisor, injector),
                 spec,
                 n_generations=n_generations,
                 tau=tau,

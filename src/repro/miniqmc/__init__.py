@@ -3,16 +3,11 @@
 * :mod:`repro.miniqmc.config` — paper-scale and host-scale configurations;
 * :mod:`repro.miniqmc.driver` — kernel-only drivers for layout studies;
 * :mod:`repro.miniqmc.app` — the profiled full application (Tables II/III
-  and the miniQMC speedup headline).
+  and the miniQMC speedup headline).  Import it by its module path; the
+  package does not re-export it, so ``python -m repro.miniqmc.app`` runs
+  the module fresh as ``__main__``.
 """
 
-from repro.miniqmc.app import (
-    AppInstance,
-    TimedProxy,
-    build_app,
-    profile_shares,
-    run_profiled,
-)
 from repro.miniqmc.config import (
     MiniQmcConfig,
     live_app_config,
@@ -36,9 +31,4 @@ __all__ = [
     "run_tiled_driver",
     "WalkerEnsemble",
     "EnsembleResult",
-    "AppInstance",
-    "TimedProxy",
-    "build_app",
-    "run_profiled",
-    "profile_shares",
 ]

@@ -27,7 +27,6 @@ from repro.lattice.orbitals import PlaneWaveOrbitalSet
 from repro.lattice.pbc import wigner_seitz_radius
 from repro.obs import OBS
 from repro.perf.timer import SectionTimers
-from repro.qmc.batched_step import CrowdState, batched_sweep
 from repro.qmc.drift_diffusion import sweep
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.jastrow import make_polynomial_radial
@@ -258,8 +257,6 @@ def run_profiled(
     checkpoint_every: int | None = None,
     checkpoint_path=None,
     resume=None,
-    step_mode: str | None = None,
-    config=None,
 ) -> tuple[float, SectionTimers]:
     """Run drift-diffusion sweeps; returns (total wall seconds, timers).
 
@@ -268,15 +265,13 @@ def run_profiled(
     carries a pseudopotential — drives the V kernel through the
     quadrature spheres.
 
-    ``step_mode="batched"`` advances the walker through the batched
-    population kernels (a crowd of one) — bit-identical trajectory, but
-    the per-component sections (distance tables, Jastrow) are bypassed
-    by fused batched stages, so their profile shares collapse toward
-    zero.  The library default therefore stays ``"walker"``, the mode
-    whose attribution reproduces the paper's Tables II/III; the CLI
-    defaults to ``"batched"`` (the hot path).  ``step_mode=None``
-    resolves through ``config.step_mode``, then ``REPRO_STEP_MODE``,
-    then ``"walker"``.
+    The walker advances through the per-walker
+    :func:`repro.qmc.drift_diffusion.sweep`, which calls every component
+    (distance tables, Jastrow, orbitals) separately, so each proxied
+    section sees its own calls — the attribution that reproduces the
+    paper's Tables II/III.  The trajectory is bit-identical to the
+    batched population step the production drivers run, whose fused
+    stages would bypass the proxies.
 
     The untimed remainder (determinant algebra, particle bookkeeping) is
     recorded as the ``other`` section, matching the paper's "Rest of the
@@ -290,13 +285,6 @@ def run_profiled(
     trajectory continues exactly (timings, being wall clock, simply
     accumulate).
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, config, default="walker")
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if checkpoint_every is not None:
         if checkpoint_every <= 0:
             raise ValueError(
@@ -333,15 +321,10 @@ def run_profiled(
             app.timers.add(section, secs)
         if estimator is not None:
             estimator = LocalEnergy(app.wf, pseudopotential=app.pseudopotential)
-    # Built after any resume so the crowd sees the restored configuration.
-    crowd = CrowdState([app.wf], [app.rng]) if step_mode == "batched" else None
     t0 = time.perf_counter()
     for sweep_idx in range(start_sweep, n_sweeps):
         with OBS.span("miniqmc:sweep", cat="miniqmc", sweep=sweep_idx):
-            if crowd is not None:
-                batched_sweep(crowd, tau)
-            else:
-                sweep(app.wf, tau, app.rng)
+            sweep(app.wf, tau, app.rng)
             if estimator is not None:
                 estimator.total()
         OBS.count("miniqmc_sweeps_total")
@@ -413,16 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="NS",
         help="positions per batched gather chunk (default: auto-tuned)",
-    )
-    parser.add_argument(
-        "--step-mode",
-        default=None,
-        choices=("batched", "walker"),
-        help="advance walkers through the batched crowd kernels (default) "
-        "or the per-walker sweep; trajectories are bit-identical either "
-        "way (in profiled mode, 'walker' restores the per-component "
-        "attribution of the paper's tables); unset resolves through "
-        "--config / REPRO_STEP_MODE",
     )
     parser.add_argument(
         "--walkers",
@@ -563,8 +536,6 @@ def main(argv: list[str] | None = None) -> int:
                 "checkpointing; use the single-walker profiled mode"
             )
         return _population_main(args, observe, cfg)
-    from repro.config import effective_step_mode
-
     if observe:
         OBS.reset()
         OBS.enable()
@@ -584,8 +555,6 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_path,
             resume=args.resume,
-            step_mode=effective_step_mode(args.step_mode, cfg),
-            config=cfg,
         )
     except CheckpointError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
@@ -664,7 +633,6 @@ def _population_main(args, observe: bool, cfg) -> int:
             n_workers=n_workers,
             n_sweeps=args.sweeps,
             tau=args.tau,
-            step_mode=args.step_mode,
             fleet=fleet,
             split=args.split,
             orbital_shards=args.orbital_shards,

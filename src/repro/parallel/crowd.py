@@ -1,13 +1,14 @@
 """Process-parallel crowd execution over one shared coefficient table.
 
-The sequential :class:`repro.qmc.crowd.Crowd` already turns per-electron
-orbital evaluations across walkers into batched kernel calls; this
-module distributes the *walkers* over worker processes.  Each worker
-attaches the :class:`~repro.parallel.shared_table.SharedTable`
-zero-copy, builds its contiguous walker shard from deterministic
-per-walker seeds (:mod:`repro.parallel.sharding`), and advances it as a
-sub-crowd.  Because every walker's streams depend only on its global
-index, and the batched kernels evaluate each position independently,
+The batched population step (:mod:`repro.qmc.batched_step`) already
+turns per-electron orbital evaluations across walkers into batched
+kernel calls; this module distributes the *walkers* over worker
+processes.  Each worker attaches the
+:class:`~repro.parallel.shared_table.SharedTable` zero-copy, builds its
+contiguous walker shard from deterministic per-walker seeds
+(:mod:`repro.parallel.sharding`), and advances it as a sub-crowd.
+Because every walker's streams depend only on its global index, and the
+batched kernels evaluate each position independently,
 
     ``run_crowd_parallel(spec, n_workers=K)``
 
@@ -35,8 +36,7 @@ from repro.obs import OBS
 from repro.parallel.pool import ProcessCrowdPool
 from repro.parallel.sharding import shard_slices, walker_rng
 from repro.parallel.shared_table import SharedTable
-from repro.qmc.crowd import Crowd
-from repro.qmc.drift_diffusion import sweep
+from repro.qmc.batched_step import CrowdState, batched_sweep
 from repro.qmc.jastrow import make_polynomial_radial
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.slater import SplineOrbitalSet
@@ -270,7 +270,7 @@ class _CrowdShard:
         shard = shard_slices(spec.n_walkers, table_spec["n_workers"])[worker_id]
         self.lo, self.hi = shard.start, shard.stop
         wfs, rngs = build_walker_range(spec, self._table.array, self.lo, self.hi)
-        self.crowd = Crowd(wfs, rngs) if wfs else None
+        self.crowd = CrowdState(wfs, rngs) if wfs else None
 
     def plan(self) -> dict:
         """The shard's resolved execution plan (for inheritance tests).
@@ -290,8 +290,8 @@ class _CrowdShard:
             "config": spos.config.as_dict(),
         }
 
-    def run(self, n_sweeps: int, tau: float, step_mode: str = "batched") -> dict:
-        """Advance the shard ``n_sweeps`` sweeps (lock-step by default)."""
+    def run(self, n_sweeps: int, tau: float) -> dict:
+        """Advance the shard ``n_sweeps`` lock-step sweeps."""
         if self.crowd is None:
             return {
                 "positions": None,
@@ -302,15 +302,7 @@ class _CrowdShard:
         t0 = time.perf_counter()
         accepted = attempted = 0
         for _ in range(n_sweeps):
-            if step_mode == "walker":
-                acc = att = 0
-                for wf, rng in zip(self.crowd.wfs, self.crowd.rngs):
-                    a, t = sweep(wf, tau, rng)
-                    acc += a
-                    att += t
-                self.crowd.state.refresh_positions()
-            else:
-                acc, att = self.crowd.sweep(tau)
+            acc, att = batched_sweep(self.crowd, tau)
             accepted += acc
             attempted += att
         dt = time.perf_counter() - t0
@@ -350,39 +342,19 @@ def run_crowd_sequential(
     n_sweeps: int,
     tau: float,
     table: np.ndarray | None = None,
-    step_mode: str | None = None,
 ) -> CrowdRunResult:
-    """The single-process reference: one crowd holding every walker.
-
-    ``step_mode="walker"`` advances each walker with the sequential
-    per-electron sweep instead of the batched kernels — bit-identical to
-    the default, kept as the comparison baseline for the benchmarks and
-    the CLI parity smoke.  ``None`` takes the spec config's mode
-    (default ``"batched"``).
-    """
+    """The single-process reference: one crowd holding every walker."""
     if table is None:
         table = solve_spec_table(spec)
     spec = spec.resolved(table.dtype)
-    if step_mode is None:
-        step_mode = spec.config.step_mode
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
-    crowd = Crowd(wfs, rngs)
+    crowd = CrowdState(wfs, rngs)
     t0 = time.perf_counter()
     accepted = attempted = 0
     for _ in range(n_sweeps):
-        if step_mode == "walker":
-            for wf, rng in zip(wfs, rngs):
-                a, t = sweep(wf, tau, rng)
-                accepted += a
-                attempted += t
-        else:
-            acc, att = crowd.sweep(tau)
-            accepted += acc
-            attempted += att
+        acc, att = batched_sweep(crowd, tau)
+        accepted += acc
+        attempted += att
     seconds = time.perf_counter() - t0
     return CrowdRunResult(
         positions=np.stack([wf.electrons.positions for wf in wfs]),
@@ -402,7 +374,6 @@ def _run_crowd_orbital(
     table: np.ndarray,
     orbital_shards: int,
     start_method: str | None,
-    step_mode: str,
     fleet=None,
 ) -> CrowdRunResult:
     """Opt C for the crowd: one parent-side population, fanned kernels.
@@ -434,20 +405,14 @@ def _run_crowd_orbital(
     # All walkers share this orbital set, so one injection fans every
     # kernel call of the run across the orbital blocks.
     spos._batched = fanned
-    crowd = Crowd(wfs, rngs)
+    crowd = CrowdState(wfs, rngs)
     t0 = time.perf_counter()
     accepted = attempted = 0
     try:
         for _ in range(n_sweeps):
-            if step_mode == "walker":
-                for wf, rng in zip(wfs, rngs):
-                    a, t = sweep(wf, tau, rng)
-                    accepted += a
-                    attempted += t
-            else:
-                acc, att = crowd.sweep(tau)
-                accepted += acc
-                attempted += att
+            acc, att = batched_sweep(crowd, tau)
+            accepted += acc
+            attempted += att
     finally:
         fanned.close()
     seconds = time.perf_counter() - t0
@@ -468,7 +433,6 @@ def run_crowd_parallel(
     tau: float,
     table: np.ndarray | None = None,
     start_method: str | None = None,
-    step_mode: str | None = None,
     fleet=None,
     injector=None,
     split: str = "walkers",
@@ -479,10 +443,8 @@ def run_crowd_parallel(
     The coefficient table is placed in shared memory once and attached
     zero-copy by every worker; walkers are sharded contiguously and
     gathered back in order, so the result is bit-identical to
-    :func:`run_crowd_sequential` for any ``n_workers`` — and, since the
-    batched and per-walker paths share one trajectory, for either
-    ``step_mode``.  All segments and workers are torn down before
-    returning (no ``/dev/shm`` leaks).
+    :func:`run_crowd_sequential` for any ``n_workers``.  All segments
+    and workers are torn down before returning (no ``/dev/shm`` leaks).
 
     ``split`` selects the sharded axis: ``"walkers"`` (default — the
     behaviour above), ``"orbitals"`` (Opt C: the population stays in
@@ -525,14 +487,6 @@ def run_crowd_parallel(
                     "fault injectors target walker shards; orbital replicas "
                     "take faults via OrbitalEvaluator.arm_fault instead"
                 )
-            if step_mode is None:
-                from repro.config import effective_step_mode
-
-                step_mode = effective_step_mode(step_mode, spec.config)
-            if step_mode not in ("batched", "walker"):
-                raise ValueError(
-                    f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-                )
             return _run_crowd_orbital(
                 spec,
                 n_workers,
@@ -541,19 +495,12 @@ def run_crowd_parallel(
                 table,
                 orbital_shards=shards,
                 start_method=start_method,
-                step_mode=step_mode,
                 fleet=fleet,
             )
     # Resolve once, parent-side: workers unpickle a spec whose config
     # already carries concrete chunk/tile ints and never consult their
     # own env or tuning DB for the blocking decision.
     spec = spec.resolved(table.dtype)
-    if step_mode is None:
-        step_mode = spec.config.step_mode
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     # Pad once in the parent: workers then attach the ghost halo
     # zero-copy instead of each paying the pad copy themselves.
     shared = SharedTable.create(pad_table_3d(table))
@@ -572,7 +519,7 @@ def run_crowd_parallel(
                 start_method=start_method,
             ) as supervisor:
                 supervisor.arm_injector(injector)
-                shards = supervisor.broadcast("run", n_sweeps, tau, step_mode)
+                shards = supervisor.broadcast("run", n_sweeps, tau)
                 supervisor.merge_metrics()
         else:
             with ProcessCrowdPool(
@@ -581,7 +528,7 @@ def run_crowd_parallel(
                 (spec, table_spec),
                 start_method=start_method,
             ) as pool:
-                shards = pool.broadcast("run", n_sweeps, tau, step_mode)
+                shards = pool.broadcast("run", n_sweeps, tau)
                 pool.merge_metrics()
     finally:
         shared.close()

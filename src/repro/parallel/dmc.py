@@ -47,7 +47,6 @@ from repro.parallel.sharding import shard_slices, walker_rng
 from repro.parallel.shared_table import SharedTable
 from repro.qmc.batched_step import CrowdState, batched_sweep
 from repro.qmc.dmc import DmcResult
-from repro.qmc.drift_diffusion import sweep
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.rng import WalkerRngPool
@@ -145,53 +144,34 @@ class _DmcShard:
         ]
 
     def propagate(
-        self,
-        tasks: list[dict],
-        tau: float,
-        ion_charge: float,
-        step_mode: str = "batched",
+        self, tasks: list[dict], tau: float, ion_charge: float
     ) -> list[dict]:
         """One drift-diffusion sweep + measurement per task.
 
-        ``step_mode="batched"`` loads every task into its template and
-        advances the whole shard through the batched population kernels
-        (one crowd — all templates share one orbital set), then measures
-        in task order; measurement consumes no RNG, so this is bitwise
-        identical to the per-task ``"walker"`` loop.
+        Loads every task into its template and advances the whole shard
+        through the batched population kernels (one crowd — all
+        templates share one orbital set), then measures in task order;
+        measurement consumes no RNG, so each task's result is bitwise
+        independent of which shard carried it.
         """
+        if not tasks:
+            return []
         t0 = time.perf_counter()
-        out = []
-        if step_mode == "batched" and tasks:
-            wfs = [self._load(i, t) for i, t in enumerate(tasks)]
-            rngs = [restore_rng(t["rng_state"]) for t in tasks]
-            state = CrowdState(wfs, rngs)
-            batched_sweep(state, tau)
-            for i, wf in enumerate(wfs):
-                out.append(
-                    {
-                        "positions": wf.electrons.positions.copy(),
-                        "rng_state": rng_state(rngs[i]),
-                        "e_local": float(LocalEnergy(wf, ion_charge).total()),
-                        "accepted": int(state.accepts[i]),
-                        "attempted": state.n_electrons,
-                    }
-                )
-        else:
-            for i, task in enumerate(tasks):
-                wf = self._load(i, task)
-                rng = restore_rng(task["rng_state"])
-                acc, att = sweep(wf, tau, rng)
-                e = float(LocalEnergy(wf, ion_charge).total())
-                out.append(
-                    {
-                        "positions": wf.electrons.positions.copy(),
-                        "rng_state": rng_state(rng),
-                        "e_local": e,
-                        "accepted": acc,
-                        "attempted": att,
-                    }
-                )
-        if OBS.enabled and tasks:
+        wfs = [self._load(i, t) for i, t in enumerate(tasks)]
+        rngs = [restore_rng(t["rng_state"]) for t in tasks]
+        state = CrowdState(wfs, rngs)
+        batched_sweep(state, tau)
+        out = [
+            {
+                "positions": wf.electrons.positions.copy(),
+                "rng_state": rng_state(rngs[i]),
+                "e_local": float(LocalEnergy(wf, ion_charge).total()),
+                "accepted": int(state.accepts[i]),
+                "attempted": state.n_electrons,
+            }
+            for i, wf in enumerate(wfs)
+        ]
+        if OBS.enabled:
             OBS.count("dmc_shard_walkers_propagated_total", len(tasks))
             OBS.observe("dmc_shard_propagate_seconds", time.perf_counter() - t0)
         return out
@@ -245,12 +225,9 @@ class _OrbitalExecutor:
     supervised, the fleet recovery counters.
     """
 
-    def __init__(
-        self, shard: _LocalDmcShard, fanned, step_mode: str, n_workers: int
-    ):
+    def __init__(self, shard: _LocalDmcShard, fanned, n_workers: int):
         self._shard = shard
         self._fanned = fanned
-        self._step_mode = step_mode
         self._n_workers = n_workers
 
     def measure(self, states: list[_WalkerState], ion_charge: float) -> list[float]:
@@ -259,9 +236,7 @@ class _OrbitalExecutor:
     def propagate(
         self, states: list[_WalkerState], gen: int, tau: float, ion_charge: float
     ) -> list[dict]:
-        return self._shard.propagate(
-            [s.task() for s in states], tau, ion_charge, self._step_mode
-        )
+        return self._shard.propagate([s.task() for s in states], tau, ion_charge)
 
     def generation_end(
         self, gen: int, states: list[_WalkerState], seconds: float
@@ -321,9 +296,8 @@ def _scatter(pool: ProcessCrowdPool, states: list[_WalkerState], method: str, *a
 class _PoolExecutor:
     """The plain executor: contiguous shards over an unsupervised pool."""
 
-    def __init__(self, pool: ProcessCrowdPool, step_mode: str):
+    def __init__(self, pool: ProcessCrowdPool):
         self._pool = pool
-        self._step_mode = step_mode
 
     def measure(self, states: list[_WalkerState], ion_charge: float) -> list[float]:
         return _scatter(self._pool, states, "measure", ion_charge)
@@ -331,9 +305,7 @@ class _PoolExecutor:
     def propagate(
         self, states: list[_WalkerState], gen: int, tau: float, ion_charge: float
     ) -> list[dict]:
-        return _scatter(
-            self._pool, states, "propagate", tau, ion_charge, self._step_mode
-        )
+        return _scatter(self._pool, states, "propagate", tau, ion_charge)
 
     def generation_end(
         self, gen: int, states: list[_WalkerState], seconds: float
@@ -581,7 +553,6 @@ def run_dmc_sharded(
     resume=None,
     guard: GuardConfig | None = None,
     start_method: str | None = None,
-    step_mode: str | None = None,
     fleet=None,
     injector=None,
     split: str = "walkers",
@@ -601,9 +572,7 @@ def run_dmc_sharded(
     Parameters mirror :func:`repro.qmc.dmc.run_dmc` where they overlap;
     the ensemble itself is described by ``spec`` (the parent builds the
     initial population deterministically from per-walker streams).
-    ``step_mode`` selects batched shard propagation (default) or the
-    per-walker sweep; both are bit-identical, so — like the worker
-    count — the mode is deliberately not part of the checkpoint
+    The worker count is deliberately not part of the checkpoint
     contract.  ``resume="auto"`` resumes from ``checkpoint_path`` if a
     checkpoint exists there, else starts fresh.
 
@@ -620,16 +589,8 @@ def run_dmc_sharded(
     and ``"ignore"`` behave as in ``run_dmc``.
 
     Returns the same :class:`~repro.qmc.dmc.DmcResult` shape as the
-    sequential driver.  ``step_mode=None`` resolves through the spec's
-    :class:`~repro.config.RunConfig`, then ``REPRO_STEP_MODE``.
+    sequential driver.
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, spec.config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if split != "walkers" or orbital_shards is not None:
         from repro.parallel.orbital import OrbitalEvaluator, resolve_split
 
@@ -663,7 +624,7 @@ def run_dmc_sharded(
             shard._spos._batched = fanned
             try:
                 return _run_dmc_loop(
-                    _OrbitalExecutor(shard, fanned, step_mode, n_workers),
+                    _OrbitalExecutor(shard, fanned, n_workers),
                     spec,
                     n_generations=n_generations,
                     tau=tau,
@@ -695,7 +656,6 @@ def run_dmc_sharded(
             resume=resume,
             guard=guard,
             start_method=start_method,
-            step_mode=step_mode,
             fleet=fleet,
             injector=injector,
         )
@@ -716,7 +676,7 @@ def run_dmc_sharded(
             start_method=start_method,
         ) as pool:
             return _run_dmc_loop(
-                _PoolExecutor(pool, step_mode),
+                _PoolExecutor(pool),
                 spec,
                 n_generations=n_generations,
                 tau=tau,

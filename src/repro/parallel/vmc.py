@@ -2,10 +2,11 @@
 
 Each walker's VMC trajectory is fully independent (its wavefunction and
 its private stream), so population-level VMC is embarrassingly parallel:
-shard the walkers, run :func:`repro.qmc.vmc.run_vmc` per walker inside
-each worker, gather per-walker energy traces in walker order.  With the
-per-walker streams of :mod:`repro.parallel.sharding`, the merged result
-is bit-identical to the sequential loop for any worker count.
+shard the walkers, advance each worker's range in lock step through the
+batched population step, gather per-walker energy traces in walker
+order.  With the per-walker streams of :mod:`repro.parallel.sharding`,
+the merged result is bit-identical to the sequential loop for any worker
+count.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from repro.parallel.sharding import shard_slices
 from repro.parallel.shared_table import SharedTable
 from repro.qmc.batched_step import CrowdState, batched_sweep
 from repro.qmc.estimators import LocalEnergy
-from repro.qmc.vmc import run_vmc
 
 __all__ = ["VmcPopulationResult", "run_vmc_population"]
 
-# Must match run_vmc's default recompute cadence: the two step modes are
-# compared bit-for-bit, and recompute timing is part of the trajectory.
+# run_vmc's default recompute cadence; recompute timing is part of the
+# trajectory.
 _RECOMPUTE_EVERY = 20
 
 
@@ -55,60 +55,34 @@ class VmcPopulationResult:
         )
 
 
-def _run_walker_range(
-    wfs, rngs, n_steps, n_warmup, tau, ion_charge, step_mode="batched"
-) -> dict:
+def _run_walker_range(wfs, rngs, n_steps, n_warmup, tau, ion_charge) -> dict:
     """Run VMC over already-built walkers; shared by the in-process path
     and the worker shards.
 
-    ``step_mode="batched"`` advances the whole range in lock step through
-    the batched population kernels — each electron move across every
-    walker of the shard is one orbital call.  ``"walker"`` runs the
-    sequential :func:`repro.qmc.vmc.run_vmc` per walker.  Trajectories
-    and energy traces are bit-identical between the modes (walkers only
-    consume their private streams; measurement draws none).
+    The whole range advances in lock step through the batched population
+    kernels — each electron move across every walker of the shard is one
+    orbital call.  Walkers only consume their private streams and
+    measurement draws none, so every trace is independent of how the
+    population is sharded.
     """
-    if step_mode == "batched" and wfs:
-        state = CrowdState(wfs, rngs)
-        estimators = [LocalEnergy(wf, ion_charge) for wf in wfs]
-        traces: list[list[float]] = [[] for _ in wfs]
-        accepted = attempted = 0
-        for step in range(n_warmup + n_steps):
-            acc, att = batched_sweep(state, tau)
-            accepted += acc
-            attempted += att
-            if (step + 1) % _RECOMPUTE_EVERY == 0:
-                for wf in wfs:
-                    wf.recompute()
-            if step >= n_warmup:
-                for trace, est in zip(traces, estimators):
-                    trace.append(est.total())
-        return {
-            "energies": np.asarray(traces, dtype=np.float64),
-            "accepted": accepted,
-            "attempted": attempted,
-        }
-    energies, accepted, attempted = [], 0, 0
-    for wf, rng in zip(wfs, rngs):
-        result = run_vmc(
-            wf,
-            rng,
-            n_steps=n_steps,
-            n_warmup=n_warmup,
-            tau=tau,
-            ion_charge=ion_charge,
-            recompute_every=_RECOMPUTE_EVERY,
-            step_mode="walker",
-        )
-        energies.append(result.energies)
-        sweeps = n_steps + n_warmup
-        n_el = len(wf.electrons)
-        attempted += sweeps * n_el
-        accepted += round(result.acceptance * sweeps * n_el)
+    if not wfs:
+        return {"energies": np.empty((0, n_steps)), "accepted": 0, "attempted": 0}
+    state = CrowdState(wfs, rngs)
+    estimators = [LocalEnergy(wf, ion_charge) for wf in wfs]
+    traces: list[list[float]] = [[] for _ in wfs]
+    accepted = attempted = 0
+    for step in range(n_warmup + n_steps):
+        acc, att = batched_sweep(state, tau)
+        accepted += acc
+        attempted += att
+        if (step + 1) % _RECOMPUTE_EVERY == 0:
+            for wf in wfs:
+                wf.recompute()
+        if step >= n_warmup:
+            for trace, est in zip(traces, estimators):
+                trace.append(est.total())
     return {
-        "energies": np.asarray(energies, dtype=np.float64)
-        if energies
-        else np.empty((0, n_steps)),
+        "energies": np.asarray(traces, dtype=np.float64),
         "accepted": accepted,
         "attempted": attempted,
     }
@@ -124,10 +98,10 @@ class _VmcShard:
             spec, self._table.array, shard.start, shard.stop
         )
 
-    def run(self, n_steps, n_warmup, tau, ion_charge, step_mode="batched") -> dict:
+    def run(self, n_steps, n_warmup, tau, ion_charge) -> dict:
         t0 = time.perf_counter()
         out = _run_walker_range(
-            self.wfs, self.rngs, n_steps, n_warmup, tau, ion_charge, step_mode
+            self.wfs, self.rngs, n_steps, n_warmup, tau, ion_charge
         )
         if OBS.enabled and self.wfs:
             OBS.count("vmc_shard_walkers_total", len(self.wfs))
@@ -156,7 +130,6 @@ def run_vmc_population(
     table: np.ndarray | None = None,
     processes: bool = True,
     start_method: str | None = None,
-    step_mode: str | None = None,
     fleet=None,
     injector=None,
     split: str = "walkers",
@@ -166,9 +139,9 @@ def run_vmc_population(
 
     ``processes=False`` (or ``n_workers == 0``) runs the same walker loop
     in the calling process — the bit-identity reference the tests compare
-    1/2/4-worker runs against.  ``step_mode`` selects the batched
-    lock-step shard kernels (default) or the sequential per-walker sweep;
-    both are bit-identical for any worker count.
+    1/2/4-worker runs against.  Every shard steps its walkers in lock
+    step through the batched population kernels, bit-identically for any
+    worker count.
 
     ``split`` selects the sharded axis (see
     :func:`~repro.parallel.crowd.run_crowd_parallel`): ``"orbitals"``
@@ -185,16 +158,7 @@ def run_vmc_population(
     orbital shards are stateless replicas, supervised by restart +
     re-issue.  ``injector`` (process faults, fired at the run's single
     broadcast) requires ``fleet`` and the walker split.
-    ``step_mode=None`` resolves through the spec's
-    :class:`~repro.config.RunConfig`, then ``REPRO_STEP_MODE``.
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, spec.config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if injector is not None and fleet is None:
         raise ValueError(
             "injector requires fleet supervision (pass fleet=FleetConfig(...))"
@@ -237,7 +201,7 @@ def run_vmc_population(
             spos._batched = fanned
             try:
                 shard = _run_walker_range(
-                    wfs, rngs, n_steps, n_warmup, tau, ion_charge, step_mode
+                    wfs, rngs, n_steps, n_warmup, tau, ion_charge
                 )
             finally:
                 fanned.close()
@@ -251,9 +215,7 @@ def run_vmc_population(
     if not processes or n_workers == 0:
         wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
         shards = [
-            _run_walker_range(
-                wfs, rngs, n_steps, n_warmup, tau, ion_charge, step_mode
-            )
+            _run_walker_range(wfs, rngs, n_steps, n_warmup, tau, ion_charge)
         ]
         n_workers = 0
     else:
@@ -275,7 +237,7 @@ def run_vmc_population(
                 ) as supervisor:
                     supervisor.arm_injector(injector)
                     shards = supervisor.broadcast(
-                        "run", n_steps, n_warmup, tau, ion_charge, step_mode
+                        "run", n_steps, n_warmup, tau, ion_charge
                     )
                     supervisor.merge_metrics()
             else:
@@ -286,7 +248,7 @@ def run_vmc_population(
                     start_method=start_method,
                 ) as pool:
                     shards = pool.broadcast(
-                        "run", n_steps, n_warmup, tau, ion_charge, step_mode
+                        "run", n_steps, n_warmup, tau, ion_charge
                     )
                     pool.merge_metrics()
         finally:

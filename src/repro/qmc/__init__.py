@@ -8,7 +8,6 @@ factors, Slater determinants with Sherman-Morrison updates (paper Eqs.
 """
 
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.crowd import Crowd
 from repro.qmc.delayed import DelayedDeterminant
 from repro.qmc.determinant import DiracDeterminant
 from repro.qmc.distance_tables import DistanceTableAA, DistanceTableAB
@@ -38,7 +37,6 @@ from repro.qmc.wavefunction import SlaterJastrow
 
 __all__ = [
     "ParticleSet",
-    "Crowd",
     "CrowdState",
     "batched_sweep",
     "DelayedDeterminant",

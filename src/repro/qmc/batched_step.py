@@ -31,7 +31,9 @@ per-walker order (``standard_normal`` at the proposal, ``random`` only
 when the log-acceptance is negative and the ratio nonzero), and scalar
 assembly (``(det * j1) * j2``) replays the per-walker operation order
 exactly.  ``tests/qmc/test_batched_step.py`` locks this down with
-``assert_array_equal`` on full VMC and DMC traces.
+``assert_array_equal`` against :func:`repro.qmc.drift_diffusion.sweep`,
+which stays as the per-walker oracle: walker states after each sweep
+and a full VMC energy trace.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.drift_diffusion import sweep
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.rng import WalkerRngPool
 from repro.qmc.wavefunction import SlaterJastrow
@@ -258,10 +257,12 @@ def run_dmc(
     guard: GuardConfig | None = None,
     estimator_factory=None,
     on_generation=None,
-    step_mode: str | None = None,
-    config=None,
 ) -> DmcResult:
     """Propagate a DMC ensemble; returns traces for analysis.
+
+    Each generation propagates through the batched population step:
+    walkers are grouped by shared orbital set and advanced in lock step
+    with one kernel call per electron move (:mod:`repro.qmc.batched_step`).
 
     Parameters
     ----------
@@ -311,28 +312,7 @@ def run_dmc(
         ``hook(gen, walkers)`` called after each completed generation
         (after any checkpoint write); exceptions propagate, which is how
         the resilience tests simulate a mid-run kill.
-    step_mode:
-        ``"batched"`` (default) propagates each generation through the
-        batched population step: walkers are grouped by shared orbital
-        set and advanced in lock step with one kernel call per electron
-        move (:mod:`repro.qmc.batched_step`).  ``"walker"`` keeps the
-        sequential per-walker sweep.  Both produce bit-identical
-        trajectories (each walker's private stream is consumed in the
-        same order), so the mode is not part of the checkpoint contract.
-        ``None`` resolves through ``config.step_mode``, then the
-        ``REPRO_STEP_MODE`` environment variable, then ``"batched"``.
-    config:
-        Optional :class:`repro.config.RunConfig`; currently supplies
-        the ``step_mode`` default (the ensemble's kernel knobs are
-        fixed at :func:`build_dmc_ensemble` time).
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if not walkers:
         raise ValueError("need at least one walker")
     if checkpoint_every is not None:
@@ -407,21 +387,15 @@ def run_dmc(
 
     for gen in range(start_gen, n_generations):
         t_gen = time.perf_counter() if OBS.enabled else 0.0
-        # (i) drift-diffusion propagation.  The batched mode advances
-        # each shared-orbital-set group in lock step; since every walker
-        # consumes only its private stream, the result is bit-identical
-        # to sweeping walkers one at a time.
-        if step_mode == "batched":
-            for group in _crowd_groups(walkers):
-                state = CrowdState([w.wf for w in group], [w.rng for w in group])
-                acc, att = batched_sweep(state, tau)
-                accepted += acc
-                attempted += att
-        else:
-            for w in walkers:
-                acc, att = sweep(w.wf, tau, w.rng)
-                accepted += acc
-                attempted += att
+        # (i) drift-diffusion propagation: each shared-orbital-set group
+        # advances in lock step; since every walker consumes only its
+        # private stream, the result is bit-identical to sweeping
+        # walkers one at a time.
+        for group in _crowd_groups(walkers):
+            state = CrowdState([w.wf for w in group], [w.rng for w in group])
+            acc, att = batched_sweep(state, tau)
+            accepted += acc
+            attempted += att
         # (ii) measurement, in walker order.
         weights: list[float | None] = []
         for w in walkers:

@@ -79,6 +79,12 @@ def sweep(
 ) -> tuple[int, int]:
     """One pass of single-electron drift-diffusion moves over all electrons.
 
+    The production drivers step through the batched
+    :func:`repro.qmc.batched_step.batched_sweep` instead; this per-walker
+    pass is the bitwise oracle it must reproduce, and the schedule of the
+    profiled app (:mod:`repro.miniqmc.app`), which times each component
+    call separately.
+
     Parameters
     ----------
     wf:

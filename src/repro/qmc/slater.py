@@ -314,9 +314,9 @@ class SplineOrbitalSet:
 
         Returns ``(v (ns, N), g (ns, 3, N), lap (ns, N))`` — float64,
         Cartesian derivatives via the same lattice chain rule.  This is
-        the evaluation path of the crowd driver
-        (:mod:`repro.qmc.crowd`), which advances many walkers' same-index
-        electrons through one batched kernel call.
+        the evaluation path of the batched population step
+        (:mod:`repro.qmc.batched_step`), which advances many walkers'
+        same-index electrons through one batched kernel call.
         """
         batched = self._get_batched()
         cart_positions = np.atleast_2d(np.asarray(cart_positions, dtype=np.float64))
@@ -473,7 +473,7 @@ class SlaterDet:
     ) -> tuple[float, np.ndarray]:
         """Like :meth:`ratio_grad` but with precomputed orbital VGL.
 
-        The entry point for batched drivers (:mod:`repro.qmc.crowd`):
+        The entry point for batched drivers (:mod:`repro.qmc.batched_step`):
         orbitals for many walkers are evaluated in one kernel call, then
         each walker stages its own slice here.
         """

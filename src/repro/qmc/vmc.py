@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.drift_diffusion import sweep
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.wavefunction import SlaterJastrow
 from repro.resilience.checkpoint import (
@@ -79,10 +78,11 @@ def run_vmc(
     checkpoint_path=None,
     resume=None,
     guard: GuardConfig | None = None,
-    step_mode: str | None = None,
-    config=None,
 ) -> VmcResult:
     """Run VMC on one walker and return its energy trace.
+
+    The walker advances through the batched population-step kernels
+    (:mod:`repro.qmc.batched_step`) as a crowd of one.
 
     Parameters
     ----------
@@ -114,27 +114,7 @@ def run_vmc(
         ``"recompute"`` rebuilds derived state and re-measures once
         (keeping the bad sample only if still bad under ``"ignore"``
         semantics), ``"drop"`` skips the sample.
-    step_mode:
-        ``"batched"`` (default) advances the walker through the batched
-        population-step kernels (:mod:`repro.qmc.batched_step`, a crowd
-        of one); ``"walker"`` uses the sequential per-electron loop.
-        Both produce bit-identical trajectories, so the mode is not part
-        of the checkpoint contract — a checkpoint from either mode
-        resumes under either mode.  ``None`` resolves through
-        ``config.step_mode``, then ``REPRO_STEP_MODE``, then
-        ``"batched"``.
-    config:
-        Optional :class:`repro.config.RunConfig`; supplies the
-        ``step_mode`` default (kernel knobs are fixed when the
-        wavefunction's orbital set is built).
     """
-    from repro.config import effective_step_mode
-
-    step_mode = effective_step_mode(step_mode, config)
-    if step_mode not in ("batched", "walker"):
-        raise ValueError(
-            f"step_mode must be 'batched' or 'walker', got {step_mode!r}"
-        )
     if checkpoint_every is not None:
         if checkpoint_every <= 0:
             raise ValueError(
@@ -205,14 +185,11 @@ def run_vmc(
 
     # Built after any resume so the SoA position cache sees the restored
     # configuration.
-    crowd = CrowdState([wf], [rng]) if step_mode == "batched" else None
+    crowd = CrowdState([wf], [rng])
 
     for step in range(start_step, n_warmup + n_steps):
         t_step = time.perf_counter() if OBS.enabled else 0.0
-        if crowd is not None:
-            acc, att = batched_sweep(crowd, tau)
-        else:
-            acc, att = sweep(wf, tau, rng)
+        acc, att = batched_sweep(crowd, tau)
         if OBS.enabled:
             dt = time.perf_counter() - t_step
             OBS.count("vmc_steps_total")

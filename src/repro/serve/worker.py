@@ -202,9 +202,7 @@ class ServeShard:
         table = self._attach(table_spec)
         spec = CrowdSpec(**spec_fields)
         wfs, rngs = build_walker_range(spec, table.array, 0, spec.n_walkers)
-        out = _run_walker_range(
-            wfs, rngs, n_steps, n_warmup, tau, ion_charge, "batched"
-        )
+        out = _run_walker_range(wfs, rngs, n_steps, n_warmup, tau, ion_charge)
         if OBS.enabled:
             OBS.count("serve_worker_vmc_total")
         return out

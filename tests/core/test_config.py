@@ -18,7 +18,6 @@ from repro.config import (
     TUNE_SEARCH,
     RunConfig,
     deprecated_kwargs,
-    effective_step_mode,
     load_run_config,
 )
 from repro.tune.db import TIER_ALLCLOSE, TuneDB, TunedConfig, TuneShape
@@ -49,10 +48,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: 0})
 
-    def test_step_mode_validation(self):
-        with pytest.raises(ValueError, match="step_mode"):
-            RunConfig(step_mode="diagonal")
-
     def test_replace_rejects_unknown_field(self):
         with pytest.raises(TypeError, match="unknown"):
             RunConfig().replace(chunck_size=8)
@@ -73,17 +68,16 @@ class TestRungOrder:
         monkeypatch.setenv("REPRO_CHUNK_SIZE", "64")
         monkeypatch.setenv("REPRO_TILE_SIZE", "16")
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        monkeypatch.setenv("REPRO_STEP_MODE", "walker")
         monkeypatch.setenv("REPRO_PROCESSES", "3")
         monkeypatch.setenv("REPRO_DELAY", "4")
         monkeypatch.setenv("REPRO_TUNE", "off")
         cfg = RunConfig.from_env()
         assert (cfg.chunk_size, cfg.tile_size) == (64, 16)
-        assert (cfg.backend, cfg.step_mode) == ("numpy", "walker")
+        assert cfg.backend == "numpy"
         assert (cfg.processes, cfg.delay, cfg.tune) == (3, 4, TUNE_OFF)
         assert all(
             cfg.source_of(f) == "env"
-            for f in ("chunk_size", "tile_size", "backend", "step_mode")
+            for f in ("chunk_size", "tile_size", "backend")
         )
 
     def test_env_parse_error_is_loud(self, monkeypatch):
@@ -112,7 +106,6 @@ class TestRungOrder:
         assert (cfg.chunk_size, cfg.tile_size) == (plan.chunk, plan.tile)
         assert cfg.source_of("chunk_size") == "heuristic"
         assert cfg.is_resolved
-        assert cfg.step_mode == "batched"  # filled with the default
 
     def test_tune_off_skips_db(self, tmp_path):
         db = TuneDB(path=tmp_path / "db.json")
@@ -195,31 +188,20 @@ class TestSerialization:
         assert cfg.source_of("chunk_size") == "kwarg"  # a file is rung 1
         assert cfg.source_of("backend") == "default"
 
+    def test_load_run_config_ignores_legacy_step_mode(self, tmp_path):
+        # Configs saved before the per-walker schedule was removed carry
+        # the retired "step_mode" key; they must still load.
+        path = tmp_path / "run.json"
+        path.write_text('{"chunk_size": 8, "step_mode": "walker"}')
+        cfg = load_run_config(path)
+        assert cfg.chunk_size == 8
+        assert "step_mode" not in cfg.as_dict()
+
     def test_load_run_config_rejects_non_object(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError, match="object"):
             load_run_config(path)
-
-
-class TestEffectiveStepMode:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEP_MODE", "batched")
-        cfg = RunConfig(step_mode="batched")
-        assert effective_step_mode("walker", cfg) == "walker"
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEP_MODE", "batched")
-        assert effective_step_mode(None, RunConfig(step_mode="walker")) == "walker"
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEP_MODE", "walker")
-        assert effective_step_mode(None, None) == "walker"
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEP_MODE", raising=False)
-        assert effective_step_mode(None, RunConfig()) == "batched"
-        assert effective_step_mode(None, None, default="walker") == "walker"
 
 
 class TestDeprecatedKwargs:

@@ -134,21 +134,6 @@ class TestMiniQmcSurfaces:
 
 
 class TestModuleShim:
-    def test_repro_core_tune_import_warns(self):
-        """The moved module warns on import, in a fresh interpreter (an
-        in-process import would be cached from earlier tests)."""
-        code = (
-            "import warnings\n"
-            "with warnings.catch_warnings(record=True) as rec:\n"
-            "    warnings.simplefilter('always')\n"
-            "    import repro.core.tune\n"
-            "hits = [w for w in rec if issubclass(w.category, DeprecationWarning)\n"
-            "        and 'repro.tune' in str(w.message)]\n"
-            "assert len(hits) == 1, rec\n"
-            "assert repro.core.tune.plan_tiles is not None\n"
-        )
-        subprocess.run([sys.executable, "-c", code], check=True)
-
     def test_supported_spellings_stay_silent(self):
         code = (
             "import warnings\n"

@@ -7,14 +7,14 @@ from repro.core import (
     BsplineAoSoA,
     BsplineSoA,
     NestedEvaluator,
-    partition_tiles,
     refimpl,
 )
+from repro.core.partition import partition
 
 
 class TestPartitionTilesOversubscribed:
     def test_more_threads_than_tiles(self):
-        ranges = partition_tiles(n_tiles=3, n_threads=8)
+        ranges = partition(n_items=3, n_parts=8)
         assert len(ranges) == 8
         # The first three threads get one tile each; the rest idle.
         assert [len(r) for r in ranges] == [1, 1, 1, 0, 0, 0, 0, 0]
@@ -22,12 +22,12 @@ class TestPartitionTilesOversubscribed:
     def test_coverage_is_exact_and_ordered(self):
         for n_tiles in (1, 3, 7):
             for n_threads in (1, 2, 5, 16):
-                ranges = partition_tiles(n_tiles, n_threads)
+                ranges = partition(n_tiles, n_threads)
                 flat = [t for r in ranges for t in r]
                 assert flat == list(range(n_tiles)), (n_tiles, n_threads)
 
     def test_single_tile_many_threads(self):
-        ranges = partition_tiles(1, 4)
+        ranges = partition(1, 4)
         assert [len(r) for r in ranges] == [1, 0, 0, 0]
 
     def test_nested_evaluator_with_idle_threads(self, small_grid, small_table):

@@ -3,39 +3,40 @@
 import numpy as np
 import pytest
 
-from repro.core import BsplineAoSoA, BsplineSoA, NestedEvaluator, partition_tiles
+from repro.core import BsplineAoSoA, BsplineSoA, NestedEvaluator
+from repro.core.partition import partition
 
 
 class TestPartition:
     def test_even_partition(self):
-        ranges = partition_tiles(8, 4)
+        ranges = partition(8, 4)
         assert [list(r) for r in ranges] == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
     def test_uneven_partition_spreads_remainder(self):
-        ranges = partition_tiles(7, 3)
+        ranges = partition(7, 3)
         sizes = [len(r) for r in ranges]
         assert sizes == [3, 2, 2]
         assert sorted(i for r in ranges for i in r) == list(range(7))
 
     def test_more_threads_than_tiles_gives_empty_ranges(self):
-        ranges = partition_tiles(2, 5)
+        ranges = partition(2, 5)
         assert [len(r) for r in ranges] == [1, 1, 0, 0, 0]
 
     def test_single_thread_owns_everything(self):
-        (r,) = partition_tiles(10, 1)
+        (r,) = partition(10, 1)
         assert list(r) == list(range(10))
 
     def test_covers_exactly_once(self):
         for m, t in [(13, 4), (16, 16), (5, 7), (100, 9)]:
-            ranges = partition_tiles(m, t)
+            ranges = partition(m, t)
             covered = sorted(i for r in ranges for i in r)
             assert covered == list(range(m))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            partition_tiles(0, 2)
+            partition(0, 2)
         with pytest.raises(ValueError):
-            partition_tiles(4, 0)
+            partition(4, 0)
 
 
 class TestNestedEvaluator:

@@ -4,11 +4,8 @@ The thread-side nested evaluator, the process-side orbital shard
 planner, and the tuner's candidate generator all block the spline axis
 through :mod:`repro.core.partition`; these tests pin the split's
 contract (exact cover, <=1 imbalance, deterministic) and the planner's
-extra bitwise rule (no width-1 block), plus the deprecation path of the
-old ``repro.core.nested.partition_tiles`` spelling.
+extra bitwise rule (no width-1 block).
 """
-
-import warnings
 
 import pytest
 
@@ -88,17 +85,3 @@ class TestPlanOrbitalBlocks:
             plan_orbital_blocks(bad, 2)
         with pytest.raises(ValueError):
             plan_orbital_blocks(8, bad)
-
-
-class TestPartitionTilesDeprecation:
-    def test_alias_returns_same_split_and_warns_once(self):
-        import repro.core.nested as nested
-
-        nested._PARTITION_TILES_WARNED = False
-        with pytest.warns(DeprecationWarning, match="partition_tiles"):
-            got = nested.partition_tiles(10, 3)
-        assert got == partition(10, 3)
-        # Warn-once: the second call is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert nested.partition_tiles(10, 3) == partition(10, 3)

@@ -1,9 +1,12 @@
 """Tests for the full profiled miniQMC application."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from repro.miniqmc import TimedProxy, build_app, profile_shares, run_profiled
+from repro.miniqmc.app import TimedProxy, build_app, profile_shares, run_profiled
 from repro.perf import SectionTimers
 
 
@@ -120,3 +123,21 @@ class TestProfileShares:
             n_orbitals=6, layout="soa", engine="fused", n_sweeps=1, grid_shape=(8, 8, 8)
         )
         assert abs(optimized["bspline"] - baseline["bspline"]) < 20.0
+
+
+class TestCli:
+    def test_module_run_prints_no_runtime_warning(self):
+        """runpy warns when a package ``__init__`` has already imported
+        the module it is about to run as ``__main__``."""
+        out = subprocess.run(
+            [
+                sys.executable, "-m", "repro.miniqmc.app",
+                "--n-orbitals", "2", "--sweeps", "1", "--no-tune",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert "RuntimeWarning" not in out.stderr
+        assert "ran 1 sweeps" in out.stdout

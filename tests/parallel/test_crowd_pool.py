@@ -5,7 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.parallel import CrowdSpec, run_crowd_parallel, run_crowd_sequential
+from repro.parallel import (
+    CrowdSpec,
+    build_walker_range,
+    run_crowd_parallel,
+    run_crowd_sequential,
+)
+from repro.qmc.drift_diffusion import sweep
 
 N_SWEEPS = 2
 TAU = 0.35
@@ -73,41 +79,24 @@ class TestResultShape:
 
 
 class TestStepModeParity:
-    """The batched default and the per-walker fallback share one trajectory."""
+    """The batched crowd replays the per-walker sweep oracle."""
 
     def test_sequential_walker_mode_matches_batched(
         self, spec, table, reference
     ):
-        walk = run_crowd_sequential(
-            spec, n_sweeps=N_SWEEPS, tau=TAU, table=table, step_mode="walker"
+        resolved = spec.resolved(table.dtype)
+        wfs, rngs = build_walker_range(resolved, table, 0, spec.n_walkers)
+        accepted = attempted = 0
+        for wf, rng in zip(wfs, rngs):
+            for _ in range(N_SWEEPS):
+                acc, att = sweep(wf, TAU, rng)
+                accepted += acc
+                attempted += att
+        np.testing.assert_array_equal(
+            np.stack([wf.electrons.positions for wf in wfs]), reference.positions
         )
-        np.testing.assert_array_equal(walk.positions, reference.positions)
-        np.testing.assert_array_equal(walk.log_values, reference.log_values)
-        assert walk.accepted == reference.accepted
-        assert walk.attempted == reference.attempted
-
-    def test_parallel_walker_mode_matches_batched(
-        self, spec, table, reference, shm_sentinel
-    ):
-        par = run_crowd_parallel(
-            spec,
-            n_workers=2,
-            n_sweeps=N_SWEEPS,
-            tau=TAU,
-            table=table,
-            step_mode="walker",
+        np.testing.assert_array_equal(
+            [wf.log_value for wf in wfs], reference.log_values
         )
-        np.testing.assert_array_equal(par.positions, reference.positions)
-        np.testing.assert_array_equal(par.log_values, reference.log_values)
-        assert par.accepted == reference.accepted
-
-    def test_rejects_unknown_step_mode(self, spec, table):
-        with pytest.raises(ValueError, match="step_mode"):
-            run_crowd_sequential(
-                spec, n_sweeps=1, tau=TAU, table=table, step_mode="turbo"
-            )
-        with pytest.raises(ValueError, match="step_mode"):
-            run_crowd_parallel(
-                spec, n_workers=1, n_sweeps=1, tau=TAU, table=table,
-                step_mode="turbo",
-            )
+        assert accepted == reference.accepted
+        assert attempted == reference.attempted

@@ -118,52 +118,3 @@ class TestDmcSharded:
             run_dmc_sharded(dmc_spec, n_generations=0)
         with pytest.raises(ValueError, match="checkpoint_path"):
             run_dmc_sharded(dmc_spec, n_generations=1, checkpoint_every=1)
-
-
-class TestStepModeParity:
-    """Batched and per-walker step modes are bit-identical for the
-    population drivers, for any worker count."""
-
-    def test_vmc_walker_mode_in_process(self, spec, table, vmc_reference):
-        walk = run_vmc_population(
-            spec,
-            n_steps=N_STEPS,
-            n_warmup=N_WARMUP,
-            tau=TAU_VMC,
-            table=table,
-            processes=False,
-            step_mode="walker",
-        )
-        np.testing.assert_array_equal(walk.energies, vmc_reference.energies)
-        assert walk.acceptance == vmc_reference.acceptance
-
-    def test_vmc_walker_mode_sharded(
-        self, spec, table, vmc_reference, shm_sentinel
-    ):
-        walk = run_vmc_population(
-            spec,
-            n_workers=2,
-            n_steps=N_STEPS,
-            n_warmup=N_WARMUP,
-            tau=TAU_VMC,
-            table=table,
-            step_mode="walker",
-        )
-        np.testing.assert_array_equal(walk.energies, vmc_reference.energies)
-        assert walk.acceptance == vmc_reference.acceptance
-
-    def test_dmc_walker_mode(self, dmc_spec, dmc_reference, shm_sentinel):
-        walk = run_dmc_sharded(
-            dmc_spec,
-            n_workers=2,
-            n_generations=GENS,
-            tau=TAU_DMC,
-            step_mode="walker",
-        )
-        _assert_traces_equal(walk, dmc_reference)
-
-    def test_rejects_unknown_step_mode(self, spec, dmc_spec, table):
-        with pytest.raises(ValueError, match="step_mode"):
-            run_vmc_population(spec, table=table, step_mode="turbo")
-        with pytest.raises(ValueError, match="step_mode"):
-            run_dmc_sharded(dmc_spec, n_generations=1, step_mode="turbo")

@@ -1,9 +1,10 @@
-"""Bitwise identity of the batched population step vs the per-walker path.
+"""Bitwise identity of the batched population step vs the per-walker oracle.
 
-The tentpole contract: ``step_mode="batched"`` and ``step_mode="walker"``
-must produce *bit-identical* trajectories — same positions, same energy
-traces, same acceptance counts, same branching decisions.  Everything
-here uses ``assert_array_equal`` / ``==``, never tolerances.
+The contract: the production step (:class:`CrowdState` +
+:func:`batched_sweep`) must reproduce the sequential per-walker
+:func:`repro.qmc.drift_diffusion.sweep` *bit for bit* — same positions,
+same energy traces, same acceptance counts.  Everything here uses
+``assert_array_equal`` / ``==``, never tolerances.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.lattice import Cell, PlaneWaveOrbitalSet, wigner_seitz_radius
 from repro.qmc import (
+    LocalEnergy,
     ParticleSet,
     SlaterJastrow,
     SplineOrbitalSet,
@@ -20,7 +22,7 @@ from repro.qmc import (
     sweep,
 )
 from repro.qmc.batched_step import CrowdState, _ufunc_equal, batched_sweep
-from repro.qmc.dmc import _crowd_groups, build_dmc_ensemble, run_dmc
+from repro.qmc.dmc import _crowd_groups, build_dmc_ensemble
 from tests.qmc.test_wavefunction import build_wf
 
 
@@ -110,47 +112,44 @@ class TestBatchedSweepIdentity:
                 state.positions[w], wf.electrons.positions
             )
 
+    def test_batched_call_count(self):
+        wfs, rngs = build_population(2)
+        state = CrowdState(wfs, rngs)
+        batched_sweep(state, 0.1)
+        # One batched call per electron index per sweep, plus one drift
+        # cache over all committed positions at the sweep start.
+        assert state.n_batched_calls == state.n_electrons + 1
+
 
 class TestVmcStepModes:
     def test_vmc_traces_bitwise_identical(self):
-        results = {}
-        for mode in ("batched", "walker"):
-            rng = np.random.default_rng(20170401)
-            wf = build_wf(rng, n_orb=2)
-            results[mode] = run_vmc(
-                wf, rng, n_steps=8, n_warmup=2, tau=0.3, step_mode=mode
-            )
-        np.testing.assert_array_equal(
-            results["batched"].energies, results["walker"].energies
-        )
-        assert results["batched"].acceptance == results["walker"].acceptance
-
-    def test_rejects_unknown_step_mode(self):
-        rng = np.random.default_rng(1)
+        """run_vmc (the batched step, a crowd of one) replays the
+        per-walker sweep oracle: same energies, same acceptance."""
+        n_warmup, n_steps, tau, every = 2, 8, 0.3, 4
+        rng = np.random.default_rng(20170401)
         wf = build_wf(rng, n_orb=2)
-        with pytest.raises(ValueError, match="step_mode"):
-            run_vmc(wf, rng, n_steps=1, step_mode="turbo")
+        result = run_vmc(
+            wf, rng, n_steps=n_steps, n_warmup=n_warmup, tau=tau,
+            recompute_every=every,
+        )
+
+        rng = np.random.default_rng(20170401)
+        wf = build_wf(rng, n_orb=2)
+        estimator = LocalEnergy(wf, 4.0)
+        energies, accepted, attempted = [], 0, 0
+        for step in range(n_warmup + n_steps):
+            acc, att = sweep(wf, tau, rng)
+            accepted += acc
+            attempted += att
+            if (step + 1) % every == 0:
+                wf.recompute()
+            if step >= n_warmup:
+                energies.append(estimator.total())
+        np.testing.assert_array_equal(result.energies, energies)
+        assert result.acceptance == accepted / attempted
 
 
 class TestDmcStepModes:
-    def test_dmc_traces_bitwise_identical(self):
-        traces = {}
-        for mode in ("batched", "walker"):
-            pool = WalkerRngPool(2017)
-            walkers = build_dmc_ensemble(pool, 3, n_orbitals=2, grid_shape=(8, 8, 8))
-            r = run_dmc(walkers, pool, n_generations=5, tau=0.02, step_mode=mode)
-            traces[mode] = r
-        np.testing.assert_array_equal(
-            traces["batched"].energy_trace, traces["walker"].energy_trace
-        )
-        np.testing.assert_array_equal(
-            traces["batched"].population_trace, traces["walker"].population_trace
-        )
-        np.testing.assert_array_equal(
-            traces["batched"].e_trial_trace, traces["walker"].e_trial_trace
-        )
-        assert traces["batched"].acceptance == traces["walker"].acceptance
-
     def test_branching_clones_stay_in_one_crowd(self):
         pool = WalkerRngPool(11)
         walkers = build_dmc_ensemble(pool, 2, n_orbitals=2, grid_shape=(8, 8, 8))
@@ -160,14 +159,24 @@ class TestDmcStepModes:
         assert len(groups) == 1
         assert len(groups[0]) == 3
 
-    def test_rejects_unknown_step_mode(self):
-        pool = WalkerRngPool(3)
-        walkers = build_dmc_ensemble(pool, 1, n_orbitals=2, grid_shape=(8, 8, 8))
-        with pytest.raises(ValueError, match="step_mode"):
-            run_dmc(walkers, pool, n_generations=1, step_mode="turbo")
-
 
 class TestCrowdStateValidation:
+    def test_requires_shared_spos(self):
+        wfs, rngs = build_population(2)
+        # A walker on its own (equal-valued) orbital set cannot join.
+        stranger = build_population(1)[0][0]
+        with pytest.raises(ValueError, match="share one orbital set"):
+            CrowdState([wfs[0], stranger], rngs)
+
+    def test_requires_one_rng_per_walker(self):
+        wfs, rngs = build_population(2)
+        with pytest.raises(ValueError, match="one rng"):
+            CrowdState(wfs, rngs[:1])
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one walker"):
+            CrowdState([], [])
+
     def test_rejects_mixed_jastrow_structure(self):
         wfs, rngs = build_population(2)
         bare = build_population(1, with_jastrow=False)[0][0]

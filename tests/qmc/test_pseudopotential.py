@@ -141,7 +141,7 @@ class TestLocalEnergyIntegration:
 
 class TestAppIntegration:
     def test_app_with_pseudopotential_profiles_v_kernel(self):
-        from repro.miniqmc import build_app, run_profiled
+        from repro.miniqmc.app import build_app, run_profiled
 
         app = build_app(
             n_orbitals=6, grid_shape=(10, 10, 10), with_pseudopotential=True

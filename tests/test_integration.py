@@ -24,7 +24,7 @@ from repro.hwsim import (
     working_set_report,
 )
 from repro.lattice import Cell, PlaneWaveOrbitalSet, graphite_unit_cell
-from repro.miniqmc import build_app, run_profiled
+from repro.miniqmc.app import build_app, run_profiled
 from repro.qmc import LocalEnergy, WalkerRngPool, run_vmc
 from tests.qmc.test_wavefunction import build_wf
 
