@@ -145,9 +145,9 @@ def _dmc_main(argv: list[str]) -> int:
         "--resume",
         default=None,
         metavar="DIR",
-        help="resume from a checkpoint directory; with --processes, "
-        "'auto' resumes from --checkpoint-path when a checkpoint exists "
-        "and starts fresh otherwise",
+        help="resume from a checkpoint directory; 'auto' resumes from "
+        "--checkpoint-path when a checkpoint exists and starts fresh "
+        "otherwise",
     )
     parser.add_argument(
         "--on-bad-energy",

@@ -14,9 +14,9 @@ lineage deliberately leave to the driver:
   budgets, rebalance threshold;
 * :mod:`~repro.fleet.rebalance` — deterministic planning of DMC walker
   migrations when branching skews the shards;
-* :func:`~repro.fleet.dmc.run_dmc_supervised` — the supervised twin of
-  :func:`repro.parallel.run_dmc_sharded` (also reachable via its
-  ``fleet=`` parameter and the CLIs' ``--elastic`` /
+* :mod:`~repro.fleet.dmc` — the supervised executor of
+  :func:`repro.parallel.run_dmc_sharded`, reached through its
+  ``fleet=`` parameter (and the CLIs' ``--elastic`` /
   ``--worker-timeout`` flags).
 
 Everything observable lands in the OBS registry: restarts, recovery
@@ -24,7 +24,6 @@ latency (MTTR), scale events, migrated walkers/bytes, the live worker
 count.
 """
 
-from repro.fleet.dmc import run_dmc_supervised
 from repro.fleet.rebalance import (
     Move,
     RebalancePlan,
@@ -37,7 +36,6 @@ from repro.fleet.supervisor import FleetConfig, FleetSupervisor
 __all__ = [
     "FleetConfig",
     "FleetSupervisor",
-    "run_dmc_supervised",
     "Move",
     "RebalancePlan",
     "balanced_sizes",

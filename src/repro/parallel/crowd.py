@@ -14,12 +14,21 @@ batched kernels evaluate each position independently,
 
 is **bit-identical** to the sequential one-process crowd for every
 ``K`` — the regression the tests pin down at 1, 2 and 4 workers.
+
+Every population driver — the crowd runs here,
+:func:`~repro.parallel.vmc.run_vmc_population` and
+:func:`~repro.parallel.dmc.run_dmc_sharded` — starts its processes
+through one launcher, :func:`_launch`: it resolves the split and the
+spec's config parent-side, then either fans one in-process shard's
+kernels across workers (Opt C) or starts a pool or supervisor of
+shards over one shared padded table.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +46,7 @@ from repro.parallel.pool import ProcessCrowdPool
 from repro.parallel.sharding import shard_slices, walker_rng
 from repro.parallel.shared_table import SharedTable
 from repro.qmc.batched_step import CrowdState, batched_sweep
+from repro.qmc.estimators import LocalEnergy
 from repro.qmc.jastrow import make_polynomial_radial
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.slater import SplineOrbitalSet
@@ -52,6 +62,10 @@ __all__ = [
 ]
 
 _ENGINES = {"aos": BsplineAoS, "soa": BsplineSoA, "fused": BsplineFused}
+
+# run_vmc's default recompute cadence; recompute timing is part of the
+# trajectory.
+_RECOMPUTE_EVERY = 20
 
 
 @dataclass(frozen=True)
@@ -236,8 +250,9 @@ class CrowdRunResult:
 
     ``positions`` is ``(n_walkers, n_electrons, 3)``; ``log_values`` the
     per-walker ``log |Psi|`` after the last sweep — together they pin a
-    trajectory bit-for-bit.  ``seconds`` is parent wall time over the
-    whole run (the number speedups are computed from).
+    trajectory bit-for-bit.  ``seconds`` is parent wall time of the
+    propagation itself, process start-up and teardown excluded (the
+    number speedups are computed from).
     """
 
     positions: np.ndarray
@@ -262,15 +277,52 @@ class CrowdRunResult:
         return len(self.positions) * sweeps / self.seconds
 
 
-class _CrowdShard:
-    """Worker-process state: one attached table + one sub-crowd."""
+class _Shard:
+    """Shard state over one coefficient table: the crowd and DMC shards' base.
 
-    def __init__(self, worker_id: int, spec: CrowdSpec, table_spec: dict):
-        self._table = SharedTable.attach(table_spec)
-        shard = shard_slices(spec.n_walkers, table_spec["n_workers"])[worker_id]
-        self.lo, self.hi = shard.start, shard.stop
-        wfs, rngs = build_walker_range(spec, self._table.array, self.lo, self.hi)
+    In-process shards are built over a plain array; in a pool worker the
+    initializer is :meth:`attach`, which maps the parent's shared segment
+    and detaches it again at :meth:`close`.
+    """
+
+    #: Whether the state evolves across calls; the fleet supervisor then
+    #: journals calls and replays them into a restarted worker.
+    stateful = True
+    _segment: SharedTable | None = None
+
+    @classmethod
+    def attach(cls, worker_id: int, spec: CrowdSpec, table_spec: dict):
+        """Pool initializer: worker ``worker_id``'s shard over the shared table."""
+        segment = SharedTable.attach(table_spec)
+        shard = cls(spec, segment.array, worker_id, table_spec["n_workers"])
+        shard._segment = segment
+        return shard
+
+    def close(self) -> None:
+        """Detach the shared segment (subclasses drop their views first)."""
+        if self._segment is not None:
+            try:
+                self._segment.close()
+            except BufferError:
+                # Lingering views die with the worker process anyway; the
+                # segment itself is unlinked by the owner, not here.
+                pass
+
+
+class _CrowdShard(_Shard):
+    """One contiguous walker range advanced as a sub-crowd."""
+
+    def __init__(
+        self,
+        spec: CrowdSpec,
+        table: np.ndarray,
+        worker_id: int = 0,
+        n_workers: int = 1,
+    ):
+        shard = shard_slices(spec.n_walkers, n_workers)[worker_id]
+        wfs, rngs = build_walker_range(spec, table, shard.start, shard.stop)
         self.crowd = CrowdState(wfs, rngs) if wfs else None
+        self.spos = wfs[0].slater.spos if wfs else None
 
     def plan(self) -> dict:
         """The shard's resolved execution plan (for inheritance tests).
@@ -281,13 +333,12 @@ class _CrowdShard:
         """
         if self.crowd is None:
             return {}
-        spos = self.crowd.wfs[0].slater.spos
-        eng = spos._get_batched()
+        eng = self.spos._get_batched()
         return {
             "chunk": eng.plan.chunk,
             "tile": eng.plan.tile,
             "backend": eng.backend.name,
-            "config": spos.config.as_dict(),
+            "config": self.spos.config.as_dict(),
         }
 
     def run(self, n_sweeps: int, tau: float) -> dict:
@@ -322,19 +373,233 @@ class _CrowdShard:
             "attempted": attempted,
         }
 
+    def vmc(
+        self, n_steps: int, n_warmup: int, tau: float, ion_charge: float
+    ) -> dict:
+        """VMC over the shard: one local-energy trace per walker.
+
+        The range advances in lock step through the batched population
+        kernels; walkers only consume their private streams and
+        measurement draws none, so every trace is independent of how the
+        population is sharded.
+        """
+        if self.crowd is None:
+            return {
+                "energies": np.empty((0, n_steps)),
+                "accepted": 0,
+                "attempted": 0,
+            }
+        t0 = time.perf_counter()
+        wfs = self.crowd.wfs
+        estimators = [LocalEnergy(wf, ion_charge) for wf in wfs]
+        traces: list[list[float]] = [[] for _ in wfs]
+        accepted = attempted = 0
+        for step in range(n_warmup + n_steps):
+            acc, att = batched_sweep(self.crowd, tau)
+            accepted += acc
+            attempted += att
+            if (step + 1) % _RECOMPUTE_EVERY == 0:
+                for wf in wfs:
+                    wf.recompute()
+            if step >= n_warmup:
+                for trace, est in zip(traces, estimators):
+                    trace.append(est.total())
+        if OBS.enabled:
+            OBS.count("vmc_shard_walkers_total", len(wfs))
+            OBS.observe("vmc_shard_seconds", time.perf_counter() - t0)
+        return {
+            "energies": np.asarray(traces, dtype=np.float64),
+            "accepted": accepted,
+            "attempted": attempted,
+        }
+
     def close(self) -> None:
         """Drop table views, then detach the shared segment."""
-        self.crowd = None
+        self.crowd = self.spos = None
+        super().close()
+
+
+#: Pool initializer for crowd shards.
+_init_crowd_shard = _CrowdShard.attach
+
+
+class _InProcess:
+    """One in-process shard behind the pool's ``call``/``broadcast`` surface.
+
+    ``fanned`` is the :class:`~repro.parallel.orbital.OrbitalEvaluator`
+    the shard's kernels go through under Opt C, else ``None``.
+    """
+
+    n_workers = 1
+
+    def __init__(self, shard: _Shard, fanned=None):
+        self.shard = shard
+        self.fanned = fanned
+
+    def call(self, method: str, per_worker_args: list[tuple]) -> list:
+        (args,) = per_worker_args
+        return [getattr(self.shard, method)(*args)]
+
+    def broadcast(self, method: str, *args) -> list:
+        return self.call(method, [args])
+
+    def merge_metrics(self) -> None:
+        pass
+
+
+@contextmanager
+def _launch(
+    spec: CrowdSpec,
+    n_workers: int | None,
+    shard_cls: type[_Shard] = _CrowdShard,
+    *,
+    table: np.ndarray | None = None,
+    split: str = "walkers",
+    orbital_shards: int | None = None,
+    start_method: str | None = None,
+    fleet=None,
+    injector=None,
+):
+    """The one process launcher behind every population driver.
+
+    Resolves the split policy and the spec's config (parent-side, so
+    every worker inherits the parent's blocking decision regardless of
+    its own env or tuning DB), then yields something with the pool's
+    ``n_workers``/``call``/``broadcast``/``merge_metrics`` surface:
+
+    * ``n_workers=None`` — one in-process ``shard_cls`` holding every
+      walker (the sequential reference);
+    * Opt C (``split`` resolves to ``"orbitals"``) — the same in-process
+      shard, its batched kernels fanned along the spline axis across
+      ``n_workers`` processes by an
+      :class:`~repro.parallel.orbital.OrbitalEvaluator`;
+    * otherwise a :class:`~repro.parallel.pool.ProcessCrowdPool` — or,
+      with ``fleet``, a :class:`~repro.fleet.supervisor.FleetSupervisor`
+      — of ``n_workers`` shards over one ghost-padded
+      :class:`~repro.parallel.shared_table.SharedTable`.
+
+    Every process and segment is torn down on exit.  ``injector``
+    requires ``fleet`` and the walker split; arming it is the caller's
+    business (crowd runs fire at their single broadcast, DMC at each
+    fault's generation).
+    """
+    if injector is not None and fleet is None:
+        raise ValueError(
+            "injector requires fleet supervision (pass fleet=FleetConfig(...))"
+        )
+    mode, blocks = "walkers", 1
+    if n_workers is not None:
+        from repro.parallel.orbital import resolve_split
+
+        mode, blocks = resolve_split(
+            spec.n_walkers,
+            n_workers,
+            spec.n_orbitals,
+            split=split,
+            orbital_shards=orbital_shards,
+            config=spec.run_config(),
+        )
+    if mode == "orbitals" and injector is not None:
+        raise ValueError(
+            "fault injectors target walker shards; orbital replicas "
+            "take faults via OrbitalEvaluator.arm_fault instead"
+        )
+    if table is None:
+        table = solve_spec_table(spec)
+    spec = spec.resolved(table.dtype)
+    if n_workers is None or mode == "orbitals":
+        shard = shard_cls(spec, table)
+        fanned = None
         try:
-            self._table.close()
-        except BufferError:
-            # Lingering views die with the worker process anyway; the
-            # segment itself is unlinked by the owner, not here.
-            pass
+            if mode == "orbitals":
+                from repro.parallel.orbital import OrbitalEvaluator
+
+                spos = shard.spos
+                fanned = OrbitalEvaluator(
+                    spos.grid,
+                    spos._padded_table
+                    if spos._padded_table is not None
+                    else spos.engine.P,
+                    config=spec.config,
+                    processes=n_workers,
+                    orbital_shards=blocks,
+                    supervise=fleet is not None,
+                    fleet_config=fleet,
+                    start_method=start_method,
+                )
+                # Every walker of the shard shares this orbital set, so
+                # one injection fans all of its kernel calls.
+                spos._batched = fanned
+            yield _InProcess(shard, fanned)
+        finally:
+            if fanned is not None:
+                fanned.close()
+            shard.close()
+        return
+    # Pad once in the parent: workers then attach the ghost halo
+    # zero-copy instead of each paying the pad copy themselves.
+    shared = SharedTable.create(pad_table_3d(table))
+    table_spec = dict(shared.spec, n_workers=n_workers)
+    try:
+        if fleet is not None:
+            from repro.fleet import FleetSupervisor
+
+            workers = FleetSupervisor(
+                n_workers,
+                shard_cls.attach,
+                (spec, table_spec),
+                config=fleet,
+                stateful=shard_cls.stateful,
+                start_method=start_method,
+            )
+        else:
+            workers = ProcessCrowdPool(
+                n_workers,
+                shard_cls.attach,
+                (spec, table_spec),
+                start_method=start_method,
+            )
+        with workers:
+            yield workers
+    finally:
+        shared.close()
+        shared.unlink()
 
 
-def _init_crowd_shard(worker_id: int, spec: CrowdSpec, table_spec: dict):
-    return _CrowdShard(worker_id, spec, table_spec)
+def _run_crowd(
+    spec: CrowdSpec,
+    n_workers: int | None,
+    method: str,
+    *args,
+    injector=None,
+    **launch_kw,
+) -> tuple[list, float]:
+    """``_CrowdShard.<method>(*args)`` over the whole population.
+
+    Returns the per-shard results in walker order and the wall seconds
+    of the run itself (setup and teardown excluded).
+    """
+    with _launch(spec, n_workers, injector=injector, **launch_kw) as workers:
+        if injector is not None and n_workers is not None:
+            # One broadcast is the whole run: it counts as generation 0.
+            workers.arm_injector(injector)
+        t0 = time.perf_counter()
+        shards = workers.broadcast(method, *args)
+        seconds = time.perf_counter() - t0
+        workers.merge_metrics()
+    return shards, seconds
+
+
+def _crowd_result(shards: list, seconds: float, n_workers: int) -> CrowdRunResult:
+    filled = [s for s in shards if s["positions"] is not None]
+    return CrowdRunResult(
+        positions=np.concatenate([s["positions"] for s in filled]),
+        log_values=np.concatenate([s["log_values"] for s in filled]),
+        accepted=sum(s["accepted"] for s in shards),
+        attempted=sum(s["attempted"] for s in shards),
+        seconds=seconds,
+        n_workers=n_workers,
+    )
 
 
 def run_crowd_sequential(
@@ -344,86 +609,8 @@ def run_crowd_sequential(
     table: np.ndarray | None = None,
 ) -> CrowdRunResult:
     """The single-process reference: one crowd holding every walker."""
-    if table is None:
-        table = solve_spec_table(spec)
-    spec = spec.resolved(table.dtype)
-    wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
-    crowd = CrowdState(wfs, rngs)
-    t0 = time.perf_counter()
-    accepted = attempted = 0
-    for _ in range(n_sweeps):
-        acc, att = batched_sweep(crowd, tau)
-        accepted += acc
-        attempted += att
-    seconds = time.perf_counter() - t0
-    return CrowdRunResult(
-        positions=np.stack([wf.electrons.positions for wf in wfs]),
-        log_values=np.asarray([wf.log_value for wf in wfs], dtype=np.float64),
-        accepted=accepted,
-        attempted=attempted,
-        seconds=seconds,
-        n_workers=1,
-    )
-
-
-def _run_crowd_orbital(
-    spec: CrowdSpec,
-    n_workers: int,
-    n_sweeps: int,
-    tau: float,
-    table: np.ndarray,
-    orbital_shards: int,
-    start_method: str | None,
-    fleet=None,
-) -> CrowdRunResult:
-    """Opt C for the crowd: one parent-side population, fanned kernels.
-
-    The whole population lives in the parent (one crowd, exactly the
-    sequential trajectory); every batched orbital call is split along
-    the *spline* axis across ``n_workers`` pool processes via
-    :class:`~repro.parallel.orbital.OrbitalEvaluator`, writing into the
-    shared output ring zero-copy.  Because the fan-out is bit-gated
-    (concatenated blocks ``==`` the single-engine result), the returned
-    trajectory is bit-identical to :func:`run_crowd_sequential` — the
-    same contract walker sharding gives, reached from the other axis.
-    """
-    from repro.parallel.orbital import OrbitalEvaluator
-
-    spec = spec.resolved(table.dtype)
-    wfs, rngs = build_walker_range(spec, table, 0, spec.n_walkers)
-    spos = wfs[0].slater.spos
-    fanned = OrbitalEvaluator(
-        spos.grid,
-        spos._padded_table if spos._padded_table is not None else spos.engine.P,
-        config=spec.config,
-        processes=n_workers,
-        orbital_shards=orbital_shards,
-        supervise=fleet is not None,
-        fleet_config=fleet,
-        start_method=start_method,
-    )
-    # All walkers share this orbital set, so one injection fans every
-    # kernel call of the run across the orbital blocks.
-    spos._batched = fanned
-    crowd = CrowdState(wfs, rngs)
-    t0 = time.perf_counter()
-    accepted = attempted = 0
-    try:
-        for _ in range(n_sweeps):
-            acc, att = batched_sweep(crowd, tau)
-            accepted += acc
-            attempted += att
-    finally:
-        fanned.close()
-    seconds = time.perf_counter() - t0
-    return CrowdRunResult(
-        positions=np.stack([wf.electrons.positions for wf in wfs]),
-        log_values=np.asarray([wf.log_value for wf in wfs], dtype=np.float64),
-        accepted=accepted,
-        attempted=attempted,
-        seconds=seconds,
-        n_workers=n_workers,
-    )
+    shards, seconds = _run_crowd(spec, None, "run", n_sweeps, tau, table=table)
+    return _crowd_result(shards, seconds, n_workers=1)
 
 
 def run_crowd_parallel(
@@ -464,82 +651,17 @@ def run_crowd_parallel(
     so under ``split="orbitals"`` supervision is plain restart +
     re-issue.  ``injector`` requires ``fleet`` (walker split only).
     """
-    if injector is not None and fleet is None:
-        raise ValueError(
-            "injector requires fleet supervision (pass fleet=FleetConfig(...))"
-        )
-    if table is None:
-        table = solve_spec_table(spec)
-    if split != "walkers" or orbital_shards is not None:
-        from repro.parallel.orbital import resolve_split
-
-        mode, shards = resolve_split(
-            spec.n_walkers,
-            n_workers,
-            spec.n_orbitals,
-            split=split,
-            orbital_shards=orbital_shards,
-            config=spec.run_config(),
-        )
-        if mode == "orbitals":
-            if injector is not None:
-                raise ValueError(
-                    "fault injectors target walker shards; orbital replicas "
-                    "take faults via OrbitalEvaluator.arm_fault instead"
-                )
-            return _run_crowd_orbital(
-                spec,
-                n_workers,
-                n_sweeps,
-                tau,
-                table,
-                orbital_shards=shards,
-                start_method=start_method,
-                fleet=fleet,
-            )
-    # Resolve once, parent-side: workers unpickle a spec whose config
-    # already carries concrete chunk/tile ints and never consult their
-    # own env or tuning DB for the blocking decision.
-    spec = spec.resolved(table.dtype)
-    # Pad once in the parent: workers then attach the ghost halo
-    # zero-copy instead of each paying the pad copy themselves.
-    shared = SharedTable.create(pad_table_3d(table))
-    table_spec = dict(shared.spec, n_workers=n_workers)
-    t0 = time.perf_counter()
-    try:
-        if fleet is not None:
-            from repro.fleet import FleetSupervisor
-
-            with FleetSupervisor(
-                n_workers,
-                _init_crowd_shard,
-                (spec, table_spec),
-                config=fleet,
-                stateful=True,
-                start_method=start_method,
-            ) as supervisor:
-                supervisor.arm_injector(injector)
-                shards = supervisor.broadcast("run", n_sweeps, tau)
-                supervisor.merge_metrics()
-        else:
-            with ProcessCrowdPool(
-                n_workers,
-                _init_crowd_shard,
-                (spec, table_spec),
-                start_method=start_method,
-            ) as pool:
-                shards = pool.broadcast("run", n_sweeps, tau)
-                pool.merge_metrics()
-    finally:
-        shared.close()
-        shared.unlink()
-    seconds = time.perf_counter() - t0
-    filled = [s for s in shards if s["positions"] is not None]
-    return CrowdRunResult(
-        positions=np.concatenate([s["positions"] for s in filled]),
-        log_values=np.concatenate([s["log_values"] for s in filled]),
-        accepted=sum(s["accepted"] for s in shards),
-        attempted=sum(s["attempted"] for s in shards),
-        seconds=seconds,
-        n_workers=n_workers,
+    shards, seconds = _run_crowd(
+        spec,
+        n_workers,
+        "run",
+        n_sweeps,
+        tau,
+        table=table,
+        split=split,
+        orbital_shards=orbital_shards,
+        start_method=start_method,
+        fleet=fleet,
+        injector=injector,
     )
+    return _crowd_result(shards, seconds, n_workers=n_workers)

@@ -1,10 +1,9 @@
 """ProcessCrowdPool — a persistent pool of crowd-worker processes.
 
 Thread pools parallelize nothing here: outside the NumPy contractions,
-the walker loops are pure Python and GIL-bound (measured in
-``benchmarks/bench_pr3.py``: thread speedup ~1x).  This pool is the
-process-level replacement — the design QMCPACK's crowd drivers and
-QMCkl-style kernel libraries converged on:
+the walker loops are pure Python and GIL-bound (thread speedup ~1x).
+This pool is the process-level replacement — the design QMCPACK's crowd
+drivers and QMCkl-style kernel libraries converged on:
 
 * each worker process builds its **shard state** once (attaching the
   :class:`~repro.parallel.shared_table.SharedTable` zero-copy, building

@@ -22,6 +22,12 @@ of silent trace poison; and population collapse or explosion is rescued
 toward the target by a
 :class:`~repro.resilience.guards.PopulationGuard`.
 
+The generation loop itself (:func:`_run_generations`) is shared with
+:func:`repro.parallel.run_dmc_sharded`: it is generic over an
+*executor* that owns the walker representation — live wavefunctions
+here, parent-side arrays shipped to worker processes there — so
+branching, population control, guards and checkpoints are written once.
+
 Bit-for-bit note: taking a checkpoint calls ``recompute()`` on every
 walker (so the in-memory derived state equals what a restore rebuilds
 from positions).  Runs compared for reproducibility must therefore share
@@ -44,6 +50,7 @@ from repro.qmc.rng import WalkerRngPool
 from repro.qmc.wavefunction import SlaterJastrow
 from repro.resilience.checkpoint import (
     CheckpointError,
+    has_checkpoint,
     load_checkpoint,
     restore_rng,
     rng_state,
@@ -97,9 +104,10 @@ class DmcResult:
     dropped_walkers:
         Walkers discarded by the non-finite-energy ``"drop"`` policy.
     fleet:
-        Supervision outcome when the run was driven by
-        :func:`repro.fleet.run_dmc_supervised` (restart/rebalance/scale
-        counts, MTTR samples, final worker count); ``None`` otherwise.
+        Execution report of :func:`repro.parallel.run_dmc_sharded`: the
+        supervision outcome under ``fleet=`` (restart/rebalance/scale
+        counts, MTTR samples, final worker count) and the split under
+        ``split="orbitals"``; ``None`` otherwise.
     """
 
     energy_trace: np.ndarray
@@ -116,108 +124,6 @@ class DmcResult:
         """Mean of the second half of the energy trace (post-equilibration)."""
         half = len(self.energy_trace) // 2
         return float(np.mean(self.energy_trace[half:]))
-
-
-def _save_dmc_checkpoint(
-    path,
-    walkers: list[DmcWalker],
-    pool: WalkerRngPool,
-    generation: int,
-    e_trial: float,
-    accepted: int,
-    attempted: int,
-    traces: tuple[list, list, list],
-    params: dict,
-) -> None:
-    """Snapshot the full ensemble state after ``generation`` generations.
-
-    Every walker is ``recompute()``d first so the continuing in-memory
-    run and a future restore share identical derived state (the
-    bit-for-bit contract).
-    """
-    for w in walkers:
-        w.wf.recompute()
-    energy_trace, pop_trace, et_trace = traces
-    manifest = {
-        "kind": "dmc",
-        "generation": generation,
-        "accepted": accepted,
-        "attempted": attempted,
-        "n_walkers": len(walkers),
-        "pool_state": pool.state,
-        "walker_rng_states": [rng_state(w.rng) for w in walkers],
-        "params": params,
-    }
-    arrays = {
-        "positions": np.stack([w.wf.electrons.positions for w in walkers]),
-        # Branching clones inherit their parent's ion configuration, so a
-        # restore cannot assume template walker i still matches saved
-        # walker i — ion positions are part of the snapshot.
-        "ion_positions": np.stack([w.wf.ions.positions for w in walkers]),
-        "e_local": np.asarray([w.e_local for w in walkers], dtype=np.float64),
-        "e_trial": np.asarray(e_trial, dtype=np.float64),
-        "energy_trace": np.asarray(energy_trace, dtype=np.float64),
-        "population_trace": np.asarray(pop_trace, dtype=np.int64),
-        "e_trial_trace": np.asarray(et_trace, dtype=np.float64),
-    }
-    save_checkpoint(path, manifest, arrays)
-
-
-def _resume_dmc(
-    resume, walkers: list[DmcWalker], params: dict
-) -> tuple[list[DmcWalker], WalkerRngPool, int, float, int, int, tuple[list, list, list]]:
-    """Rebuild ensemble state from a checkpoint, reusing ``walkers`` as
-    templates for wavefunction structure (table, cell, Jastrows)."""
-    ckpt = load_checkpoint(resume, expect_kind="dmc")
-    saved = ckpt.manifest["params"]
-    for key in ("tau", "target_population", "feedback", "max_population_factor", "ion_charge"):
-        if saved.get(key) != params.get(key):
-            raise CheckpointError(
-                f"checkpoint parameter mismatch for {key!r}: "
-                f"saved {saved.get(key)!r}, requested {params.get(key)!r}"
-            )
-    if not walkers:
-        raise ValueError("resume needs at least one template walker")
-    positions = ckpt.arrays["positions"]
-    ion_positions = ckpt.arrays["ion_positions"]
-    e_locals = ckpt.arrays["e_local"]
-    states = ckpt.manifest["walker_rng_states"]
-    n_saved = int(ckpt.manifest["n_walkers"])
-    restored: list[DmcWalker] = []
-    for i in range(n_saved):
-        if i < len(walkers):
-            wf = walkers[i].wf
-        else:
-            # Extra walkers share the template's orbital set (read-only),
-            # like branching clones do.
-            spos0 = walkers[0].wf.slater.spos
-            wf = copy.deepcopy(walkers[0].wf, {id(spos0): spos0})
-        try:
-            wf.electrons.load_positions(positions[i], wrap=False)
-            wf.ions.load_positions(ion_positions[i], wrap=False)
-        except ValueError as exc:
-            raise CheckpointError(
-                f"template walker {i} does not match checkpoint shape: {exc}"
-            ) from exc
-        wf.recompute()
-        restored.append(
-            DmcWalker(wf=wf, rng=restore_rng(states[i]), e_local=float(e_locals[i]))
-        )
-    pool = WalkerRngPool.from_state(ckpt.manifest["pool_state"])
-    traces = (
-        list(ckpt.arrays["energy_trace"]),
-        [int(p) for p in ckpt.arrays["population_trace"]],
-        list(ckpt.arrays["e_trial_trace"]),
-    )
-    return (
-        restored,
-        pool,
-        int(ckpt.manifest["generation"]),
-        float(ckpt.arrays["e_trial"]),
-        int(ckpt.manifest["accepted"]),
-        int(ckpt.manifest["attempted"]),
-        traces,
-    )
 
 
 def _crowd_groups(walkers: list[DmcWalker]) -> list[list[DmcWalker]]:
@@ -240,6 +146,302 @@ def _crowd_groups(walkers: list[DmcWalker]) -> list[list[DmcWalker]]:
         )
         groups.setdefault(key, []).append(w)
     return list(groups.values())
+
+
+class _LiveExecutor:
+    """:func:`run_dmc`'s executor: live wavefunctions in this process.
+
+    Walkers keep their derived state between generations and are
+    measured one at a time, when the loop asks; only a checkpoint
+    (:meth:`snapshot`) or a ``"recompute"`` guard trip rebuilds it.
+    """
+
+    kind = "dmc"
+
+    def __init__(self, estimator_factory):
+        self._factory = estimator_factory
+
+    def energy(self, walkers: list[DmcWalker], i: int) -> float:
+        return self._factory(walkers[i]).total()
+
+    def remeasure(self, walkers: list[DmcWalker], i: int) -> float:
+        # Rebuild derived state (a drifted inverse is the usual culprit)
+        # and re-measure once through a fresh estimator.
+        walkers[i].wf.recompute()
+        return self.energy(walkers, i)
+
+    def propagate(
+        self, walkers: list[DmcWalker], gen: int, tau: float
+    ) -> tuple[int, int]:
+        # Each shared-orbital-set group advances in lock step; since every
+        # walker consumes only its private stream, the result is
+        # bit-identical to sweeping walkers one at a time.
+        accepted = attempted = 0
+        for group in _crowd_groups(walkers):
+            state = CrowdState([w.wf for w in group], [w.rng for w in group])
+            acc, att = batched_sweep(state, tau)
+            accepted += acc
+            attempted += att
+        return accepted, attempted
+
+    def snapshot(self, walkers: list[DmcWalker]) -> tuple[np.ndarray, np.ndarray]:
+        # Recompute first so the continuing run and a future restore share
+        # identical derived state (the bit-for-bit contract).
+        for w in walkers:
+            w.wf.recompute()
+        return (
+            np.stack([w.wf.electrons.positions for w in walkers]),
+            # Branching clones inherit their parent's ion configuration,
+            # so a restore cannot assume template walker i still matches
+            # saved walker i: ion positions are part of the snapshot.
+            np.stack([w.wf.ions.positions for w in walkers]),
+        )
+
+    def restore(
+        self, templates: list[DmcWalker], positions, ion_positions, rngs, e_locals
+    ) -> list[DmcWalker]:
+        """Load the saved configurations into the templates' wavefunctions
+        (table, cell, Jastrows); extra walkers copy template 0's."""
+        restored = []
+        for i, (pos, ions, rng, e) in enumerate(
+            zip(positions, ion_positions, rngs, e_locals)
+        ):
+            if i < len(templates):
+                wf = templates[i].wf
+            else:
+                # Extra walkers share the template's orbital set
+                # (read-only), like branching clones do.
+                spos = templates[0].wf.slater.spos
+                wf = copy.deepcopy(templates[0].wf, {id(spos): spos})
+            try:
+                wf.electrons.load_positions(pos, wrap=False)
+                wf.ions.load_positions(ions, wrap=False)
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"template walker {i} does not match checkpoint shape: {exc}"
+                ) from exc
+            wf.recompute()
+            restored.append(DmcWalker(wf=wf, rng=rng, e_local=float(e)))
+        return restored
+
+    def generation_end(self, gen: int, walkers: list, seconds: float) -> None:
+        pass
+
+    def finish(self) -> None:
+        pass
+
+    def summary(self) -> None:
+        return None
+
+
+def _run_generations(
+    executor,
+    walkers: list,
+    pool: WalkerRngPool,
+    params: dict,
+    n_generations: int,
+    *,
+    checkpoint_every: int | None = None,
+    checkpoint_path=None,
+    resume=None,
+    guard: GuardConfig | None = None,
+    on_generation=None,
+) -> DmcResult:
+    """The DMC generation loop, over any walker representation.
+
+    Everything that shapes the traces happens here: the initial
+    measurement and its non-finite-energy guard, branching weights and
+    ``floor(w + u)`` copies (``u`` from the walker's own stream, clones
+    from ``pool``), population control, trial-energy feedback,
+    checkpoint write and resume.  ``walkers`` is the live ensemble,
+    mutated in place; a walker is anything with ``rng``, ``e_local`` and
+    ``clone(rng)``.  ``params`` holds the physics a checkpoint must
+    match (``tau``, ``target_population``, ``feedback``,
+    ``max_population_factor``, ``ion_charge``, plus whatever else the
+    caller pins).
+
+    The ``executor`` owns the representation and supplies the rest:
+    ``kind`` (the checkpoint kind), ``energy(walkers, i)``,
+    ``remeasure(walkers, i)`` for the ``"recompute"`` policy (``None``
+    when there is nothing to rebuild: the walker is then dropped),
+    ``propagate(walkers, gen, tau) -> (accepted, attempted)``,
+    ``snapshot(walkers) -> (positions, ion_positions)``,
+    ``restore(walkers, positions, ion_positions, rngs, e_locals)`` and
+    the scheduling hooks ``generation_end(gen, walkers, seconds)``,
+    ``finish()`` and ``summary()`` (which becomes ``DmcResult.fleet``).
+
+    ``resume="auto"`` resumes from ``checkpoint_path`` when a complete
+    checkpoint exists there and starts fresh otherwise.
+    """
+    if checkpoint_every is not None:
+        if checkpoint_every <= 0:
+            raise ValueError(
+                f"checkpoint_every must be positive, got {checkpoint_every}"
+            )
+        if checkpoint_path is None:
+            raise ValueError("checkpoint_every requires checkpoint_path")
+    if isinstance(resume, str) and resume == "auto":
+        if checkpoint_path is None:
+            raise ValueError("resume='auto' requires checkpoint_path")
+        resume = checkpoint_path if has_checkpoint(checkpoint_path) else None
+    tau = params["tau"]
+    target = params["target_population"]
+    feedback = params["feedback"]
+    pop_guard = PopulationGuard(target, params["max_population_factor"])
+    energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
+    dropped = 0
+
+    def measure(i: int) -> bool:
+        """Measure walker ``i``; returns False if it must be dropped."""
+        nonlocal dropped
+        w = walkers[i]
+        w.e_local = executor.energy(walkers, i)
+        if np.isfinite(w.e_local) or energy_policy == "ignore":
+            return True
+        OBS.count("guard_trips_total", kind="nonfinite_energy", driver=executor.kind)
+        OBS.event("guard:nonfinite_energy", cat="guard", driver=executor.kind)
+        if energy_policy == "recompute":
+            e_local = executor.remeasure(walkers, i)
+            if e_local is not None:
+                w.e_local = e_local
+                if np.isfinite(e_local):
+                    return True
+        if energy_policy == "raise":
+            raise GuardViolation(
+                f"non-finite local energy {w.e_local!r} "
+                f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
+            )
+        dropped += 1
+        return False
+
+    if resume is not None:
+        ckpt = load_checkpoint(resume, expect_kind=executor.kind)
+        saved = ckpt.manifest["params"]
+        for key in params:
+            if saved.get(key) != params[key]:
+                raise CheckpointError(
+                    f"checkpoint parameter mismatch for {key!r}: "
+                    f"saved {saved.get(key)!r}, requested {params[key]!r}"
+                )
+        walkers[:] = executor.restore(
+            walkers,
+            ckpt.arrays["positions"],
+            ckpt.arrays["ion_positions"],
+            [restore_rng(s) for s in ckpt.manifest["walker_rng_states"]],
+            ckpt.arrays["e_local"],
+        )
+        pool = WalkerRngPool.from_state(ckpt.manifest["pool_state"])
+        start_gen = int(ckpt.manifest["generation"])
+        e_trial = float(ckpt.arrays["e_trial"])
+        accepted = int(ckpt.manifest["accepted"])
+        attempted = int(ckpt.manifest["attempted"])
+        energy_trace = list(ckpt.arrays["energy_trace"])
+        pop_trace = [int(p) for p in ckpt.arrays["population_trace"]]
+        et_trace = list(ckpt.arrays["e_trial_trace"])
+    else:
+        start_gen = accepted = attempted = 0
+        energy_trace, pop_trace, et_trace = [], [], []
+        healthy = [w for i, w in enumerate(walkers) if measure(i)]
+        if not healthy:
+            raise GuardViolation("no walker with finite local energy at start")
+        walkers[:] = healthy
+        e_trial = float(np.mean([w.e_local for w in walkers]))
+
+    for gen in range(start_gen, n_generations):
+        t_gen = time.perf_counter()
+        # (i) drift-diffusion propagation.
+        acc, att = executor.propagate(walkers, gen, tau)
+        accepted += acc
+        attempted += att
+        # (ii) measurement, in walker order; the branching weight comes
+        # from the symmetrized local energy (None: dropped, no copies).
+        weights: list[float | None] = []
+        for i, w in enumerate(walkers):
+            e_old = w.e_local
+            keep = measure(i)
+            weights.append(
+                np.exp(-tau * (0.5 * (w.e_local + e_old) - e_trial))
+                if keep
+                else None
+            )
+        # (iii) branching: integer copies floor(w + u).
+        new_walkers: list = []
+        cap = pop_guard.cap
+        for w, wt in zip(walkers, weights):
+            if wt is None:
+                continue
+            n_copies = int(wt + w.rng.random())
+            for c in range(n_copies):
+                if len(new_walkers) >= cap:
+                    break
+                if c == 0:
+                    new_walkers.append(w)
+                else:
+                    new_walkers.append(w.clone(pool.next_rng()))
+                    OBS.count("dmc_branch_clones_total")
+        walkers[:] = pop_guard.enforce(new_walkers, walkers, pool)
+        e_est = float(np.mean([w.e_local for w in walkers]))
+        # Population-control feedback on the trial energy.
+        e_trial = e_est - feedback * np.log(len(walkers) / target)
+        energy_trace.append(e_est)
+        pop_trace.append(len(walkers))
+        et_trace.append(e_trial)
+        dt = time.perf_counter() - t_gen
+        if OBS.enabled:
+            OBS.count("dmc_generations_total")
+            OBS.observe("dmc_generation_seconds", dt)
+            OBS.gauge("dmc_population", len(walkers))
+            OBS.gauge("dmc_e_trial", e_trial)
+            OBS.complete(
+                "dmc:generation",
+                t_gen,
+                dt,
+                cat="qmc",
+                generation=gen,
+                population=len(walkers),
+            )
+        if checkpoint_every is not None and (gen + 1) % checkpoint_every == 0:
+            positions, ion_positions = executor.snapshot(walkers)
+            save_checkpoint(
+                checkpoint_path,
+                {
+                    "kind": executor.kind,
+                    "generation": gen + 1,
+                    "accepted": accepted,
+                    "attempted": attempted,
+                    "n_walkers": len(walkers),
+                    "pool_state": pool.state,
+                    "walker_rng_states": [rng_state(w.rng) for w in walkers],
+                    "params": params,
+                },
+                {
+                    "positions": positions,
+                    "ion_positions": ion_positions,
+                    "e_local": np.asarray(
+                        [w.e_local for w in walkers], dtype=np.float64
+                    ),
+                    "e_trial": np.asarray(e_trial, dtype=np.float64),
+                    "energy_trace": np.asarray(energy_trace, dtype=np.float64),
+                    "population_trace": np.asarray(pop_trace, dtype=np.int64),
+                    "e_trial_trace": np.asarray(et_trace, dtype=np.float64),
+                },
+            )
+        # Scheduling (heartbeats, rebalance accounting, autoscale) runs
+        # after all trace-affecting work for the generation.
+        executor.generation_end(gen, walkers, dt)
+        if on_generation is not None:
+            on_generation(gen, walkers)
+    executor.finish()
+    return DmcResult(
+        energy_trace=np.asarray(energy_trace),
+        population_trace=np.asarray(pop_trace),
+        e_trial_trace=np.asarray(et_trace),
+        acceptance=accepted / max(attempted, 1),
+        rescues=pop_guard.rescues,
+        truncations=pop_guard.truncations,
+        dropped_walkers=dropped,
+        fleet=executor.summary(),
+    )
 
 
 def run_dmc(
@@ -299,7 +501,9 @@ def run_dmc(
         overwritten atomically at each save.
     resume:
         Path of a checkpoint to continue from; physics parameters must
-        match the checkpointed run.
+        match the checkpointed run.  ``"auto"`` resumes from
+        ``checkpoint_path`` when a checkpoint exists there and starts
+        fresh otherwise.
     guard:
         Non-finite-energy policy
         (:class:`~repro.resilience.guards.GuardConfig`); ``None`` keeps
@@ -315,155 +519,25 @@ def run_dmc(
     """
     if not walkers:
         raise ValueError("need at least one walker")
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-    target = target_population or len(walkers)
     params = {
         "tau": tau,
-        "target_population": target,
+        "target_population": target_population or len(walkers),
         "feedback": feedback,
         "max_population_factor": max_population_factor,
         "ion_charge": ion_charge,
     }
-    pop_guard = PopulationGuard(target, max_population_factor)
-    energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
-    dropped = 0
-    estimators: dict[int, object] = {}
     factory = estimator_factory or (lambda w: LocalEnergy(w.wf, ion_charge))
-
-    def e_local(w: DmcWalker) -> float:
-        est = estimators.get(id(w))
-        if est is None:
-            est = factory(w)
-            estimators[id(w)] = est
-        return est.total()
-
-    def measure(w: DmcWalker) -> bool:
-        """Measure ``w``; returns False if the walker must be dropped."""
-        nonlocal dropped
-        w.e_local = e_local(w)
-        if np.isfinite(w.e_local) or energy_policy == "ignore":
-            return True
-        OBS.count(
-            "guard_trips_total", kind="nonfinite_energy", driver="dmc"
-        )
-        OBS.event("guard:nonfinite_energy", cat="guard", driver="dmc")
-        if energy_policy == "recompute":
-            # Rebuild derived state (a drifted inverse is the usual
-            # culprit) and re-measure once through a fresh estimator.
-            w.wf.recompute()
-            estimators.pop(id(w), None)
-            w.e_local = e_local(w)
-            if np.isfinite(w.e_local):
-                return True
-        if energy_policy == "raise":
-            raise GuardViolation(
-                f"non-finite local energy {w.e_local!r} "
-                f"(policy 'raise'; use 'drop' or 'recompute' to continue)"
-            )
-        dropped += 1
-        return False
-
-    if resume is not None:
-        (walkers_r, pool, start_gen, e_trial, accepted, attempted, traces) = (
-            _resume_dmc(resume, walkers, params)
-        )
-        walkers[:] = walkers_r
-        energy_trace, pop_trace, et_trace = traces
-    else:
-        start_gen = 0
-        accepted = attempted = 0
-        energy_trace, pop_trace, et_trace = [], [], []
-        healthy = [w for w in walkers if measure(w)]
-        if not healthy:
-            raise GuardViolation("no walker with finite local energy at start")
-        walkers[:] = healthy
-        e_trial = float(np.mean([w.e_local for w in walkers]))
-
-    for gen in range(start_gen, n_generations):
-        t_gen = time.perf_counter() if OBS.enabled else 0.0
-        # (i) drift-diffusion propagation: each shared-orbital-set group
-        # advances in lock step; since every walker consumes only its
-        # private stream, the result is bit-identical to sweeping
-        # walkers one at a time.
-        for group in _crowd_groups(walkers):
-            state = CrowdState([w.wf for w in group], [w.rng for w in group])
-            acc, att = batched_sweep(state, tau)
-            accepted += acc
-            attempted += att
-        # (ii) measurement, in walker order.
-        weights: list[float | None] = []
-        for w in walkers:
-            e_old = w.e_local
-            if not measure(w):
-                weights.append(None)  # dropped: no branching copies at all
-                continue
-            # Branching weight from the symmetrized local energy.
-            weights.append(np.exp(-tau * (0.5 * (w.e_local + e_old) - e_trial)))
-        # (iii) branching: integer copies floor(w + u).
-        new_walkers: list[DmcWalker] = []
-        cap = pop_guard.cap
-        for w, wt in zip(walkers, weights):
-            if wt is None:
-                continue
-            n_copies = int(wt + w.rng.random())
-            for c in range(n_copies):
-                if len(new_walkers) >= cap:
-                    break
-                if c == 0:
-                    new_walkers.append(w)
-                else:
-                    new_walkers.append(w.clone(pool.next_rng()))
-                    OBS.count("dmc_branch_clones_total")
-        walkers[:] = pop_guard.enforce(new_walkers, walkers, pool)
-        estimators.clear()
-        e_est = float(np.mean([w.e_local for w in walkers]))
-        # Population-control feedback on the trial energy.
-        e_trial = e_est - feedback * np.log(len(walkers) / target)
-        energy_trace.append(e_est)
-        pop_trace.append(len(walkers))
-        et_trace.append(e_trial)
-        if OBS.enabled:
-            dt = time.perf_counter() - t_gen
-            OBS.count("dmc_generations_total")
-            OBS.observe("dmc_generation_seconds", dt)
-            OBS.gauge("dmc_population", len(walkers))
-            OBS.gauge("dmc_e_trial", e_trial)
-            OBS.complete(
-                "dmc:generation",
-                t_gen,
-                dt,
-                cat="qmc",
-                generation=gen,
-                population=len(walkers),
-            )
-        if checkpoint_every is not None and (gen + 1) % checkpoint_every == 0:
-            _save_dmc_checkpoint(
-                checkpoint_path,
-                walkers,
-                pool,
-                gen + 1,
-                e_trial,
-                accepted,
-                attempted,
-                (energy_trace, pop_trace, et_trace),
-                params,
-            )
-        if on_generation is not None:
-            on_generation(gen, walkers)
-    return DmcResult(
-        energy_trace=np.asarray(energy_trace),
-        population_trace=np.asarray(pop_trace),
-        e_trial_trace=np.asarray(et_trace),
-        acceptance=accepted / max(attempted, 1),
-        rescues=pop_guard.rescues,
-        truncations=pop_guard.truncations,
-        dropped_walkers=dropped,
+    return _run_generations(
+        _LiveExecutor(factory),
+        walkers,
+        pool,
+        params,
+        n_generations,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume=resume,
+        guard=guard,
+        on_generation=on_generation,
     )
 
 

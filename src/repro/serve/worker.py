@@ -30,9 +30,8 @@ from repro.core.batched import BsplineBatched
 from repro.core.grid import Grid3D
 from repro.core.kinds import Kind
 from repro.obs import OBS
-from repro.parallel.crowd import CrowdSpec, build_walker_range
+from repro.parallel.crowd import CrowdSpec, _CrowdShard
 from repro.parallel.shared_table import SharedTable
-from repro.parallel.vmc import _run_walker_range
 
 __all__ = ["ServeShard"]
 
@@ -200,9 +199,8 @@ class ServeShard:
         if release:
             self.release(release)
         table = self._attach(table_spec)
-        spec = CrowdSpec(**spec_fields)
-        wfs, rngs = build_walker_range(spec, table.array, 0, spec.n_walkers)
-        out = _run_walker_range(wfs, rngs, n_steps, n_warmup, tau, ion_charge)
+        shard = _CrowdShard(CrowdSpec(**spec_fields), table.array)
+        out = shard.vmc(n_steps, n_warmup, tau, ion_charge)
         if OBS.enabled:
             OBS.count("serve_worker_vmc_total")
         return out

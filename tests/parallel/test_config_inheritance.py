@@ -118,3 +118,53 @@ class TestTraceInvariance:
         b = run(RunConfig.from_env(chunk_size=64, tile_size=2))
         np.testing.assert_array_equal(a.energies, b.energies)
         assert a.acceptance == b.acceptance
+
+
+def _crowd(spec):
+    from repro.parallel.crowd import run_crowd_parallel
+
+    run_crowd_parallel(spec, n_workers=2, n_sweeps=1, tau=0.3)
+
+
+def _vmc(spec):
+    from repro.parallel.vmc import run_vmc_population
+
+    run_vmc_population(spec, n_workers=2, n_steps=1, n_warmup=0)
+
+
+def _dmc(spec):
+    from repro.parallel.dmc import run_dmc_sharded
+
+    run_dmc_sharded(spec, n_workers=2, n_generations=1)
+
+
+def _dmc_fleet(spec):
+    from repro.fleet import FleetConfig
+    from repro.parallel.dmc import run_dmc_sharded
+
+    run_dmc_sharded(spec, n_workers=2, n_generations=1, fleet=FleetConfig())
+
+
+class TestDriversShipResolvedSpec:
+    """Every process driver resolves the spec parent-side before shipping
+    it (the promise on :attr:`CrowdSpec.config`), so no worker consults
+    its own env or tuning DB for the blocking decision."""
+
+    @pytest.mark.parametrize(
+        "drive",
+        [_crowd, _vmc, _dmc, _dmc_fleet],
+        ids=["crowd", "vmc", "dmc", "dmc-fleet"],
+    )
+    def test_worker_initializer_gets_a_resolved_spec(self, monkeypatch, drive):
+        shipped = []
+        original = ProcessCrowdPool.__init__
+
+        def spy(self, n_workers, initializer, init_args=(), *args, **kwargs):
+            shipped.extend(a for a in init_args if isinstance(a, CrowdSpec))
+            original(self, n_workers, initializer, init_args, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessCrowdPool, "__init__", spy)
+        drive(CrowdSpec(**SPEC_KW))
+        assert shipped, "the driver started no worker over a CrowdSpec"
+        for spec in shipped:
+            assert spec.config is not None and spec.config.is_resolved

@@ -225,6 +225,123 @@ class TestDmcResume:
                     checkpoint_path="x")
 
 
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+class TestCheckpointFixtures:
+    """Checkpoints written by an earlier build still resume bit-for-bit.
+
+    ``data/dmc_gen2`` (``run_dmc``) and ``data/dmc_sharded_gen2``
+    (``run_dmc_sharded``) were taken after generation 2 of a 4-generation
+    run whose uninterrupted traces are in ``data/dmc_traces.json``; the
+    seed branches before the checkpoint, so both hold a clone.  The
+    round-trip tests above write and read with the same code and so
+    cannot see format drift; these can.
+    """
+
+    @staticmethod
+    def _load():
+        with open(os.path.join(_DATA, "dmc_traces.json")) as fh:
+            return json.load(fh)
+
+    @staticmethod
+    def _live_ensemble(system):
+        pool = WalkerRngPool(system["seed"])
+        walkers = build_dmc_ensemble(
+            pool,
+            system["n_walkers"],
+            n_orbitals=system["n_orbitals"],
+            grid_shape=tuple(system["grid_shape"]),
+        )
+        return pool, walkers
+
+    @staticmethod
+    def _spec(system):
+        from repro.parallel import CrowdSpec
+
+        return CrowdSpec(
+            n_walkers=system["n_walkers"],
+            n_orbitals=system["n_orbitals"],
+            grid_shape=tuple(system["grid_shape"]),
+            seed=system["seed"],
+        )
+
+    @staticmethod
+    def _assert_traces(res, want):
+        np.testing.assert_array_equal(res.energy_trace, want["energy_trace"])
+        np.testing.assert_array_equal(
+            res.population_trace, want["population_trace"]
+        )
+        np.testing.assert_array_equal(res.e_trial_trace, want["e_trial_trace"])
+
+    @staticmethod
+    def _assert_same_checkpoint(path, fixture):
+        got, want = load_checkpoint(path), load_checkpoint(fixture)
+        assert got.manifest == want.manifest
+        assert list(got.arrays) == list(want.arrays)
+        for name, arr in want.arrays.items():
+            np.testing.assert_array_equal(got.arrays[name], arr)
+            assert got.arrays[name].dtype == arr.dtype
+
+    def test_live_fixture_resumes(self):
+        data = self._load()
+        system = data["system"]
+        pool, walkers = self._live_ensemble(system)
+        res = run_dmc(
+            walkers,
+            pool,
+            n_generations=system["n_generations"],
+            tau=system["tau"],
+            resume=os.path.join(_DATA, "dmc_gen2"),
+        )
+        self._assert_traces(res, data["dmc"])
+
+    def test_live_checkpoint_matches_fixture(self, tmp_path):
+        system = self._load()["system"]
+        pool, walkers = self._live_ensemble(system)
+        run_dmc(
+            walkers,
+            pool,
+            n_generations=2,
+            tau=system["tau"],
+            checkpoint_every=system["checkpoint_every"],
+            checkpoint_path=tmp_path / "ck",
+        )
+        self._assert_same_checkpoint(
+            tmp_path / "ck", os.path.join(_DATA, "dmc_gen2")
+        )
+
+    def test_sharded_fixture_resumes(self):
+        from repro.parallel import run_dmc_sharded
+
+        data = self._load()
+        system = data["system"]
+        res = run_dmc_sharded(
+            self._spec(system),
+            n_workers=1,
+            n_generations=system["n_generations"],
+            tau=system["tau"],
+            resume=os.path.join(_DATA, "dmc_sharded_gen2"),
+        )
+        self._assert_traces(res, data["dmc-sharded"])
+
+    def test_sharded_checkpoint_matches_fixture(self, tmp_path):
+        from repro.parallel import run_dmc_sharded
+
+        system = self._load()["system"]
+        run_dmc_sharded(
+            self._spec(system),
+            n_workers=1,
+            n_generations=2,
+            tau=system["tau"],
+            checkpoint_every=system["checkpoint_every"],
+            checkpoint_path=tmp_path / "ck",
+        )
+        self._assert_same_checkpoint(
+            tmp_path / "ck", os.path.join(_DATA, "dmc_sharded_gen2")
+        )
+
+
 class TestVmcResume:
     def test_resume_matches_uninterrupted(self, tmp_path):
         def fresh():
@@ -317,6 +434,26 @@ class TestCli:
         assert main(["dmc", "--walkers", "1", "--generations", "2"]) == 0
         out = capsys.readouterr().out
         assert "generations: 2" in out
+
+    def test_dmc_resume_auto_without_processes(self, tmp_path, capsys):
+        """``--resume auto`` on the live path: the first run finds no
+        checkpoint and starts fresh, the second continues from the one
+        the first left behind and prints what an uninterrupted run at
+        the same cadence prints."""
+        from repro.__main__ import main
+
+        base = ["dmc", "--walkers", "3", "--n-orbitals", "2",
+                "--checkpoint-every", "2"]
+        ref_args = base + ["--generations", "4",
+                           "--checkpoint-path", str(tmp_path / "ref")]
+        assert main(ref_args) == 0
+        ref = capsys.readouterr().out
+        auto = base + ["--checkpoint-path", str(tmp_path / "ck"),
+                       "--resume", "auto"]
+        assert main(auto + ["--generations", "2"]) == 0
+        assert "generations: 2" in capsys.readouterr().out
+        assert main(auto + ["--generations", "4"]) == 0
+        assert capsys.readouterr().out == ref
 
     def test_dmc_checkpoint_flags_validated(self, capsys):
         from repro.__main__ import main
