@@ -46,7 +46,7 @@ from repro.parallel.pool import ProcessCrowdPool
 from repro.parallel.sharding import shard_slices, walker_rng
 from repro.parallel.shared_table import SharedTable
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.estimators import LocalEnergy
+from repro.qmc.estimators import CrowdLocalEnergy
 from repro.qmc.jastrow import make_polynomial_radial
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.slater import SplineOrbitalSet
@@ -379,9 +379,10 @@ class _CrowdShard(_Shard):
         """VMC over the shard: one local-energy trace per walker.
 
         The range advances in lock step through the batched population
-        kernels; walkers only consume their private streams and
-        measurement draws none, so every trace is independent of how the
-        population is sharded.
+        kernels and is measured in one batched pass per step, whose
+        orbital block the next sweep reuses as its drift cache; walkers
+        only consume their private streams and measurement draws none,
+        so every trace is independent of how the population is sharded.
         """
         if self.crowd is None:
             return {
@@ -391,7 +392,7 @@ class _CrowdShard(_Shard):
             }
         t0 = time.perf_counter()
         wfs = self.crowd.wfs
-        estimators = [LocalEnergy(wf, ion_charge) for wf in wfs]
+        estimator = CrowdLocalEnergy(self.crowd, ion_charge)
         traces: list[list[float]] = [[] for _ in wfs]
         accepted = attempted = 0
         for step in range(n_warmup + n_steps):
@@ -402,8 +403,8 @@ class _CrowdShard(_Shard):
                 for wf in wfs:
                     wf.recompute()
             if step >= n_warmup:
-                for trace, est in zip(traces, estimators):
-                    trace.append(est.total())
+                for trace, e in zip(traces, estimator.total()):
+                    trace.append(e)
         if OBS.enabled:
             OBS.count("vmc_shard_walkers_total", len(wfs))
             OBS.observe("vmc_shard_seconds", time.perf_counter() - t0)

@@ -55,7 +55,7 @@ from repro.parallel.crowd import (
 from repro.parallel.sharding import shard_slices, walker_rng
 from repro.qmc.batched_step import CrowdState, batched_sweep
 from repro.qmc.dmc import DmcResult, _run_generations
-from repro.qmc.estimators import LocalEnergy
+from repro.qmc.estimators import CrowdLocalEnergy
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.rng import WalkerRngPool
 from repro.resilience.checkpoint import restore_rng, rng_state
@@ -144,12 +144,17 @@ class _DmcShard(_Shard):
         wf.recompute()
         return wf
 
+    def _crowd(self, tasks: list[dict]) -> CrowdState:
+        """Every task loaded into its template, as one crowd."""
+        wfs = [self._load(i, t) for i, t in enumerate(tasks)]
+        return CrowdState(wfs, [restore_rng(t["rng_state"]) for t in tasks])
+
     def measure(self, tasks: list[dict], ion_charge: float) -> list[float]:
-        """Local energy of each task's configuration (no RNG consumed)."""
-        return [
-            float(LocalEnergy(self._load(i, t), ion_charge).total())
-            for i, t in enumerate(tasks)
-        ]
+        """Local energy of each task's configuration (no RNG consumed),
+        measured in one batched pass."""
+        if not tasks:
+            return []
+        return CrowdLocalEnergy(self._crowd(tasks), ion_charge).total().tolist()
 
     def propagate(
         self, tasks: list[dict], tau: float, ion_charge: float
@@ -158,26 +163,26 @@ class _DmcShard(_Shard):
 
         Loads every task into its template and advances the whole shard
         through the batched population kernels (one crowd — all
-        templates share one orbital set), then measures in task order;
-        measurement consumes no RNG, so each task's result is bitwise
-        independent of which shard carried it.
+        templates share one orbital set), then measures the crowd in one
+        batched pass; measurement consumes no RNG, so each task's result
+        is bitwise independent of which shard carried it.  Templates
+        reload every call, so no drift cache is carried over.
         """
         if not tasks:
             return []
         t0 = time.perf_counter()
-        wfs = [self._load(i, t) for i, t in enumerate(tasks)]
-        rngs = [restore_rng(t["rng_state"]) for t in tasks]
-        state = CrowdState(wfs, rngs)
+        state = self._crowd(tasks)
         batched_sweep(state, tau)
+        energies = CrowdLocalEnergy(state, ion_charge).total()
         out = [
             {
                 "positions": wf.electrons.positions.copy(),
-                "rng_state": rng_state(rngs[i]),
-                "e_local": float(LocalEnergy(wf, ion_charge).total()),
+                "rng_state": rng_state(state.rngs[i]),
+                "e_local": float(energies[i]),
                 "accepted": int(state.accepts[i]),
                 "attempted": state.n_electrons,
             }
-            for i, wf in enumerate(wfs)
+            for i, wf in enumerate(state.wfs)
         ]
         if OBS.enabled:
             OBS.count("dmc_shard_walkers_propagated_total", len(tasks))

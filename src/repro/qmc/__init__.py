@@ -14,6 +14,7 @@ from repro.qmc.distance_tables import DistanceTableAA, DistanceTableAB
 from repro.qmc.dmc import DmcResult, DmcWalker, run_dmc
 from repro.qmc.drift_diffusion import limited_drift, log_greens_ratio, sweep
 from repro.qmc.estimators import (
+    CrowdLocalEnergy,
     LocalEnergy,
     coulomb_ee,
     coulomb_ei,
@@ -50,6 +51,7 @@ __all__ = [
     "SplineOrbitalSet",
     "SlaterJastrow",
     "LocalEnergy",
+    "CrowdLocalEnergy",
     "kinetic_energy",
     "coulomb_ee",
     "coulomb_ei",

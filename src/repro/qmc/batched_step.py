@@ -9,9 +9,13 @@ grew into):
 
 for each sweep:
     0. ONE ``vgl_batch`` over every walker's every committed electron
-       position — the drift cache.  Within a sweep each electron is
-       visited exactly once, so its committed orbitals cannot change
-       before its visit and the cache never goes stale.
+       position — the drift cache (:meth:`CrowdState.committed_vgl`).
+       Within a sweep each electron is visited exactly once, so its
+       committed orbitals cannot change before its visit and the cache
+       never goes stale.  A crowd measurement
+       (:class:`repro.qmc.estimators.CrowdLocalEnergy`) evaluates the
+       same block at the same positions, so a sweep that follows one
+       takes it over instead of evaluating it again.
     for each electron index e:
         1. drift for all walkers from the cache + batched committed
            Jastrow rows; per-walker Gaussian diffusion from each
@@ -100,6 +104,12 @@ class CrowdState:
         .. deprecated:: PR9
            Use ``config=RunConfig(...)``; honoured (with a warning) for
            one release.
+    committed_vgl:
+        Optional ``(g (nw, ne, 3, N), lap (nw, ne, N))`` measured at the
+        walkers' current positions (a handed-over
+        :meth:`committed_vgl`); the first sweep then skips its drift
+        cache evaluation.  Rows are bitwise independent of the batch
+        they were evaluated in, so they may come from another crowd.
     """
 
     def __init__(
@@ -109,6 +119,7 @@ class CrowdState:
         tile_size: int | None = None,
         chunk_size: int | None = None,
         config=None,
+        committed_vgl: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         if not wavefunctions:
             raise ValueError("a crowd needs at least one walker")
@@ -162,7 +173,8 @@ class CrowdState:
         self.positions = np.zeros((self.n_walkers, n_el, 3))
         #: Total Psi ratios of the last proposed move per walker.
         self.ratios = np.zeros(self.n_walkers)
-        #: Per-walker local energies (written by the measuring driver).
+        #: Per-walker local energies of the last crowd measurement
+        #: (:class:`~repro.qmc.estimators.CrowdLocalEnergy`).
         self.e_local = np.zeros(self.n_walkers)
         #: Per-walker accepted-move counts of the last sweep.
         self.accepts = np.zeros(self.n_walkers, dtype=np.int64)
@@ -204,6 +216,7 @@ class CrowdState:
             and self.cell.is_orthorhombic
         )
         self.refresh_positions()
+        self._committed_vgl = committed_vgl
 
     def __len__(self) -> int:
         return self.n_walkers
@@ -212,10 +225,32 @@ class CrowdState:
         """Re-gather every walker's committed positions into the SoA array.
 
         Call after any out-of-band position change (checkpoint restore,
-        DMC branching assembling a new crowd from cloned walkers).
+        DMC branching assembling a new crowd from cloned walkers).  Drops
+        the :meth:`committed_vgl` block, which belonged to the old
+        positions.
         """
         for w, wf in enumerate(self.wfs):
             self.positions[w] = wf.electrons.positions
+        self._committed_vgl = None
+
+    def committed_vgl(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orbital gradients and Laplacians at every committed position.
+
+        ``(g (nw, ne, 3, N), lap (nw, ne, N))`` from ONE ``vgl_batch``
+        over the whole crowd, kept until a sweep moves the walkers.  It
+        is both the sweep's drift cache and the crowd estimator's
+        determinant input, so a measurement followed by a sweep
+        evaluates it once.
+        """
+        if self._committed_vgl is None:
+            _, g, lap = self.spos.vgl_batch(self.positions.reshape(-1, 3))
+            self.n_batched_calls += 1
+            nw, ne = self.n_walkers, self.n_electrons
+            self._committed_vgl = (
+                g.reshape(nw, ne, 3, -1),
+                lap.reshape(nw, ne, -1),
+            )
+        return self._committed_vgl
 
     # -- batched distance rows ------------------------------------------------
 
@@ -332,6 +367,39 @@ def _j2_pieces(state: CrowdState, e: int, ee_dist, ee_disp):
     return urow_new, urow_old, ratio, gt
 
 
+def _committed_jastrow_terms(
+    state: CrowdState, e: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each Jastrow factor's ``(grad (nw, 3), lap (nw,))`` at electron ``e``.
+
+    Evaluated on every walker's committed rows: one stacked radial call
+    per factor when the crowd shares it, else each walker's own
+    ``grad_lap``.  The list runs j1 then j2 — the order
+    :class:`SlaterJastrow` adds them in.
+    """
+    wfs = state.wfs
+    factors = []
+    if state._has_j1:
+        factors.append(
+            ([wf.j1 for wf in wfs], state._share_j1, [wf.ei_table for wf in wfs], None)
+        )
+    if state._has_j2:
+        factors.append(
+            ([wf.j2 for wf in wfs], state._share_j2, [wf.ee_table for wf in wfs], e)
+        )
+    terms = []
+    for jastrows, shared, tables, exclude in factors:
+        if shared:
+            cd, cdisp = _stacked_committed_rows(tables, e)
+            terms.append(jastrows[0]._grad_lap_from_row(cd, cdisp, exclude))
+        else:
+            pairs = [j.grad_lap(e) for j in jastrows]
+            terms.append(
+                (np.stack([g for g, _ in pairs]), np.array([l for _, l in pairs]))
+            )
+    return terms
+
+
 def _committed_grads(state: CrowdState, e: int, cache_g, cache_lap):
     """grad log Psi at every walker's committed electron ``e`` (drift)."""
     nw = state.n_walkers
@@ -340,26 +408,8 @@ def _committed_grads(state: CrowdState, e: int, cache_g, cache_lap):
         g, _ = wf.slater.grad_lap_from_vgl(e, cache_g[w, e], cache_lap[w, e])
         grads[w] = g
     # Same accumulation order as SlaterJastrow.grad: det, then j1, then j2.
-    if state._has_j1:
-        if state._share_j1:
-            cd, cdisp = _stacked_committed_rows(
-                [wf.ei_table for wf in state.wfs], e
-            )
-            g1, _ = state.wfs[0].j1._grad_lap_from_row(cd, cdisp, None)
-            grads = grads + g1
-        else:
-            for w, wf in enumerate(state.wfs):
-                grads[w] = grads[w] + wf.j1.grad(e)
-    if state._has_j2:
-        if state._share_j2:
-            cd, cdisp = _stacked_committed_rows(
-                [wf.ee_table for wf in state.wfs], e
-            )
-            g2, _ = state.wfs[0].j2._grad_lap_from_row(cd, cdisp, e)
-            grads = grads + g2
-        else:
-            for w, wf in enumerate(state.wfs):
-                grads[w] = grads[w] + wf.j2.grad(e)
+    for g, _ in _committed_jastrow_terms(state, e):
+        grads = grads + g
     return grads
 
 
@@ -385,13 +435,13 @@ def batched_sweep(
     sqrt_tau = np.sqrt(tau)
 
     if use_drift:
-        # Drift cache: one batched VGH over every committed position.
-        # Valid for the whole sweep — electron e's committed orbitals can
-        # only change when e itself moves, and each e is visited once.
-        _, cache_g, cache_lap = spos.vgl_batch(state.positions.reshape(-1, 3))
-        state.n_batched_calls += 1
-        cache_g = cache_g.reshape(nw, ne, 3, -1)
-        cache_lap = cache_lap.reshape(nw, ne, -1)
+        # Drift cache: the committed-position VGL, one batched call (or
+        # the block a measurement at these positions left).  Valid for
+        # the whole sweep — electron e's committed orbitals can only
+        # change when e itself moves, and each e is visited once.
+        cache_g, cache_lap = state.committed_vgl()
+    # The walkers move from here on.
+    state._committed_vgl = None
 
     for e in range(ne):
         # 1. proposals: batched drift, per-walker diffusion.

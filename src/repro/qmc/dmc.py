@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.estimators import LocalEnergy
+from repro.qmc.estimators import CrowdLocalEnergy, LocalEnergy
 from repro.qmc.rng import WalkerRngPool
 from repro.qmc.wavefunction import SlaterJastrow
 from repro.resilience.checkpoint import (
@@ -63,11 +63,21 @@ __all__ = ["DmcWalker", "DmcResult", "run_dmc", "build_dmc_ensemble"]
 
 @dataclass
 class DmcWalker:
-    """One DMC walker: wavefunction state + stream + bookkeeping."""
+    """One DMC walker: wavefunction state + stream + bookkeeping.
+
+    ``committed_vgl`` is the walker's own copy of the orbital
+    ``(g (ne, 3, N), lap (ne, N))`` its last crowd measurement evaluated
+    at its current positions — the next sweep's drift cache.
+    :func:`run_dmc` sets it after measuring and the next sweep consumes
+    it; a run never takes one it did not measure itself.
+    """
 
     wf: SlaterJastrow
     rng: np.random.Generator
     e_local: float = 0.0
+    committed_vgl: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def clone(self, rng: np.random.Generator) -> "DmcWalker":
         """A branching copy: same configuration, fresh random stream.
@@ -77,11 +87,17 @@ class DmcWalker:
         the read-only coefficient table every walker in the ensemble
         reads.  Sharing keeps branching O(walker state) instead of
         O(spline table) and keeps the whole ensemble in one crowd for
-        the batched population step.
+        the batched population step.  It also shares the (read-only)
+        ``committed_vgl``: same positions, same orbitals.
         """
         spos = self.wf.slater.spos
         wf_new = copy.deepcopy(self.wf, {id(spos): spos})
-        return DmcWalker(wf=wf_new, rng=rng, e_local=self.e_local)
+        return DmcWalker(
+            wf=wf_new,
+            rng=rng,
+            e_local=self.e_local,
+            committed_vgl=self.committed_vgl,
+        )
 
 
 @dataclass
@@ -126,17 +142,17 @@ class DmcResult:
         return float(np.mean(self.energy_trace[half:]))
 
 
-def _crowd_groups(walkers: list[DmcWalker]) -> list[list[DmcWalker]]:
+def _crowd_groups(walkers: list[DmcWalker]) -> list[list[int]]:
     """Partition an ensemble into crowds that can step batched together.
 
     Walkers sharing one orbital-set object, electron count and Jastrow
-    structure form one lock-step group; walker order is preserved inside
-    each group (streams are private, so cross-group order is free).
-    Branching clones share their parent's orbital set, so a standard
-    ensemble stays a single crowd for its whole life.
+    structure form one lock-step group; each group lists its walkers'
+    indices in ensemble order (streams are private, so cross-group order
+    is free).  Branching clones share their parent's orbital set, so a
+    standard ensemble stays a single crowd for its whole life.
     """
-    groups: dict[tuple, list[DmcWalker]] = {}
-    for w in walkers:
+    groups: dict[tuple, list[int]] = {}
+    for i, w in enumerate(walkers):
         wf = w.wf
         key = (
             id(wf.slater.spos),
@@ -144,31 +160,85 @@ def _crowd_groups(walkers: list[DmcWalker]) -> list[list[DmcWalker]]:
             wf.j1 is not None,
             wf.j2 is not None,
         )
-        groups.setdefault(key, []).append(w)
+        groups.setdefault(key, []).append(i)
     return list(groups.values())
+
+
+def _take_committed_vgl(group: list[DmcWalker]):
+    """The group's ``committed_vgl`` copies stacked for its crowd, or
+    ``None`` unless every walker carries one.  The walkers' copies are
+    cleared either way: the crowd moves next."""
+    cached = [w.committed_vgl for w in group]
+    for w in group:
+        w.committed_vgl = None
+    if any(c is None for c in cached):
+        return None
+    return (
+        np.stack([g for g, _ in cached]),
+        np.stack([lap for _, lap in cached]),
+    )
 
 
 class _LiveExecutor:
     """:func:`run_dmc`'s executor: live wavefunctions in this process.
 
-    Walkers keep their derived state between generations and are
-    measured one at a time, when the loop asks; only a checkpoint
-    (:meth:`snapshot`) or a ``"recompute"`` guard trip rebuilds it.
+    Walkers keep their derived state between generations; only a
+    checkpoint (:meth:`snapshot`) or a ``"recompute"`` guard trip
+    rebuilds it.  By default each crowd is measured in one batched pass
+    (:class:`~repro.qmc.estimators.CrowdLocalEnergy`) right after its
+    sweep — the initial measurement on the loop's first ask — and every
+    walker keeps a copy of its measured ``committed_vgl``, which
+    branching hands to clones and the next sweep takes as its drift
+    cache.  With an ``estimator_factory`` each walker is measured alone,
+    when the loop asks, in walker order.
     """
 
     kind = "dmc"
 
-    def __init__(self, estimator_factory):
+    def __init__(self, ion_charge: float, estimator_factory=None):
+        self._ion_charge = ion_charge
         self._factory = estimator_factory
+        self._energies: list[float] | None = None
+
+    def _crowds(self, walkers: list[DmcWalker], handover: bool):
+        """``(indices, CrowdState)`` per lock-step group.  With ``handover``
+        a group whose every walker carries a ``committed_vgl`` starts
+        from it."""
+        for idx in _crowd_groups(walkers):
+            group = [walkers[i] for i in idx]
+            vgl = _take_committed_vgl(group) if handover else None
+            state = CrowdState(
+                [w.wf for w in group], [w.rng for w in group], committed_vgl=vgl
+            )
+            yield idx, state
+
+    def _measure(self, walkers: list[DmcWalker], idx: list[int], state) -> None:
+        energies = CrowdLocalEnergy(state, self._ion_charge).total()
+        g, lap = state.committed_vgl()
+        for w, i in enumerate(idx):
+            self._energies[i] = float(energies[w])
+            # Copies, not views: a view would pin the crowd's whole block.
+            walkers[i].committed_vgl = (g[w].copy(), lap[w].copy())
 
     def energy(self, walkers: list[DmcWalker], i: int) -> float:
-        return self._factory(walkers[i]).total()
+        if self._factory is not None:
+            return self._factory(walkers[i]).total()
+        if self._energies is None:
+            # The initial measurement.  It trusts no committed_vgl the
+            # walkers bring: they may have moved since it was measured.
+            self._energies = [0.0] * len(walkers)
+            for idx, state in self._crowds(walkers, handover=False):
+                self._measure(walkers, idx, state)
+        return self._energies[i]
 
     def remeasure(self, walkers: list[DmcWalker], i: int) -> float:
         # Rebuild derived state (a drifted inverse is the usual culprit)
-        # and re-measure once through a fresh estimator.
-        walkers[i].wf.recompute()
-        return self.energy(walkers, i)
+        # and re-measure once, alone, through a fresh estimator.
+        wf = walkers[i].wf
+        wf.recompute()
+        if self._factory is not None:
+            return self._factory(walkers[i]).total()
+        return LocalEnergy(wf, self._ion_charge).total()
 
     def propagate(
         self, walkers: list[DmcWalker], gen: int, tau: float
@@ -177,11 +247,16 @@ class _LiveExecutor:
         # walker consumes only its private stream, the result is
         # bit-identical to sweeping walkers one at a time.
         accepted = attempted = 0
-        for group in _crowd_groups(walkers):
-            state = CrowdState([w.wf for w in group], [w.rng for w in group])
+        measured = self._factory is None
+        if measured:
+            self._energies = [0.0] * len(walkers)
+        # Only this run's own measurements leave a committed_vgl to take.
+        for idx, state in self._crowds(walkers, handover=measured):
             acc, att = batched_sweep(state, tau)
             accepted += acc
             attempted += att
+            if measured:
+                self._measure(walkers, idx, state)
         return accepted, attempted
 
     def snapshot(self, walkers: list[DmcWalker]) -> tuple[np.ndarray, np.ndarray]:
@@ -232,6 +307,29 @@ class _LiveExecutor:
 
     def summary(self) -> None:
         return None
+
+
+def _branch(walkers: list, weights: list, cap: int, pool: WalkerRngPool) -> list:
+    """Integer copies ``floor(w + u)`` of each kept walker, up to ``cap``.
+
+    ``u`` comes from the walker's own stream; the first copy is the
+    walker itself, the others are clones with fresh streams from
+    ``pool``.  A weight of ``None`` (a dropped walker) makes no copies.
+    """
+    new_walkers: list = []
+    for w, wt in zip(walkers, weights):
+        if wt is None:
+            continue
+        n_copies = int(wt + w.rng.random())
+        for c in range(n_copies):
+            if len(new_walkers) >= cap:
+                break
+            if c == 0:
+                new_walkers.append(w)
+            else:
+                new_walkers.append(w.clone(pool.next_rng()))
+                OBS.count("dmc_branch_clones_total")
+    return new_walkers
 
 
 def _run_generations(
@@ -341,10 +439,12 @@ def _run_generations(
     else:
         start_gen = accepted = attempted = 0
         energy_trace, pop_trace, et_trace = [], [], []
-        healthy = [w for i, w in enumerate(walkers) if measure(i)]
-        if not healthy:
+        # Keep flags, not walkers: a list of the initial walkers bound
+        # here would pin every one branching later drops for the whole run.
+        keep = [measure(i) for i in range(len(walkers))]
+        if not any(keep):
             raise GuardViolation("no walker with finite local energy at start")
-        walkers[:] = healthy
+        walkers[:] = [w for w, k in zip(walkers, keep) if k]
         e_trial = float(np.mean([w.e_local for w in walkers]))
 
     for gen in range(start_gen, n_generations):
@@ -356,30 +456,18 @@ def _run_generations(
         # (ii) measurement, in walker order; the branching weight comes
         # from the symmetrized local energy (None: dropped, no copies).
         weights: list[float | None] = []
-        for i, w in enumerate(walkers):
-            e_old = w.e_local
+        for i in range(len(walkers)):
+            e_old = walkers[i].e_local
             keep = measure(i)
             weights.append(
-                np.exp(-tau * (0.5 * (w.e_local + e_old) - e_trial))
+                np.exp(-tau * (0.5 * (walkers[i].e_local + e_old) - e_trial))
                 if keep
                 else None
             )
         # (iii) branching: integer copies floor(w + u).
-        new_walkers: list = []
-        cap = pop_guard.cap
-        for w, wt in zip(walkers, weights):
-            if wt is None:
-                continue
-            n_copies = int(wt + w.rng.random())
-            for c in range(n_copies):
-                if len(new_walkers) >= cap:
-                    break
-                if c == 0:
-                    new_walkers.append(w)
-                else:
-                    new_walkers.append(w.clone(pool.next_rng()))
-                    OBS.count("dmc_branch_clones_total")
-        walkers[:] = pop_guard.enforce(new_walkers, walkers, pool)
+        walkers[:] = pop_guard.enforce(
+            _branch(walkers, weights, pop_guard.cap, pool), walkers, pool
+        )
         e_est = float(np.mean([w.e_local for w in walkers]))
         # Population-control feedback on the trial energy.
         e_trial = e_est - feedback * np.log(len(walkers) / target)
@@ -464,7 +552,9 @@ def run_dmc(
 
     Each generation propagates through the batched population step:
     walkers are grouped by shared orbital set and advanced in lock step
-    with one kernel call per electron move (:mod:`repro.qmc.batched_step`).
+    with one kernel call per electron move (:mod:`repro.qmc.batched_step`),
+    then each group is measured in one batched pass whose orbital block
+    the next sweep reuses as its drift cache.
 
     Parameters
     ----------
@@ -509,9 +599,12 @@ def run_dmc(
         (:class:`~repro.resilience.guards.GuardConfig`); ``None`` keeps
         the legacy pass-through behavior.
     estimator_factory:
-        ``factory(walker) -> estimator`` with a ``total()`` method;
-        defaults to :class:`~repro.qmc.estimators.LocalEnergy`.  The
+        ``factory(walker) -> estimator`` with a ``total()`` method,
+        called once per walker measurement, in walker order.  The
         fault-injection tests use this seam to poison measurements.
+        ``None`` (default) measures each crowd in one batched pass
+        (:class:`~repro.qmc.estimators.CrowdLocalEnergy`), bitwise equal
+        to ``LocalEnergy(w.wf, ion_charge)`` per walker.
     on_generation:
         ``hook(gen, walkers)`` called after each completed generation
         (after any checkpoint write); exceptions propagate, which is how
@@ -526,9 +619,8 @@ def run_dmc(
         "max_population_factor": max_population_factor,
         "ion_charge": ion_charge,
     }
-    factory = estimator_factory or (lambda w: LocalEnergy(w.wf, ion_charge))
     return _run_generations(
-        _LiveExecutor(factory),
+        _LiveExecutor(ion_charge, estimator_factory),
         walkers,
         pool,
         params,

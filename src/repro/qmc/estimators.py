@@ -9,12 +9,25 @@ which preserves the *computational* pattern (pair sums over distance
 tables, orbital evaluations per electron) that the profile tables
 measure, while keeping the physics self-consistent for the toy systems
 the tests validate against.
+
+Two estimators compute the same numbers.  :class:`LocalEnergy` measures
+one walker, one electron at a time; it is the per-walker oracle, and the
+only one that carries a nonlocal pseudopotential (the profiled miniQMC
+app measures through it).  :class:`CrowdLocalEnergy` measures a whole
+:class:`~repro.qmc.batched_step.CrowdState` in one batched pass — one
+``vgl_batch`` over every committed position, stacked Jastrow rows per
+electron index — and is what the production drivers use.  Its result is
+bitwise equal to ``LocalEnergy(wf, ion_charge).total()`` per walker.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
+from repro.obs import OBS
+from repro.qmc.batched_step import CrowdState, _committed_jastrow_terms
 from repro.qmc.distance_tables import DistanceTableAA, DistanceTableAB
 from repro.qmc.wavefunction import SlaterJastrow
 
@@ -24,6 +37,7 @@ __all__ = [
     "coulomb_ei",
     "coulomb_ii",
     "LocalEnergy",
+    "CrowdLocalEnergy",
 ]
 
 
@@ -70,6 +84,13 @@ def coulomb_ii(
     return ion_charge * ion_charge * float(np.sum(1.0 / d[iu]))
 
 
+def _ion_ion(wf: SlaterJastrow, ion_charge: float) -> float:
+    """The walker's ion-ion constant (zero for a single ion)."""
+    if len(wf.ions) < 2:
+        return 0.0
+    return coulomb_ii(wf.ions.positions, wf.ions.cell, ion_charge)
+
+
 class LocalEnergy:
     """Aggregate local-energy evaluator bound to one wavefunction.
 
@@ -99,9 +120,7 @@ class LocalEnergy:
         self.wf = wf
         self.ion_charge = float(ion_charge)
         self.pseudopotential = pseudopotential
-        self.e_ii = coulomb_ii(
-            wf.ions.positions, wf.ions.cell, ion_charge
-        ) if len(wf.ions) > 1 else 0.0
+        self.e_ii = _ion_ion(wf, ion_charge)
 
     def kinetic(self) -> float:
         """Local kinetic energy at the walker's current configuration."""
@@ -121,3 +140,79 @@ class LocalEnergy:
     def total(self) -> float:
         """E_L = kinetic + potential."""
         return self.kinetic() + self.potential()
+
+
+class CrowdLocalEnergy:
+    """Local energies of a whole crowd, measured in one batched pass.
+
+    The measurement stage of production VMC/DMC.  Per-position set-up is
+    paid once for the crowd instead of once per electron per walker: ONE
+    ``vgl_batch`` over every committed position
+    (:meth:`CrowdState.committed_vgl`, which the next sweep reuses as
+    its drift cache) and, per electron index, one stacked radial call per
+    shared Jastrow factor.
+
+    :meth:`total` is ``assert_array_equal`` to
+    ``[LocalEnergy(wf, ion_charge).total() for wf in state.wfs]``: each
+    walker replays :meth:`SlaterJastrow.grad_lap_logpsi` and
+    :func:`kinetic_energy` operation for operation, and sums its
+    electrons in order (a vectorised sum over electrons would change the
+    last bit).  No nonlocal pseudopotential term: use
+    :class:`LocalEnergy` for that.
+
+    Parameters
+    ----------
+    state:
+        The crowd; its ions must stay put while the estimator is in use
+        (the ion-ion constants are computed once, here).
+    ion_charge:
+        Valence charge per ion.
+    """
+
+    def __init__(self, state: CrowdState, ion_charge: float = 4.0):
+        self.state = state
+        self.ion_charge = float(ion_charge)
+        self.e_ii = [_ion_ion(wf, ion_charge) for wf in state.wfs]
+
+    def _kinetic(self) -> np.ndarray:
+        """Local kinetic energy of every walker, ``(nw,)``."""
+        state = self.state
+        g_orb, lap_orb = state.committed_vgl()
+        totals = [0.0] * state.n_walkers
+        for e in range(state.n_electrons):
+            jastrow = _committed_jastrow_terms(state, e)
+            for w, wf in enumerate(state.wfs):
+                g_det, l_det = wf.slater.grad_lap_from_vgl(
+                    e, g_orb[w, e], lap_orb[w, e]
+                )
+                lap_log = l_det - float(g_det @ g_det)
+                g = g_det
+                for g_j, l_j in jastrow:
+                    g = g + g_j[w]
+                    lap_log += float(l_j[w])
+                totals[w] += lap_log + float(g @ g)
+        return -0.5 * np.array(totals)
+
+    def _potential(self) -> np.ndarray:
+        """Coulomb potential (ee + ei + ii) of every walker, ``(nw,)``."""
+        return np.array(
+            [
+                coulomb_ee(wf.ee_table)
+                + coulomb_ei(wf.ei_table, self.ion_charge)
+                + e_ii
+                for wf, e_ii in zip(self.state.wfs, self.e_ii)
+            ]
+        )
+
+    def total(self) -> np.ndarray:
+        """E_L of every walker, ``(nw,)``; also stored in ``state.e_local``."""
+        t0 = time.perf_counter() if OBS.enabled else 0.0
+        energies = self._kinetic() + self._potential()
+        self.state.e_local[...] = energies
+        if OBS.enabled:
+            n = self.state.n_walkers
+            OBS.count("qmc_measured_walkers_total", n)
+            OBS.complete(
+                "qmc:measure", t0, time.perf_counter() - t0, cat="qmc", walkers=n
+            )
+        return energies

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.estimators import LocalEnergy
+from repro.qmc.estimators import CrowdLocalEnergy, LocalEnergy
 from repro.qmc.wavefunction import SlaterJastrow
 from repro.resilience.checkpoint import (
     CheckpointError,
@@ -82,7 +82,9 @@ def run_vmc(
     """Run VMC on one walker and return its energy trace.
 
     The walker advances through the batched population-step kernels
-    (:mod:`repro.qmc.batched_step`) as a crowd of one.
+    (:mod:`repro.qmc.batched_step`) as a crowd of one, and is measured by
+    the crowd estimator (:class:`~repro.qmc.estimators.CrowdLocalEnergy`),
+    whose orbital block the next sweep reuses as its drift cache.
 
     Parameters
     ----------
@@ -130,11 +132,9 @@ def run_vmc(
         "measure": measure,
     }
     energy_policy = guard.on_nonfinite_energy if guard is not None else "ignore"
-    estimator = LocalEnergy(wf, ion_charge) if measure else None
 
     def measure_energy() -> float | None:
-        nonlocal estimator
-        e = estimator.total()
+        e = float(estimator.total()[0])
         if np.isfinite(e) or energy_policy == "ignore":
             return e
         OBS.count(
@@ -143,8 +143,7 @@ def run_vmc(
         OBS.event("guard:nonfinite_energy", cat="guard", driver="vmc")
         if energy_policy == "recompute":
             wf.recompute()
-            estimator = LocalEnergy(wf, ion_charge)
-            e = estimator.total()
+            e = LocalEnergy(wf, ion_charge).total()
             if np.isfinite(e):
                 return e
         if energy_policy == "raise":
@@ -176,8 +175,6 @@ def run_vmc(
         energies = list(ckpt.arrays["energies"])
         accepted = int(ckpt.manifest["accepted"])
         attempted = int(ckpt.manifest["attempted"])
-        if measure:
-            estimator = LocalEnergy(wf, ion_charge)
     else:
         start_step = 0
         energies = []
@@ -186,6 +183,7 @@ def run_vmc(
     # Built after any resume so the SoA position cache sees the restored
     # configuration.
     crowd = CrowdState([wf], [rng])
+    estimator = CrowdLocalEnergy(crowd, ion_charge) if measure else None
 
     for step in range(start_step, n_warmup + n_steps):
         t_step = time.perf_counter() if OBS.enabled else 0.0

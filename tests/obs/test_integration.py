@@ -100,7 +100,7 @@ class TestQmcAndResilience:
         pool = WalkerRngPool(11)
         walkers = build_dmc_ensemble(pool, 2, n_orbitals=2, grid_shape=(8, 8, 8))
         ckpt = tmp_path / "ckpt"
-        run_dmc(
+        res = run_dmc(
             walkers,
             pool,
             n_generations=3,
@@ -114,6 +114,13 @@ class TestQmcAndResilience:
         names = {e["name"] for e in obs.tracer.events}
         assert "dmc:generation" in names
         assert "checkpoint:save" in names
+        # One crowd measurement at the start and one per generation, each
+        # over the population the generation started with.
+        measures = [e for e in obs.tracer.events if e["name"] == "qmc:measure"]
+        assert len(measures) == 4
+        started = [2, 2, *res.population_trace[:-1]]
+        assert [e["args"]["walkers"] for e in measures] == started
+        assert obs.registry.counter("qmc_measured_walkers_total").value == sum(started)
 
 
 class TestCliFlags:

@@ -26,8 +26,15 @@ from repro.qmc.dmc import _crowd_groups, build_dmc_ensemble
 from tests.qmc.test_wavefunction import build_wf
 
 
-def build_population(n_walkers=3, n_orb=2, seed=7, layout="soa", with_jastrow=True):
-    """Walkers sharing one orbital set, plus matched private streams."""
+def build_population(
+    n_walkers=3, n_orb=2, seed=7, layout="soa", with_jastrow=True,
+    vary_radials=False,
+):
+    """Walkers sharing one orbital set, plus matched private streams.
+
+    ``vary_radials`` gives every walker its own Jastrow strengths, so no
+    radial can be evaluated stacked.
+    """
     cell = Cell.cubic(6.0)
     pw = PlaneWaveOrbitalSet(cell, n_orb)
     spos = SplineOrbitalSet.from_orbital_functions(
@@ -39,8 +46,9 @@ def build_population(n_walkers=3, n_orb=2, seed=7, layout="soa", with_jastrow=Tr
         wrng = np.random.default_rng(seed + 100 * w)
         ions = ParticleSet("ion", cell, cell.frac_to_cart(wrng.random((2, 3))))
         electrons = ParticleSet.random("e", cell, 2 * n_orb, wrng)
-        j1 = make_polynomial_radial(0.4, rcut) if with_jastrow else None
-        j2 = make_polynomial_radial(0.6, rcut) if with_jastrow else None
+        scale = 1.0 + 0.25 * w if vary_radials else 1.0
+        j1 = make_polynomial_radial(0.4 * scale, rcut) if with_jastrow else None
+        j2 = make_polynomial_radial(0.6 * scale, rcut) if with_jastrow else None
         wfs.append(SlaterJastrow(electrons, ions, spos, j1, j2, layout=layout))
         rngs.append(np.random.default_rng(5000 + w))
     return wfs, rngs

@@ -1,10 +1,14 @@
 """Tests for drift-diffusion, VMC and DMC drivers, and RNG streams."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.qmc import (
     DmcWalker,
+    LocalEnergy,
     WalkerRngPool,
     limited_drift,
     log_greens_ratio,
@@ -12,6 +16,7 @@ from repro.qmc import (
     run_vmc,
     sweep,
 )
+from repro.qmc.dmc import build_dmc_ensemble
 from tests.qmc.test_wavefunction import build_wf
 
 
@@ -168,6 +173,103 @@ class TestDmc:
             acceptance=1.0,
         )
         assert res.energy_mean == 2.0
+
+
+class TestDmcCrowdMeasurement:
+    """run_dmc measures each crowd in one batched pass and hands the
+    measured orbitals to the next sweep; neither may move a bit."""
+
+    # Seed 4 at tau 0.1 drops an initial walker in generation 0 and
+    # clones within the first generations.
+    SEED, TAU, GENERATIONS = 4, 0.1, 7
+
+    @pytest.fixture
+    def count_clones(self, monkeypatch):
+        clones = []
+        original = DmcWalker.clone
+
+        def clone(self, rng):
+            clones.append(1)
+            return original(self, rng)
+
+        monkeypatch.setattr(DmcWalker, "clone", clone)
+        return clones
+
+    def _run(self, tmp_path, name, **kwargs):
+        pool = WalkerRngPool(self.SEED)
+        walkers = build_dmc_ensemble(pool, 4, n_orbitals=2, grid_shape=(8, 8, 8))
+        return run_dmc(
+            walkers, pool, n_generations=self.GENERATIONS, tau=self.TAU,
+            checkpoint_every=3, checkpoint_path=tmp_path / name, **kwargs,
+        )
+
+    def test_default_estimator_matches_per_walker_factory(
+        self, tmp_path, count_clones
+    ):
+        crowd = self._run(tmp_path, "crowd")
+        assert count_clones, "the run must exercise branching clones"
+        per_walker = self._run(
+            tmp_path, "per_walker",
+            estimator_factory=lambda w: LocalEnergy(w.wf, 4.0),
+        )
+        np.testing.assert_array_equal(crowd.energy_trace, per_walker.energy_trace)
+        np.testing.assert_array_equal(
+            crowd.population_trace, per_walker.population_trace
+        )
+        np.testing.assert_array_equal(crowd.e_trial_trace, per_walker.e_trial_trace)
+        assert crowd.acceptance == per_walker.acceptance
+
+    def test_handed_over_cache_equals_fresh_vgl(self, tmp_path, count_clones):
+        checked = []
+
+        def on_generation(gen, walkers):
+            for w in walkers:
+                g, lap = w.committed_vgl
+                spos = w.wf.slater.spos
+                _, g_ref, lap_ref = spos.vgl_batch(w.wf.electrons.positions)
+                np.testing.assert_array_equal(g, g_ref)
+                np.testing.assert_array_equal(lap, lap_ref)
+                checked.append(gen)
+
+        self._run(tmp_path, "cache", on_generation=on_generation)
+        assert count_clones
+        assert len(set(checked)) == self.GENERATIONS
+
+    def test_a_later_run_ignores_an_earlier_runs_cache(self):
+        traces = []
+        for clear in (False, True):
+            pool = WalkerRngPool(self.SEED)
+            walkers = build_dmc_ensemble(pool, 4, n_orbitals=2, grid_shape=(8, 8, 8))
+            run_dmc(walkers, pool, n_generations=1, tau=self.TAU)
+            for w in walkers:  # moved outside the driver
+                sweep(w.wf, self.TAU, w.rng)
+                if clear:
+                    w.committed_vgl = None
+            res = run_dmc(walkers, pool, n_generations=2, tau=self.TAU)
+            traces.append(res.energy_trace)
+        np.testing.assert_array_equal(*traces)
+
+    def test_branching_releases_dropped_initial_walkers(self):
+        pool = WalkerRngPool(self.SEED)
+        walkers = build_dmc_ensemble(pool, 4, n_orbitals=2, grid_shape=(8, 8, 8))
+        initial = [weakref.ref(w) for w in walkers]
+        leaked, released = [], []
+
+        def on_generation(gen, current):
+            live = {id(w) for w in current}
+            gc.collect()
+            for ref in initial:
+                w = ref()
+                if w is None:
+                    released.append(gen)
+                elif id(w) not in live:
+                    leaked.append(gen)
+                del w
+
+        run_dmc(walkers, pool, n_generations=3, tau=self.TAU,
+                on_generation=on_generation)
+        assert not leaked, f"dropped initial walkers still alive at {leaked}"
+        assert released, "the run must drop an initial walker"
 
 
 class TestVmcMaintenance:
