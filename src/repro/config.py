@@ -1,8 +1,8 @@
 """repro.config — one RunConfig, one documented resolution order.
 
 Every tunable the execution paths grew over eight PRs — chunk and tile
-blocking (PR5), kernel backend (PR7), process count (PR6),
-delayed-update rank (PR6) — used to travel as per-call kwargs
+blocking (PR5), kernel backend (PR7), process count (PR6) — used to
+travel as per-call kwargs
 with per-module env fallbacks.  :class:`RunConfig` replaces that with a
 single frozen dataclass and **one** resolution order, applied per
 field:
@@ -10,7 +10,7 @@ field:
 1. **explicit kwarg** — a value passed by the caller;
 2. **environment** — ``REPRO_CHUNK_SIZE``, ``REPRO_TILE_SIZE``,
    ``REPRO_BACKEND``, ``REPRO_PROCESSES``, ``REPRO_ORBITAL_SHARDS``,
-   ``REPRO_DELAY``, ``REPRO_TUNE``;
+   ``REPRO_TUNE``;
 3. **tuned database entry** — a measured winner from the per-host
    :class:`repro.tune.db.TuneDB`, tier-filtered so a bit-gated path is
    never served an ``allclose``-tier config;
@@ -65,11 +65,10 @@ _ENV_VARS = {
     "backend": "REPRO_BACKEND",
     "processes": "REPRO_PROCESSES",
     "orbital_shards": "REPRO_ORBITAL_SHARDS",
-    "delay": "REPRO_DELAY",
     "tune": "REPRO_TUNE",
 }
 
-_INT_FIELDS = ("chunk_size", "tile_size", "processes", "orbital_shards", "delay")
+_INT_FIELDS = ("chunk_size", "tile_size", "processes", "orbital_shards")
 
 #: Provenance labels, in resolution order.
 SOURCE_KWARG = "kwarg"
@@ -118,7 +117,7 @@ class RunConfig:
     """The one bag of execution knobs every entry point accepts.
 
     ``None`` in any field means "not decided yet" — the consumer either
-    applies its own default (``processes``, ``delay``) or, for the
+    applies its own default (``processes``) or, for the
     blocking parameters, asks :meth:`resolved_for` to walk rungs 3-4 of
     the resolution order.
 
@@ -139,8 +138,6 @@ class RunConfig:
         K > 1 splits the spline axis into K contiguous blocks evaluated
         by K cooperating workers (None = not decided; resolved to a
         tuned winner or 1).
-    delay:
-        Delayed-update rank for :class:`repro.qmc.slater.SlaterDet`.
     tune:
         Rung-3 behaviour: ``"off"`` / ``"lookup"`` / ``"search"``
         (booleans coerce: False → off, True → lookup).
@@ -155,7 +152,6 @@ class RunConfig:
     backend: str | None = None
     processes: int | None = None
     orbital_shards: int | None = None
-    delay: int | None = None
     tune: bool | str = TUNE_LOOKUP
     provenance: tuple = ()
 
@@ -361,7 +357,8 @@ def load_run_config(path) -> RunConfig:
     """Read a :class:`RunConfig` from a JSON file (``--config FILE``).
 
     Accepts the :meth:`RunConfig.as_dict` layout; unknown keys are
-    ignored so config files survive field additions.  Loaded fields are
+    ignored so config files survive field additions and retirements
+    (``step_mode``, ``delay``).  Loaded fields are
     marked kwarg-provenance — a file is an explicit user choice (rung 1).
     """
     import json

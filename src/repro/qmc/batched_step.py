@@ -4,8 +4,19 @@ The per-walker :func:`repro.qmc.drift_diffusion.sweep` spends its time in
 hundreds of tiny NumPy dispatches per move — one B-spline gather, one
 distance row, one Jastrow radial at a time.  This module advances the
 whole walker population through each electron index with *one* batched
-kernel call per stage instead (the crowd design the paper's AoSoA work
-grew into):
+call per stage instead (the crowd design the paper's AoSoA work grew
+into).
+
+Walker state is resident in the crowd — the SoA container transformation
+of paper Sec. V-A applied to the walkers themselves.
+:class:`CrowdState` owns every walker's derived state as stacked arrays
+with the walker as the leading axis: positions, each spin's Slater
+matrix and inverse with its log-determinant and sign, both distance
+tables, the Jastrow u-sums and the committed Jastrow radial rows (u, u',
+u'').  Each walker's component objects hold views of its row, so
+:func:`~repro.qmc.drift_diffusion.sweep`, ``recompute``,
+:class:`~repro.qmc.estimators.LocalEnergy` and checkpoints read and
+write the storage the batched step does.
 
 for each sweep:
     0. ONE ``vgl_batch`` over every walker's every committed electron
@@ -17,27 +28,34 @@ for each sweep:
        same block at the same positions, so a sweep that follows one
        takes it over instead of evaluating it again.
     for each electron index e:
-        1. drift for all walkers from the cache + batched committed
-           Jastrow rows; per-walker Gaussian diffusion from each
-           walker's private stream;
+        1. drift for all walkers: stacked determinant gradients over the
+           cache plus Jastrow gradients from the resident radial rows;
+           per-walker Gaussian diffusion from each walker's private
+           stream;
         2. ONE ``vgl_batch`` at all trial positions; batched
-           minimal-image distance rows; batched Jastrow radials;
-        3. each walker stages its slices
-           (:meth:`~repro.qmc.wavefunction.SlaterJastrow.stage_precomputed`)
-           and finishes its Metropolis decision independently.
+           minimal-image distance rows; ONE radial evaluation per
+           Jastrow factor, whose (u, u', u'') serve the ratio, the trial
+           gradient and, on acceptance, the radial rows;
+        3. stacked determinant ratios and trial gradients, then each
+           walker's Metropolis decision from its own stream;
+        4. ONE masked row-wise commit of every accepted walker: the
+           Sherman-Morrison update, table rows and columns, u-sums and
+           radial rows.  No per-walker staging or accept call runs.
 
 Bit-identity with the per-walker path is a hard invariant, not an
-aspiration: every batched stage uses only operations whose per-row bits
-are independent of batch size (row-wise matmuls, last-axis reductions,
-elementwise ufuncs — see the probes referenced in
-:mod:`repro.core.batched`), walkers consume their streams in the same
-per-walker order (``standard_normal`` at the proposal, ``random`` only
-when the log-acceptance is negative and the ratio nonzero), and scalar
-assembly (``(det * j1) * j2``) replays the per-walker operation order
-exactly.  ``tests/qmc/test_batched_step.py`` locks this down with
+aspiration.  Every contraction the per-walker path does with ``@`` is a
+stacked ``np.matmul`` here, which calls the same BLAS ``dot``/``gemv``
+for each walker; ``einsum`` and ``(a * b).sum(-1)`` round differently
+and are never used for one.  Everything else is elementwise ufuncs and
+last-axis reductions, whose per-row bits are independent of batch size
+(see :mod:`repro.core.batched`).  Walkers consume their streams in the
+same per-walker order (``standard_normal`` at the proposal, ``random``
+only when the log-acceptance is negative and the ratio nonzero), and
+scalar assembly (``(det * j1) * j2``) replays the per-walker operation
+order exactly.  ``tests/qmc/test_batched_step.py`` locks this down with
 ``assert_array_equal`` against :func:`repro.qmc.drift_diffusion.sweep`,
-which stays as the per-walker oracle: walker states after each sweep
-and a full VMC energy trace.
+which stays as the per-walker oracle: every stored array after each
+sweep and a full VMC energy trace.
 """
 
 from __future__ import annotations
@@ -46,6 +64,7 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.qmc.drift_diffusion import limited_drift, log_greens_ratio
+from repro.qmc.jastrow import pair_grad, pair_weights
 from repro.qmc.wavefunction import SlaterJastrow
 
 __all__ = ["CrowdState", "batched_sweep"]
@@ -79,21 +98,95 @@ def _ufunc_equal(a, b) -> bool:
     return True
 
 
-class CrowdState:
-    """SoA state for a crowd of walkers advanced in lock step.
+def _resident(objs: list, attr: str) -> np.ndarray:
+    """Stack ``attr`` of every object into one walker-leading block and
+    rebind each object's ``attr`` to its row (a view): the block then
+    holds the only copy, and a block the objects viewed before is freed
+    once nothing else holds it."""
+    block = np.stack([getattr(o, attr) for o in objs])
+    for w, o in enumerate(objs):
+        setattr(o, attr, block[w, ...])
+    return block
 
-    Holds the population-level arrays the batched step reads and writes —
-    committed positions, last-move ratios, local energies — plus the
-    shareability analysis (which Jastrows/tables can be evaluated stacked)
-    done once at construction instead of every move.
+
+class _JastrowFactor:
+    """One Jastrow factor of a crowd: its resident rows and its table's.
+
+    ``usum`` ``(nw, ne)`` and ``radials`` ``(nw, 3, ne, m)`` are the
+    walkers' u-sums and committed (u, u', u'') rows; ``dist`` / ``disp``
+    are the stacked table the factor reads.  A shared radial function
+    evaluates every walker's rows in one call; otherwise each walker's
+    own function runs over its own rows.
+    """
+
+    def __init__(self, jastrows, shared: bool, dist, disp, two_body: bool):
+        self.jastrows = jastrows
+        self.shared = shared
+        self.two_body = two_body
+        self.layout = jastrows[0].layout
+        self.dist, self.disp = dist, disp
+        self.usum = _resident(jastrows, "_usum")
+        self.radials = _resident(jastrows, "radials")
+
+    def evaluate(self, dist: np.ndarray, e: int) -> np.ndarray:
+        """(u, u', u'') over electron ``e``'s stacked trial rows, ``(nw, 3, m)``."""
+        exclude = e if self.two_body else None
+        if self.shared:
+            return np.stack(self.jastrows[0]._row_terms(dist, exclude)[:3], axis=1)
+        return np.stack(
+            [
+                np.stack(j._row_terms(d, exclude)[:3])
+                for j, d in zip(self.jastrows, dist)
+            ]
+        )
+
+    def grad(self, dist, disp, du) -> np.ndarray:
+        """grad J of every walker from stacked rows and their u', ``(nw, 3)``."""
+        return pair_grad(self.layout, pair_weights(dist, du), disp)
+
+    def committed_grad(self, e: int) -> np.ndarray:
+        """grad_e J at every walker's committed position, from resident rows."""
+        return self.grad(self.dist[:, e], self.disp[:, e], self.radials[:, 1, e])
+
+    def commit(self, ia, e: int, trial: np.ndarray, usum: np.ndarray) -> None:
+        """Accepted walkers ``ia`` take electron ``e``'s trial row, as the
+        per-walker ``accept_move`` does (two-body: delta-updated sums and
+        the row mirrored into column ``e``)."""
+        if self.two_body:
+            self.usum[ia] += trial[ia, 0] - self.radials[ia, 0, e]
+        self.usum[ia, e] = usum[ia]
+        self.radials[ia, :, e] = trial[ia]
+        if self.two_body:
+            self.radials[ia, :, :, e] = trial[ia]
+
+
+class CrowdState:
+    """The resident state of a crowd of walkers advanced in lock step.
+
+    Construction *adopts* the walkers: their derived state is copied into
+    stacked arrays with the walker as the leading axis, and every
+    component array a walker holds is rebound to a view of its row.  The
+    per-walker protocol (``sweep``, ``recompute``, ``load_positions``,
+    ``LocalEnergy``) keeps working and writes in place, into the crowd.
+    A walker belongs to the crowd that adopted it last; a deep copy
+    (``DmcWalker.clone``) gets independent arrays.
+
+    Resident arrays (row ``w`` is walker ``w``): ``positions``
+    ``(nw, ne, 3)`` (a view of the walkers' SoA rows), ``A`` / ``Ainv``
+    ``(nw, 2, N, N)`` and ``log_det`` / ``sign`` ``(nw, 2)`` per spin,
+    ``ee_dist`` / ``ee_disp`` and ``ei_dist`` / ``ei_disp`` in the
+    tables' layout, and per Jastrow factor its u-sums and committed
+    radial rows.  Alongside: last-move ratios, local energies and
+    per-walker accept counts.
 
     Parameters
     ----------
     wavefunctions:
         One :class:`SlaterJastrow` per walker.  All walkers must share
         the *same orbital set object* (the read-only table of paper
-        Fig. 3), live in its cell, have equal electron counts, and agree
-        on Jastrow structure.
+        Fig. 3), live in its cell, have equal electron counts, agree on
+        Jastrow structure, table layout and ion count, and use per-move
+        (Sherman-Morrison) determinants.
     rngs:
         One private stream per walker.
     config:
@@ -140,13 +233,28 @@ class CrowdState:
                 raise ValueError(
                     "crowd walkers must live in the orbital set's cell"
                 )
-        has_j1 = wavefunctions[0].j1 is not None
-        has_j2 = wavefunctions[0].j2 is not None
+        wf0 = wavefunctions[0]
+        has_j1 = wf0.j1 is not None
+        has_j2 = wf0.j2 is not None
         for wf in wavefunctions[1:]:
             if (wf.j1 is not None) != has_j1 or (wf.j2 is not None) != has_j2:
                 raise ValueError(
                     "crowd walkers must agree on Jastrow structure "
                     "(every walker has j1 or none does; likewise j2)"
+                )
+        for wf in wavefunctions:
+            if (
+                wf.ee_table.layout != wf0.ee_table.layout
+                or wf.ei_table.layout != wf0.ee_table.layout
+                or len(wf.ions) != len(wf0.ions)
+            ):
+                raise ValueError(
+                    "crowd walkers must agree on table layout and ion count"
+                )
+            if wf.slater.delay is not None:
+                raise ValueError(
+                    "crowd walkers need per-move determinants, not "
+                    "delayed updates"
                 )
 
         from repro.config import deprecated_kwargs
@@ -168,70 +276,71 @@ class CrowdState:
         self.spos = spos
         self.cell = spos.cell
         self.n_electrons = n_el
-        self.n_walkers = len(self.wfs)
-        #: Committed positions, SoA over the crowd: ``(nw, ne, 3)``.
-        self.positions = np.zeros((self.n_walkers, n_el, 3))
+        self.n_walkers = nw = len(self.wfs)
         #: Total Psi ratios of the last proposed move per walker.
-        self.ratios = np.zeros(self.n_walkers)
+        self.ratios = np.zeros(nw)
         #: Per-walker local energies of the last crowd measurement
         #: (:class:`~repro.qmc.estimators.CrowdLocalEnergy`).
-        self.e_local = np.zeros(self.n_walkers)
+        self.e_local = np.zeros(nw)
         #: Per-walker accepted-move counts of the last sweep.
-        self.accepts = np.zeros(self.n_walkers, dtype=np.int64)
+        self.accepts = np.zeros(nw, dtype=np.int64)
         #: Batched kernel calls performed (for instrumentation).
         self.n_batched_calls = 0
 
-        self._has_j1 = has_j1
-        self._has_j2 = has_j2
-        # Stacked-row evaluation needs uniform layouts/shapes across the
-        # crowd; stacked Jastrow evaluation additionally needs one radial
-        # function valid for every walker.
-        wf0 = self.wfs[0]
-        self._ee_stack = all(
-            wf.ee_table.layout == wf0.ee_table.layout for wf in self.wfs
+        self.layout = wf0.ee_table.layout
+        # One vectorised minimal-image row computation serves the crowd
+        # in the soa/orthorhombic case; otherwise each table computes
+        # its walker's trial row.
+        self._fast = self.layout == "soa" and self.cell.is_orthorhombic
+        # Stacked Jastrow evaluation needs one radial function valid for
+        # every walker.
+        self._share_j1 = has_j1 and all(
+            _ufunc_equal(wf.j1.u, wf0.j1.u) for wf in self.wfs
         )
-        self._ei_stack = all(
-            wf.ei_table.layout == wf0.ei_table.layout
-            and len(wf.ions) == len(wf0.ions)
-            for wf in self.wfs
+        self._share_j2 = has_j2 and all(
+            _ufunc_equal(wf.j2.u, wf0.j2.u) for wf in self.wfs
         )
-        self._share_j1 = (
-            has_j1
-            and self._ei_stack
-            and all(_ufunc_equal(wf.j1.u, wf0.j1.u) for wf in self.wfs)
-        )
-        self._share_j2 = (
-            has_j2
-            and self._ee_stack
-            and all(_ufunc_equal(wf.j2.u, wf0.j2.u) for wf in self.wfs)
-        )
-        self._ee_fast = (
-            self._ee_stack
-            and wf0.ee_table.layout == "soa"
-            and self.cell.is_orthorhombic
-        )
-        self._ei_fast = (
-            self._ei_stack
-            and wf0.ei_table.layout == "soa"
-            and self.cell.is_orthorhombic
-        )
-        self.refresh_positions()
+
+        # Adopt the walkers, one kind of array at a time.
+        wfs = self.wfs
+        self._R = _resident([wf.electrons.R for wf in wfs], "_data")
+        dets = [det for wf in wfs for det in wf.slater.dets]
+        n = spos.n_orbitals
+        self.A = _resident(dets, "A").reshape(nw, 2, n, n)
+        self.Ainv = _resident(dets, "Ainv").reshape(nw, 2, n, n)
+        self.log_det = _resident(dets, "_log_det").reshape(nw, 2)
+        self.sign = _resident(dets, "_sign").reshape(nw, 2)
+        ee = [wf.ee_table for wf in wfs]
+        ei = [wf.ei_table for wf in wfs]
+        self.ee_dist = _resident(ee, "distances")
+        self.ee_disp = _resident(ee, "displacements")
+        self.ei_dist = _resident(ei, "distances")
+        self.ei_disp = _resident(ei, "displacements")
+        #: The Jastrow factors in the order SlaterJastrow applies them.
+        self._jastrows: list[_JastrowFactor] = []
+        if has_j1:
+            self._jastrows.append(
+                _JastrowFactor(
+                    [wf.j1 for wf in wfs], self._share_j1,
+                    self.ei_dist, self.ei_disp, two_body=False,
+                )
+            )
+        if has_j2:
+            self._jastrows.append(
+                _JastrowFactor(
+                    [wf.j2 for wf in wfs], self._share_j2,
+                    self.ee_dist, self.ee_disp, two_body=True,
+                )
+            )
         self._committed_vgl = committed_vgl
 
     def __len__(self) -> int:
         return self.n_walkers
 
-    def refresh_positions(self) -> None:
-        """Re-gather every walker's committed positions into the SoA array.
-
-        Call after any out-of-band position change (checkpoint restore,
-        DMC branching assembling a new crowd from cloned walkers).  Drops
-        the :meth:`committed_vgl` block, which belonged to the old
-        positions.
-        """
-        for w, wf in enumerate(self.wfs):
-            self.positions[w] = wf.electrons.positions
-        self._committed_vgl = None
+    @property
+    def positions(self) -> np.ndarray:
+        """Committed positions ``(nw, ne, 3)``: a view of the walkers' rows."""
+        return self._R.transpose(0, 2, 1)
 
     def committed_vgl(self) -> tuple[np.ndarray, np.ndarray]:
         """Orbital gradients and Laplacians at every committed position.
@@ -254,163 +363,87 @@ class CrowdState:
 
     # -- batched distance rows ------------------------------------------------
 
-    def _rows_ei(self, wrapped: np.ndarray):
-        """Trial ion->electron rows for the whole crowd.
+    def _ion_frac(self):
+        """The walkers' ion fractional coordinates, stacked for the fast
+        row path (ions stay put through a sweep)."""
+        if not self._fast:
+            return None
+        return np.stack([wf.ei_table._src_frac for wf in self.wfs])
 
-        Returns ``(dist, disp)`` stacked over walkers when layouts are
-        uniform (fast path: one vectorized minimal-image computation for
-        the soa/orthorhombic case), else lists of per-walker rows.
-        """
-        if self._ei_fast:
-            cell = self.cell
-            src = np.stack([wf.ei_table._src_frac for wf in self.wfs])
-            tgt_frac = cell.cart_to_frac(wrapped)  # (nw, 3)
-            dfrac = tgt_frac[:, :, np.newaxis] - src
-            dfrac -= np.round(dfrac)
-            diag = np.diag(cell.lattice)
-            disp = dfrac * diag[np.newaxis, :, np.newaxis]
-            dist = np.sqrt(disp[:, 0] ** 2 + disp[:, 1] ** 2 + disp[:, 2] ** 2)
-            return dist, disp
+    def _minimal_image(self, wrapped: np.ndarray, src: np.ndarray):
+        """Orthorhombic minimal-image ``(dist (nw, m), disp (nw, 3, m))``
+        from each walker's trial position to its ``(3, m)`` fractional
+        sources: the soa table's row math, vectorised over the crowd."""
+        dfrac = self.cell.cart_to_frac(wrapped)[:, :, np.newaxis] - src
+        dfrac -= np.round(dfrac)
+        disp = dfrac * np.diag(self.cell.lattice)[np.newaxis, :, np.newaxis]
+        return np.sqrt(disp[:, 0] ** 2 + disp[:, 1] ** 2 + disp[:, 2] ** 2), disp
+
+    def _rows_ei(self, wrapped: np.ndarray, ion_frac):
+        """Trial ion->electron rows ``(dist, disp)`` for the whole crowd:
+        one vectorised minimal-image computation on the fast path, else
+        each table's own ``_compute_row``."""
+        if self._fast:
+            return self._minimal_image(wrapped, ion_frac)
         rows = [wf.ei_table._compute_row(wrapped[w]) for w, wf in enumerate(self.wfs)]
-        dists = [dist for _, dist in rows]
-        disps = [disp for disp, _ in rows]
-        if self._ei_stack:
-            return np.stack(dists), np.stack(disps)
-        return dists, disps
+        dist = np.stack([dist for _, dist in rows])
+        return dist, np.stack([disp for disp, _ in rows])
 
     def _rows_ee(self, wrapped: np.ndarray, e: int):
         """Trial electron-electron rows (self entry zeroed, as propose_row)."""
-        if self._ee_fast:
-            cell = self.cell
+        if self._fast:
             nw, ne = self.n_walkers, self.n_electrons
-            frac = cell.cart_to_frac(self.positions.reshape(-1, 3))
+            frac = self.cell.cart_to_frac(self.positions.reshape(-1, 3))
             src = frac.reshape(nw, ne, 3).transpose(0, 2, 1)  # (nw, 3, ne)
-            tgt_frac = cell.cart_to_frac(wrapped)
-            dfrac = tgt_frac[:, :, np.newaxis] - src
-            dfrac -= np.round(dfrac)
-            diag = np.diag(cell.lattice)
-            disp = dfrac * diag[np.newaxis, :, np.newaxis]
-            dist = np.sqrt(disp[:, 0] ** 2 + disp[:, 1] ** 2 + disp[:, 2] ** 2)
+            dist, disp = self._minimal_image(wrapped, src)
             dist[:, e] = 0.0
             disp[:, :, e] = 0.0
             return dist, disp
-        dists, disps = [], []
-        for w, wf in enumerate(self.wfs):
-            disp, dist = wf.ee_table._compute_row(wrapped[w])
-            dist[e] = 0.0
-            if wf.ee_table.layout == "aos":
-                disp[e, :] = 0.0
-            else:
-                disp[:, e] = 0.0
-            dists.append(dist)
-            disps.append(disp)
-        if self._ee_stack:
-            return np.stack(dists), np.stack(disps)
-        return dists, disps
-
-
-def _stacked_committed_rows(tables, e: int):
-    """Stack the committed (dist, disp) rows of electron ``e`` over a crowd."""
-    dist = np.stack([t.row(e) for t in tables])
-    disp = np.stack([t.disp_row(e) for t in tables])
-    return dist, disp
-
-
-def _j1_pieces(state: CrowdState, e: int, ei_dist, ei_disp):
-    """(usum_temp, ratio, grad_temp) per walker for the one-body Jastrow."""
-    nw = state.n_walkers
-    if state._share_j1:
-        j0 = state.wfs[0].j1
-        v_new, _, _, _ = j0._row_terms(ei_dist, None)
-        usum_temp = v_new.sum(axis=-1)
-        usums = np.array([wf.j1._usum[e] for wf in state.wfs])
-        ratio = np.exp(-(usum_temp - usums))
-        gt, _ = j0._grad_lap_from_row(ei_dist, ei_disp, None)
-        return usum_temp, ratio, gt
-    usum_temp = np.empty(nw)
-    ratio = np.empty(nw)
-    gt = np.empty((nw, 3))
-    for w, wf in enumerate(state.wfs):
-        v_new, _, _, _ = wf.j1._row_terms(ei_dist[w], None)
-        usum_temp[w] = float(v_new.sum())
-        ratio[w] = float(np.exp(-(usum_temp[w] - wf.j1._usum[e])))
-        gt[w], _ = wf.j1._grad_lap_from_row(ei_dist[w], ei_disp[w], None)
-    return usum_temp, ratio, gt
-
-
-def _j2_pieces(state: CrowdState, e: int, ee_dist, ee_disp):
-    """(urow_new, urow_old, ratio, grad_temp) per walker, two-body Jastrow."""
-    nw = state.n_walkers
-    if state._share_j2:
-        j0 = state.wfs[0].j2
-        urow_new, _, _, _ = j0._row_terms(ee_dist, e)
-        cd = np.stack([wf.ee_table.row(e) for wf in state.wfs])
-        urow_old, _, _, _ = j0._row_terms(cd, e)
-        usum_temp = urow_new.sum(axis=-1)
-        usums = np.array([wf.j2._usum[e] for wf in state.wfs])
-        ratio = np.exp(-(usum_temp - usums))
-        gt, _ = j0._grad_lap_from_row(ee_dist, ee_disp, e)
-        return urow_new, urow_old, ratio, gt
-    n = state.n_electrons
-    urow_new = np.empty((nw, n))
-    urow_old = np.empty((nw, n))
-    ratio = np.empty(nw)
-    gt = np.empty((nw, 3))
-    for w, wf in enumerate(state.wfs):
-        vn, _, _, _ = wf.j2._row_terms(ee_dist[w], e)
-        vo, _, _, _ = wf.j2._row_terms(wf.ee_table.row(e), e)
-        urow_new[w] = vn
-        urow_old[w] = vo
-        usum_temp = float(vn.sum())
-        ratio[w] = float(np.exp(-(usum_temp - wf.j2._usum[e])))
-        gt[w], _ = wf.j2._grad_lap_from_row(ee_dist[w], ee_disp[w], e)
-    return urow_new, urow_old, ratio, gt
-
-
-def _committed_jastrow_terms(
-    state: CrowdState, e: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each Jastrow factor's ``(grad (nw, 3), lap (nw,))`` at electron ``e``.
-
-    Evaluated on every walker's committed rows: one stacked radial call
-    per factor when the crowd shares it, else each walker's own
-    ``grad_lap``.  The list runs j1 then j2 — the order
-    :class:`SlaterJastrow` adds them in.
-    """
-    wfs = state.wfs
-    factors = []
-    if state._has_j1:
-        factors.append(
-            ([wf.j1 for wf in wfs], state._share_j1, [wf.ei_table for wf in wfs], None)
-        )
-    if state._has_j2:
-        factors.append(
-            ([wf.j2 for wf in wfs], state._share_j2, [wf.ee_table for wf in wfs], e)
-        )
-    terms = []
-    for jastrows, shared, tables, exclude in factors:
-        if shared:
-            cd, cdisp = _stacked_committed_rows(tables, e)
-            terms.append(jastrows[0]._grad_lap_from_row(cd, cdisp, exclude))
+        rows = [wf.ee_table._compute_row(wrapped[w]) for w, wf in enumerate(self.wfs)]
+        dist = np.stack([dist for _, dist in rows])
+        disp = np.stack([disp for disp, _ in rows])
+        dist[:, e] = 0.0
+        if self.layout == "aos":
+            disp[:, e, :] = 0.0
         else:
-            pairs = [j.grad_lap(e) for j in jastrows]
-            terms.append(
-                (np.stack([g for g, _ in pairs]), np.array([l for _, l in pairs]))
-            )
-    return terms
+            disp[:, :, e] = 0.0
+        return dist, disp
 
+    # -- the masked commit ----------------------------------------------------
 
-def _committed_grads(state: CrowdState, e: int, cache_g, cache_lap):
-    """grad log Psi at every walker's committed electron ``e`` (drift)."""
-    nw = state.n_walkers
-    grads = np.empty((nw, 3))
-    for w, wf in enumerate(state.wfs):
-        g, _ = wf.slater.grad_lap_from_vgl(e, cache_g[w, e], cache_lap[w, e])
-        grads[w] = g
-    # Same accumulation order as SlaterJastrow.grad: det, then j1, then j2.
-    for g, _ in _committed_jastrow_terms(state, e):
-        grads = grads + g
-    return grads
+    def _commit(self, ia, e, wrapped, v, det_ratio, ee_rows, ei_rows, trials) -> None:
+        """Electron ``e``'s trial state becomes committed for the accepted
+        walkers ``ia``: every update the per-walker ``accept_move`` makes,
+        as one masked row-wise write per array."""
+        spin, row = divmod(e, self.spos.n_orbitals)
+        self._R[ia, :, e] = wrapped[ia]
+        # Sherman-Morrison, DiracDeterminant.accept_move's operations.
+        r = det_ratio[ia]
+        u = v[ia]
+        ainv = self.Ainv[ia, spin]
+        u_ainv = np.matmul(u[:, np.newaxis, :], ainv)[:, 0]
+        u_ainv[:, row] -= 1.0
+        x = u_ainv / r[:, np.newaxis]
+        ainv -= ainv[:, :, row, np.newaxis] * x[:, np.newaxis, :]
+        self.Ainv[ia, spin] = ainv
+        self.A[ia, spin, row] = u
+        self.log_det[ia, spin] += np.log(np.abs(r))
+        flip = ia[r < 0.0]
+        self.sign[flip, spin] = -self.sign[flip, spin]
+        # Table rows; the symmetric table mirrors into column e.
+        dist, disp = ee_rows
+        self.ee_dist[ia, e] = dist[ia]
+        self.ee_dist[ia, :, e] = dist[ia]
+        self.ee_disp[ia, e] = disp[ia]
+        if self.layout == "aos":
+            self.ee_disp[ia, :, e, :] = -disp[ia]
+        else:
+            self.ee_disp[ia, :, :, e] = -disp[ia].transpose(0, 2, 1)
+        dist, disp = ei_rows
+        self.ei_dist[ia, e] = dist[ia]
+        self.ei_disp[ia, e] = disp[ia]
+        for factor, (trial, usum) in zip(self._jastrows, trials):
+            factor.commit(ia, e, trial, usum)
 
 
 def batched_sweep(
@@ -427,9 +460,9 @@ def batched_sweep(
     (accepted, attempted):
         Move counts summed over the crowd.
     """
-    wfs, rngs = state.wfs, state.rngs
+    rngs = state.rngs
     nw, ne = state.n_walkers, state.n_electrons
-    spos = state.spos
+    n = state.spos.n_orbitals
     accepted = 0
     state.accepts[:] = 0
     sqrt_tau = np.sqrt(tau)
@@ -439,63 +472,61 @@ def batched_sweep(
         # the block a measurement at these positions left).  Valid for
         # the whole sweep — electron e's committed orbitals can only
         # change when e itself moves, and each e is visited once.
-        cache_g, cache_lap = state.committed_vgl()
+        cache_g, _ = state.committed_vgl()
     # The walkers move from here on.
     state._committed_vgl = None
+    ion_frac = state._ion_frac()
 
     for e in range(ne):
-        # 1. proposals: batched drift, per-walker diffusion.
-        r_old = state.positions[:, e, :]
+        spin, row = divmod(e, n)
+        # Every walker's inverse column Ainv[:, row] as an (N, 1)
+        # operand: np.matmul then calls the BLAS dot/gemv per walker
+        # that the per-walker `@` calls.
+        col = state.Ainv[:, spin, :, row, np.newaxis]
+
+        # 1. proposals: stacked drift, per-walker diffusion.
+        r_old = state._R[:, :, e]
         if use_drift:
-            grads_old = _committed_grads(state, e, cache_g, cache_lap)
+            # Same accumulation order as SlaterJastrow.grad: det, j1, j2.
+            grads_old = np.matmul(cache_g[:, e], col)[..., 0]
+            for factor in state._jastrows:
+                grads_old = grads_old + factor.committed_grad(e)
             drift_old = limited_drift(grads_old, tau)
         else:
             drift_old = np.zeros((nw, 3))
         chi = np.stack([rng.standard_normal(3) for rng in rngs])
         r_new = r_old + tau * drift_old + chi * sqrt_tau
 
-        # 2. one batched orbital call + batched rows/radials at the trials.
+        # 2. one batched orbital call, batched rows, one radial
+        # evaluation per Jastrow factor at the trials.
         wrapped = state.cell.wrap_cart(r_new)
-        v, g, lap = spos.vgl_batch(wrapped)
+        v, g, _ = state.spos.vgl_batch(wrapped)
         state.n_batched_calls += 1
-        ee_dist, ee_disp = state._rows_ee(wrapped, e)
-        ei_dist, ei_disp = state._rows_ei(wrapped)
-        if state._has_j1:
-            j1_usum, j1_ratio, j1_gt = _j1_pieces(state, e, ei_dist, ei_disp)
-        if state._has_j2:
-            j2_new, j2_old, j2_ratio, j2_gt = _j2_pieces(
-                state, e, ee_dist, ee_disp
-            )
+        ee_rows = state._rows_ee(wrapped, e)
+        ei_rows = state._rows_ei(wrapped, ion_frac)
 
-        # 3. per-walker staging; scalar assembly replays the per-walker
-        # operation order: ratio = (det * j1) * j2, grad = (det + j1) + j2.
-        ratios = np.empty(nw)
-        grads_new = np.empty((nw, 3))
-        for w, wf in enumerate(wfs):
-            det_ratio, det_grad = wf.stage_precomputed(
-                e,
-                wrapped[w],
-                (v[w], g[w], lap[w]),
-                (ee_dist[w], ee_disp[w]),
-                (ei_dist[w], ei_disp[w]),
-                j1_usum_temp=float(j1_usum[w]) if state._has_j1 else None,
-                j2_urows=(j2_new[w], j2_old[w]) if state._has_j2 else None,
-            )
-            ratio = det_ratio
-            grad = det_grad
-            if state._has_j1:
-                ratio *= float(j1_ratio[w])
-                grad = grad + j1_gt[w]
-            if state._has_j2:
-                ratio *= float(j2_ratio[w])
-                grad = grad + j2_gt[w]
-            ratios[w] = ratio
-            grads_new[w] = grad
+        # 3. stacked ratios and trial gradients in the per-walker order:
+        # ratio = (det * j1) * j2, grad = (det + j1) + j2.
+        det_ratio = np.matmul(v[:, np.newaxis, :], col)[:, 0, 0]
+        grads_new = np.matmul(g, col)[..., 0]
+        np.divide(
+            grads_new, det_ratio[:, np.newaxis], out=grads_new,
+            where=det_ratio[:, np.newaxis] != 0.0,
+        )
+        ratios = det_ratio
+        trials = []
+        for factor in state._jastrows:
+            dist, disp = ee_rows if factor.two_body else ei_rows
+            trial = factor.evaluate(dist, e)
+            usum = trial[:, 0].sum(axis=-1)
+            ratios = ratios * np.exp(-(usum - factor.usum[:, e]))
+            grads_new = grads_new + factor.grad(dist, disp, trial[:, 1])
+            trials.append((trial, usum))
         state.ratios[...] = ratios
 
-        # 4. independent Metropolis decisions (same per-stream RNG order
-        # as the per-walker path: a uniform is drawn only when the ratio
-        # is nonzero and the log-acceptance negative).
+        # Independent Metropolis decisions (same per-stream RNG order as
+        # the per-walker path: a uniform is drawn only when the ratio is
+        # nonzero and the log-acceptance negative).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_acc = 2.0 * np.log(np.abs(ratios))
             if use_drift:
@@ -504,17 +535,17 @@ def batched_sweep(
                     r_old, r_new, drift_old, drift_new, tau
                 )
             acc_prob = np.exp(np.minimum(log_acc, 0.0))
-        for w, wf in enumerate(wfs):
-            if ratios[w] == 0.0:
-                wf.reject_move(e)
-                continue
-            if log_acc[w] >= 0.0 or rngs[w].random() < acc_prob[w]:
-                wf.accept_move(e)
-                state.positions[w, e] = wrapped[w]
-                accepted += 1
-                state.accepts[w] += 1
-            else:
-                wf.reject_move(e)
+        accept = np.zeros(nw, dtype=bool)
+        for w in range(nw):
+            if ratios[w] != 0.0:
+                accept[w] = log_acc[w] >= 0.0 or rngs[w].random() < acc_prob[w]
+        ia = np.flatnonzero(accept)
+
+        # 4. one masked commit of every accepted walker.
+        if ia.size:
+            state._commit(ia, e, wrapped, v, det_ratio, ee_rows, ei_rows, trials)
+            state.accepts[ia] += 1
+            accepted += ia.size
 
     if OBS.enabled:
         OBS.count("crowd_batched_sweeps_total")

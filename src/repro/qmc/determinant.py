@@ -21,6 +21,11 @@ Sherman-Morrison with the denominator simplifying to R because
 Accumulated rounding from thousands of rank-1 updates is controlled the
 QMCPACK way: :meth:`DiracDeterminant.recompute` rebuilds the inverse from
 scratch, and :attr:`update_error` measures the drift for tests.
+
+Every update writes in place — ``A``, ``Ainv`` and the ``log_det`` /
+``sign`` scalars (0-d arrays behind the float properties) — so a crowd
+(:class:`repro.qmc.batched_step.CrowdState`) can hand the determinant
+views of its stacked rows and see every per-walker write.
 """
 
 from __future__ import annotations
@@ -51,13 +56,30 @@ class DiracDeterminant:
         sign, logdet = np.linalg.slogdet(A)
         if sign == 0:
             raise ValueError("Slater matrix is singular")
-        self.sign = float(sign)
-        self.log_det = float(logdet)
+        self._sign = np.array(float(sign))
+        self._log_det = np.array(float(logdet))
         self.Ainv = np.linalg.inv(A)
         self._staged_row: np.ndarray | None = None
         self._staged_ratio = 0.0
         self._staged_for: int | None = None
-        self.n_updates_since_recompute = 0
+
+    @property
+    def log_det(self) -> float:
+        """log |det A|."""
+        return float(self._log_det)
+
+    @log_det.setter
+    def log_det(self, value: float) -> None:
+        self._log_det[...] = value
+
+    @property
+    def sign(self) -> float:
+        """Sign of det A."""
+        return float(self._sign)
+
+    @sign.setter
+    def sign(self, value: float) -> None:
+        self._sign[...] = value
 
     # -- ratios (Eq. 3 / Eq. 4) ---------------------------------------------
 
@@ -144,7 +166,6 @@ class DiracDeterminant:
             self.sign = -self.sign
         self._staged_for = None
         self._staged_row = None
-        self.n_updates_since_recompute += 1
 
     def reject_move(self, e: int) -> None:
         """Drop the staged row."""
@@ -160,6 +181,7 @@ class DiracDeterminant:
 
         QMCPACK refreshes the inverse periodically to bound the rounding
         drift of accumulated rank-1 updates; so do the drivers here.
+        Writes in place, into the crowd's rows when the arrays are views.
         """
         if phi_matrix is not None:
             A = np.array(phi_matrix, dtype=np.float64)
@@ -167,14 +189,13 @@ class DiracDeterminant:
                 raise ValueError(f"expected {(self.n, self.n)}, got {A.shape}")
             if not np.isfinite(A).all():
                 raise ValueError("Slater matrix contains non-finite entries")
-            self.A = A
+            self.A[...] = A
         sign, logdet = np.linalg.slogdet(self.A)
         if sign == 0:
             raise ValueError("Slater matrix is singular")
         self.sign = float(sign)
         self.log_det = float(logdet)
-        self.Ainv = np.linalg.inv(self.A)
-        self.n_updates_since_recompute = 0
+        self.Ainv[...] = np.linalg.inv(self.A)
 
     @property
     def update_error(self) -> float:

@@ -19,6 +19,10 @@ Layouts
 
 Both compute identical values; the difference is pure memory layout,
 mirroring the paper's optimization surface.
+
+The committed ``distances`` / ``displacements`` are only ever written in
+place (row updates, :meth:`rebuild`), so they may be views of a crowd's
+stacked rows (:class:`repro.qmc.batched_step.CrowdState`).
 """
 
 from __future__ import annotations
@@ -156,17 +160,6 @@ class DistanceTableAB:
         self._temp_for = i
         return self._temp_dist
 
-    def stage_row(self, i: int, dist: np.ndarray, disp: np.ndarray) -> None:
-        """Stage a row precomputed elsewhere (the batched crowd driver).
-
-        Equivalent to :meth:`propose_row` when the caller's row math is
-        the same as :meth:`_compute_row`'s — batched drivers compute all
-        walkers' rows in one shot and hand each table its slice.
-        """
-        self._temp_dist[...] = dist
-        self._temp_disp[...] = disp
-        self._temp_for = i
-
     @property
     def temp_dist(self) -> np.ndarray:
         """The staged trial-distance row (view)."""
@@ -272,16 +265,6 @@ class DistanceTableAA:
         self._temp_dist[...] = dist
         self._temp_for = i
         return self._temp_dist
-
-    def stage_row(self, i: int, dist: np.ndarray, disp: np.ndarray) -> None:
-        """Stage a row precomputed elsewhere (the batched crowd driver).
-
-        The caller must already have zeroed the self entry ``i`` in both
-        ``dist`` and ``disp``, exactly as :meth:`propose_row` does.
-        """
-        self._temp_dist[...] = dist
-        self._temp_disp[...] = disp
-        self._temp_for = i
 
     @property
     def temp_dist(self) -> np.ndarray:

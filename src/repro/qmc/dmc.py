@@ -83,7 +83,9 @@ class DmcWalker:
         """A branching copy: same configuration, fresh random stream.
 
         The clone gets its own mutable state (particles, tables,
-        determinant inverses) but *shares* the parent's orbital set —
+        determinant inverses: the deep copy turns views of a crowd's
+        rows into independent arrays) but *shares* the parent's orbital
+        set —
         the read-only coefficient table every walker in the ensemble
         reads.  Sharing keeps branching O(walker state) instead of
         O(spline table) and keeps the whole ensemble in one crowd for
@@ -145,11 +147,12 @@ class DmcResult:
 def _crowd_groups(walkers: list[DmcWalker]) -> list[list[int]]:
     """Partition an ensemble into crowds that can step batched together.
 
-    Walkers sharing one orbital-set object, electron count and Jastrow
-    structure form one lock-step group; each group lists its walkers'
-    indices in ensemble order (streams are private, so cross-group order
-    is free).  Branching clones share their parent's orbital set, so a
-    standard ensemble stays a single crowd for its whole life.
+    Walkers sharing one orbital-set object, electron count, Jastrow
+    structure, table layout and ion count form one lock-step group; each
+    group lists its walkers' indices in ensemble order (streams are
+    private, so cross-group order is free).  Branching clones share their
+    parent's orbital set, so a standard ensemble stays a single crowd for
+    its whole life.
     """
     groups: dict[tuple, list[int]] = {}
     for i, w in enumerate(walkers):
@@ -159,6 +162,8 @@ def _crowd_groups(walkers: list[DmcWalker]) -> list[list[int]]:
             len(wf.electrons),
             wf.j1 is not None,
             wf.j2 is not None,
+            wf.ee_table.layout,
+            len(wf.ions),
         )
         groups.setdefault(key, []).append(i)
     return list(groups.values())
@@ -184,13 +189,16 @@ class _LiveExecutor:
 
     Walkers keep their derived state between generations; only a
     checkpoint (:meth:`snapshot`) or a ``"recompute"`` guard trip
-    rebuilds it.  By default each crowd is measured in one batched pass
-    (:class:`~repro.qmc.estimators.CrowdLocalEnergy`) right after its
-    sweep — the initial measurement on the loop's first ask — and every
-    walker keeps a copy of its measured ``committed_vgl``, which
-    branching hands to clones and the next sweep takes as its drift
-    cache.  With an ``estimator_factory`` each walker is measured alone,
-    when the loop asks, in walker order.
+    rebuilds it.  Each generation's crowds adopt their walkers: a crowd
+    copies its walkers' state into its stacked rows and rebinds their
+    arrays to views of them, and the previous generation's rows are
+    freed once no walker views them.  By default each crowd is measured
+    in one batched pass (:class:`~repro.qmc.estimators.CrowdLocalEnergy`)
+    right after its sweep — the initial measurement on the loop's first
+    ask — and every walker keeps a copy of its measured
+    ``committed_vgl``, which branching hands to clones and the next
+    sweep takes as its drift cache.  With an ``estimator_factory`` each
+    walker is measured alone, when the loop asks, in walker order.
     """
 
     kind = "dmc"

@@ -14,10 +14,11 @@ Two estimators compute the same numbers.  :class:`LocalEnergy` measures
 one walker, one electron at a time; it is the per-walker oracle, and the
 only one that carries a nonlocal pseudopotential (the profiled miniQMC
 app measures through it).  :class:`CrowdLocalEnergy` measures a whole
-:class:`~repro.qmc.batched_step.CrowdState` in one batched pass — one
-``vgl_batch`` over every committed position, stacked Jastrow rows per
-electron index — and is what the production drivers use.  Its result is
-bitwise equal to ``LocalEnergy(wf, ion_charge).total()`` per walker.
+:class:`~repro.qmc.batched_step.CrowdState` in one batched pass from the
+crowd's resident state — one ``vgl_batch`` over every committed
+position, the cached Jastrow radial rows — and is what the production
+drivers use.  Its result is bitwise equal to
+``LocalEnergy(wf, ion_charge).total()`` per walker.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ import time
 import numpy as np
 
 from repro.obs import OBS
-from repro.qmc.batched_step import CrowdState, _committed_jastrow_terms
+from repro.qmc.batched_step import CrowdState
 from repro.qmc.distance_tables import DistanceTableAA, DistanceTableAB
+from repro.qmc.jastrow import pair_grad, pair_lap, pair_weights
 from repro.qmc.wavefunction import SlaterJastrow
 
 __all__ = [
@@ -91,6 +93,11 @@ def _ion_ion(wf: SlaterJastrow, ion_charge: float) -> float:
     return coulomb_ii(wf.ions.positions, wf.ions.cell, ion_charge)
 
 
+def _dot3(g: np.ndarray) -> np.ndarray:
+    """``g @ g`` for each trailing 3-vector, through ``np.matmul``."""
+    return np.matmul(g[..., np.newaxis, :], g[..., np.newaxis])[..., 0, 0]
+
+
 class LocalEnergy:
     """Aggregate local-energy evaluator bound to one wavefunction.
 
@@ -145,20 +152,23 @@ class LocalEnergy:
 class CrowdLocalEnergy:
     """Local energies of a whole crowd, measured in one batched pass.
 
-    The measurement stage of production VMC/DMC.  Per-position set-up is
-    paid once for the crowd instead of once per electron per walker: ONE
-    ``vgl_batch`` over every committed position
-    (:meth:`CrowdState.committed_vgl`, which the next sweep reuses as
-    its drift cache) and, per electron index, one stacked radial call per
-    shared Jastrow factor.
+    The measurement stage of production VMC/DMC, read from the crowd's
+    resident state.  Per-position set-up is paid once for the crowd
+    instead of once per electron per walker: ONE ``vgl_batch`` over
+    every committed position (:meth:`CrowdState.committed_vgl`, which
+    the next sweep reuses as its drift cache), one stacked ``np.matmul``
+    per spin against the inverses' columns, and the Jastrow terms from
+    the resident radial rows over the whole ``(nw, ne, m)`` tables — no
+    radial is evaluated.
 
     :meth:`total` is ``assert_array_equal`` to
-    ``[LocalEnergy(wf, ion_charge).total() for wf in state.wfs]``: each
-    walker replays :meth:`SlaterJastrow.grad_lap_logpsi` and
-    :func:`kinetic_energy` operation for operation, and sums its
-    electrons in order (a vectorised sum over electrons would change the
-    last bit).  No nonlocal pseudopotential term: use
-    :class:`LocalEnergy` for that.
+    ``[LocalEnergy(wf, ion_charge).total() for wf in state.wfs]``: every
+    contraction the oracle does with ``@`` is a stacked ``np.matmul``
+    (the same BLAS call per walker), the rest replays
+    :meth:`SlaterJastrow.grad_lap_logpsi` and :func:`kinetic_energy`
+    elementwise, and each walker sums its electrons in order (a
+    vectorised sum over electrons would change the last bit).  No
+    nonlocal pseudopotential term: use :class:`LocalEnergy` for that.
 
     Parameters
     ----------
@@ -177,21 +187,26 @@ class CrowdLocalEnergy:
     def _kinetic(self) -> np.ndarray:
         """Local kinetic energy of every walker, ``(nw,)``."""
         state = self.state
+        n = state.spos.n_orbitals
         g_orb, lap_orb = state.committed_vgl()
-        totals = [0.0] * state.n_walkers
+        terms = np.empty(lap_orb.shape[:2])
+        # One spin's electrons at a time, which halves the temporaries.
+        for spin in (0, 1):
+            el = slice(spin * n, (spin + 1) * n)
+            # cols[w, r] is walker w's inverse column Ainv[:, r], (N, 1).
+            cols = state.Ainv[:, spin].transpose(0, 2, 1)[..., np.newaxis]
+            g = np.matmul(g_orb[:, el], cols)[..., 0]
+            l_det = np.matmul(lap_orb[:, el, np.newaxis, :], cols)[..., 0, 0]
+            lap_log = l_det - _dot3(g)
+            for factor in state._jastrows:
+                w = pair_weights(factor.dist[:, el], factor.radials[:, 1, el])
+                g = g + pair_grad(factor.layout, w, factor.disp[:, el])
+                lap_log = lap_log + pair_lap(w, factor.radials[:, 2, el])
+            terms[:, el] = lap_log + _dot3(g)
+        totals = np.zeros(state.n_walkers)
         for e in range(state.n_electrons):
-            jastrow = _committed_jastrow_terms(state, e)
-            for w, wf in enumerate(state.wfs):
-                g_det, l_det = wf.slater.grad_lap_from_vgl(
-                    e, g_orb[w, e], lap_orb[w, e]
-                )
-                lap_log = l_det - float(g_det @ g_det)
-                g = g_det
-                for g_j, l_j in jastrow:
-                    g = g + g_j[w]
-                    lap_log += float(l_j[w])
-                totals[w] += lap_log + float(g @ g)
-        return -0.5 * np.array(totals)
+            totals += terms[:, e]
+        return -0.5 * totals
 
     def _potential(self) -> np.ndarray:
         """Coulomb potential (ee + ei + ii) of every walker, ``(nw,)``."""

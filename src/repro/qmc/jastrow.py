@@ -21,6 +21,16 @@ Per-electron derivatives (for drift and kinetic energy):
 Both factors implement the same staged-move protocol as the distance
 tables: ``ratio(i)`` evaluates against the table's *temp* row, and
 ``accept_move(i)`` commits cached per-particle state.
+
+Each factor also keeps its committed radial rows, ``radials[:, i, j]`` =
+(u, u', u'') of pair (i, j) as :meth:`_JastrowBase._row_terms` gives them
+for the committed table row ``i``.  The evaluation is elementwise, so an
+accepted move writes the trial row's values into row ``i`` (and, for the
+two-body factor, mirrors them into column ``i``) and the cache stays
+bitwise equal to a fresh evaluation.  The crowd step
+(:mod:`repro.qmc.batched_step`) and estimator read these rows instead of
+re-evaluating the radials; the per-walker methods here evaluate afresh,
+so they remain the oracle the cache is checked against.
 """
 
 from __future__ import annotations
@@ -110,15 +120,30 @@ class _JastrowBase:
         back ``(..., 3)`` and Laplacians ``(...)`` (0-d for one row —
         the public per-electron methods convert to float).
         """
-        _, dv, d2v, mask = self._row_terms(dist_row, exclude)
-        safe_r = np.where(mask, dist_row, 1.0)
-        w = dv / safe_r  # u'(r)/r per pair, zero where masked
-        if self.layout == "aos":
-            grad = -(w[..., :, np.newaxis] * disp_row).sum(axis=-2)
-        else:
-            grad = -(w[..., np.newaxis, :] * disp_row).sum(axis=-1)
-        lap = -(d2v + 2.0 * w).sum(axis=-1)
-        return grad, lap
+        _, dv, d2v, _ = self._row_terms(dist_row, exclude)
+        w = pair_weights(dist_row, dv)
+        return pair_grad(self.layout, w, disp_row), pair_lap(w, d2v)
+
+
+def pair_weights(dist: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """u'(r)/r per pair from masked ``dv`` rows (:meth:`_row_terms`).
+
+    A masked pair has ``dv == 0``, so its weight is zero whatever its
+    distance; ``r == 0`` pairs divide by one instead.
+    """
+    return dv / np.where(dist > 0.0, dist, 1.0)
+
+
+def pair_grad(layout: str, w: np.ndarray, disp: np.ndarray) -> np.ndarray:
+    """grad_i J = -sum_j w_ij (r_i - r_j), summed over the pair axis."""
+    if layout == "aos":
+        return -(w[..., :, np.newaxis] * disp).sum(axis=-2)
+    return -(w[..., np.newaxis, :] * disp).sum(axis=-1)
+
+
+def pair_lap(w: np.ndarray, d2v: np.ndarray) -> np.ndarray:
+    """lap_i J = -sum_j [u''(r_ij) + 2 u'(r_ij) / r_ij]."""
+    return -(d2v + 2.0 * w).sum(axis=-1)
 
 
 class TwoBodyJastrow(_JastrowBase):
@@ -140,15 +165,22 @@ class TwoBodyJastrow(_JastrowBase):
         # Per-particle sums U[i] = sum_{j != i} u(r_ij); J2 = -sum(U)/2.
         self._usum = np.zeros(self.n)
         self._usum_temp = 0.0
-        self._urow_temp = np.zeros(self.n)
+        #: Committed (u, u', u'') of every pair, ``(3, n, n)``.
+        self.radials = np.zeros((3, self.n, self.n))
+        self._rad_temp = np.zeros((3, self.n))
         self._urow_old = np.zeros(self.n)
         self.recompute()
 
     def recompute(self) -> None:
-        """Rebuild per-particle u-sums from the committed table."""
-        for i in range(self.n):
-            v, _, _, _ = self._row_terms(self.table.row(i), i)
-            self._usum[i] = v.sum()
+        """Rebuild per-particle u-sums and radial rows from the committed table.
+
+        The whole table is evaluated at once: every operation is
+        elementwise, and the self entries are masked because the table
+        keeps its diagonal at distance zero.
+        """
+        v, dv, d2v, _ = self._row_terms(self.table.distances, None)
+        self.radials[0], self.radials[1], self.radials[2] = v, dv, d2v
+        self._usum[...] = v.sum(axis=-1)
 
     def log_value(self) -> float:
         """J2 contribution to log Psi."""
@@ -159,32 +191,21 @@ class TwoBodyJastrow(_JastrowBase):
 
         Requires ``table.propose_row(i, ...)`` to have been called.
         """
-        v_new, _, _, _ = self._row_terms(self.table.temp_dist, i)
+        v_new, dv, d2v, _ = self._row_terms(self.table.temp_dist, i)
         v_old, _, _, _ = self._row_terms(self.table.row(i), i)
-        self._urow_temp[...] = v_new
+        self._rad_temp[0], self._rad_temp[1], self._rad_temp[2] = v_new, dv, d2v
         self._urow_old[...] = v_old
         self._usum_temp = float(v_new.sum())
         return float(np.exp(-(self._usum_temp - self._usum[i])))
 
-    def stage(
-        self, i: int, urow_new: np.ndarray, urow_old: np.ndarray
-    ) -> None:
-        """Stage precomputed u-rows for particle ``i`` (batched drivers).
-
-        Equivalent to :meth:`ratio`'s caching when ``urow_new`` /
-        ``urow_old`` come from the same :meth:`_row_terms` math over the
-        staged and committed rows; the ratio itself is assembled by the
-        batched caller.
-        """
-        self._urow_temp[...] = urow_new
-        self._urow_old[...] = urow_old
-        self._usum_temp = float(urow_new.sum())
-
     def accept_move(self, i: int) -> None:
-        """Commit the staged move's cached u-sums (table committed separately)."""
-        delta = self._urow_temp - self._urow_old
+        """Commit the staged move's u-sums and radial row (table committed
+        separately); the row is mirrored into column ``i``."""
+        delta = self._rad_temp[0] - self._urow_old
         self._usum += delta
         self._usum[i] = self._usum_temp
+        self.radials[:, i, :] = self._rad_temp
+        self.radials[:, :, i] = self._rad_temp
 
     def grad(self, i: int) -> np.ndarray:
         """grad_i J2 from the committed table."""
@@ -219,15 +240,19 @@ class OneBodyJastrow(_JastrowBase):
         super().__init__(ufunc, table.layout)
         self.table = table
         self.n = len(table.targets)
+        m = len(table.sources)
         self._usum = np.zeros(self.n)
         self._usum_temp = 0.0
+        #: Committed (u, u', u'') of every electron-ion pair, ``(3, n, m)``.
+        self.radials = np.zeros((3, self.n, m))
+        self._rad_temp = np.zeros((3, m))
         self.recompute()
 
     def recompute(self) -> None:
-        """Rebuild per-electron u-sums from the committed table."""
-        for i in range(self.n):
-            v, _, _, _ = self._row_terms(self.table.row(i), None)
-            self._usum[i] = v.sum()
+        """Rebuild per-electron u-sums and radial rows from the committed table."""
+        v, dv, d2v, _ = self._row_terms(self.table.distances, None)
+        self.radials[0], self.radials[1], self.radials[2] = v, dv, d2v
+        self._usum[...] = v.sum(axis=-1)
 
     def log_value(self) -> float:
         """J1 contribution to log Psi."""
@@ -235,17 +260,15 @@ class OneBodyJastrow(_JastrowBase):
 
     def ratio(self, i: int) -> float:
         """exp(J1_new - J1_old) for the staged move of electron ``i``."""
-        v_new, _, _, _ = self._row_terms(self.table.temp_dist, None)
+        v_new, dv, d2v, _ = self._row_terms(self.table.temp_dist, None)
+        self._rad_temp[0], self._rad_temp[1], self._rad_temp[2] = v_new, dv, d2v
         self._usum_temp = float(v_new.sum())
         return float(np.exp(-(self._usum_temp - self._usum[i])))
 
-    def stage(self, i: int, usum_temp: float) -> None:
-        """Stage a precomputed trial u-sum for electron ``i`` (batched drivers)."""
-        self._usum_temp = float(usum_temp)
-
     def accept_move(self, i: int) -> None:
-        """Commit the staged move's cached u-sum."""
+        """Commit the staged move's cached u-sum and radial row."""
         self._usum[i] = self._usum_temp
+        self.radials[:, i] = self._rad_temp
 
     def grad(self, i: int) -> np.ndarray:
         """grad_i J1 from the committed table."""

@@ -12,7 +12,9 @@ particle set must support a three-phase protocol per move:
 Positions are stored SoA (:class:`repro.core.containers.VectorSoA3D`),
 the layout the optimized distance-table and Jastrow kernels consume,
 while ``pset[i]`` still yields an (x, y, z) triple for application code —
-the operator-overloading bridge of paper Sec. V-A.
+the operator-overloading bridge of paper Sec. V-A.  Every write lands in
+place, so the ``(3, n)`` storage may be a walker's row of a crowd
+(:class:`repro.qmc.batched_step.CrowdState`).
 """
 
 from __future__ import annotations
@@ -75,15 +77,11 @@ class ParticleSet:
         """The staged trial position (wrapped), or None."""
         return None if self._staged is None else self._staged.copy()
 
-    def propose(self, i: int, new_pos: np.ndarray, wrap: bool = True) -> np.ndarray:
+    def propose(self, i: int, new_pos: np.ndarray) -> np.ndarray:
         """Stage a trial position for particle ``i``; returns it wrapped.
 
         Raises if another move is already staged — the particle-by-particle
         protocol never has two in flight.
-
-        ``wrap=False`` stages the position verbatim (a private copy) —
-        for batched drivers that wrap a whole crowd's proposals in one
-        call and hand each walker its already-wrapped row.
         """
         if self._active is not None:
             raise RuntimeError(
@@ -92,10 +90,7 @@ class ParticleSet:
             )
         if not 0 <= i < len(self):
             raise IndexError(f"particle index {i} out of range [0, {len(self)})")
-        pos = np.asarray(new_pos, dtype=np.float64)
-        # wrap_cart allocates; the verbatim path must copy too so the
-        # staged state never aliases a caller-owned batch row.
-        pos = self.cell.wrap_cart(pos) if wrap else np.array(pos)
+        pos = self.cell.wrap_cart(np.asarray(new_pos, dtype=np.float64))
         self._active = i
         self._staged = pos.reshape(3)
         return self._staged.copy()

@@ -398,12 +398,7 @@ class SlaterDet:
         spos: SplineOrbitalSet,
         electrons: ParticleSet,
         delay: int | None = None,
-        config=None,
     ):
-        # ``config.delay`` is the RunConfig spelling of the same knob; an
-        # explicit ``delay`` kwarg wins (resolution-order rung 1).
-        if delay is None and config is not None:
-            delay = config.delay
         n = spos.n_orbitals
         if len(electrons) != 2 * n:
             raise ValueError(
@@ -426,7 +421,6 @@ class SlaterDet:
                 DelayedDeterminant(self._build_matrix(0), delay=delay),
                 DelayedDeterminant(self._build_matrix(1), delay=delay),
             ]
-        self._staged_vgl: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._staged_for: int | None = None
 
     def _build_matrix(self, spin: int) -> np.ndarray:
@@ -457,8 +451,8 @@ class SlaterDet:
     def ratio(self, e: int, new_pos: np.ndarray) -> float:
         """Eq.-3 ratio for moving electron ``e`` to ``new_pos``.
 
-        Evaluates the B-spline VGH kernel once and caches the full VGL so
-        :meth:`ratio_grad` / :meth:`accept_move` reuse it.
+        Evaluates the B-spline kernel once; the determinant stages the
+        orbital row, so :meth:`accept_move` reuses it.
         """
         r, _ = self.ratio_grad(e, new_pos)
         return r
@@ -466,19 +460,7 @@ class SlaterDet:
     def ratio_grad(self, e: int, new_pos: np.ndarray) -> tuple[float, np.ndarray]:
         """(ratio, grad log D at the trial position) — Eqs. 3-4."""
         v, g, lap = self.spos.vgl(new_pos)
-        return self.ratio_grad_from_vgl(e, v, g, lap)
-
-    def ratio_grad_from_vgl(
-        self, e: int, v: np.ndarray, g: np.ndarray, lap: np.ndarray
-    ) -> tuple[float, np.ndarray]:
-        """Like :meth:`ratio_grad` but with precomputed orbital VGL.
-
-        The entry point for batched drivers (:mod:`repro.qmc.batched_step`):
-        orbitals for many walkers are evaluated in one kernel call, then
-        each walker stages its own slice here.
-        """
         det, row = self._locate(e)
-        self._staged_vgl = (v, g, lap)
         self._staged_for = e
         return det.ratio_grad(row, v, g)
 
@@ -489,7 +471,6 @@ class SlaterDet:
             raise RuntimeError(f"no staged evaluation for electron {e}")
         det.accept_move(row)
         self._staged_for = None
-        self._staged_vgl = None
 
     def reject_move(self, e: int) -> None:
         """Drop the staged move of ``e``."""
@@ -498,22 +479,10 @@ class SlaterDet:
             raise RuntimeError(f"no staged evaluation for electron {e}")
         det.reject_move(row)
         self._staged_for = None
-        self._staged_vgl = None
 
     def grad_lap(self, e: int) -> tuple[np.ndarray, float]:
         """(grad D / D, lap D / D) at electron ``e``'s committed position."""
-        v, g, lap = self.spos.vgl(self.electrons[e])
-        return self.grad_lap_from_vgl(e, g, lap)
-
-    def grad_lap_from_vgl(
-        self, e: int, g: np.ndarray, lap: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """Like :meth:`grad_lap` but with precomputed orbital gradients.
-
-        The entry point for batched drivers, which evaluate the committed
-        positions of a whole crowd in one kernel call and hand each
-        walker its slice.
-        """
+        _, g, lap = self.spos.vgl(self.electrons[e])
         det, row = self._locate(e)
         return det.grad_lap(row, g, lap)
 

@@ -180,8 +180,8 @@ def run_vmc(
         energies = []
         accepted = attempted = 0
 
-    # Built after any resume so the SoA position cache sees the restored
-    # configuration.
+    # Built after any resume: the crowd adopts the restored configuration,
+    # and the walker's recomputes below write into the crowd's rows.
     crowd = CrowdState([wf], [rng])
     estimator = CrowdLocalEnergy(crowd, ion_charge) if measure else None
 

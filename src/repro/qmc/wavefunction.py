@@ -15,6 +15,11 @@ driver uses:
 The staged evaluations are shared: one VGH B-spline call serves the
 determinant ratio, the trial gradient, and (on acceptance) the inverse
 update — the reuse pattern that makes B-splines ~O(N) per attempted move.
+
+A walker in a crowd (:class:`repro.qmc.batched_step.CrowdState`) keeps
+this protocol: its components' committed arrays are views of its row of
+the crowd's stacked state, so this per-walker path and the batched step
+read and write the same storage.
 """
 
 from __future__ import annotations
@@ -115,91 +120,6 @@ class SlaterJastrow:
         """Stage a move and return just the total ratio."""
         r, _ = self.ratio_grad(e, new_pos)
         return r
-
-    def ratio_grad_precomputed(
-        self,
-        e: int,
-        new_pos: np.ndarray,
-        vgl: tuple[np.ndarray, np.ndarray, np.ndarray],
-    ) -> tuple[float, np.ndarray]:
-        """:meth:`ratio_grad` with the orbital VGL supplied by the caller.
-
-        Used by batched drivers that evaluate the orbitals of many
-        walkers in one kernel call; everything else (tables, Jastrows)
-        is staged exactly as in :meth:`ratio_grad`.
-        """
-        if self._staged_for is not None:
-            raise RuntimeError(
-                f"move already staged for electron {self._staged_for}"
-            )
-        staged = self.electrons.propose(e, new_pos)
-        self.ee_table.propose_row(e, staged)
-        self.ei_table.propose_row(e, staged)
-        v, g, lap = vgl
-        ratio, grad = self.slater.ratio_grad_from_vgl(e, v, g, lap)
-        if self.j1 is not None:
-            ratio *= self.j1.ratio(e)
-            grad = grad + self.j1.grad_temp(e)
-        if self.j2 is not None:
-            ratio *= self.j2.ratio(e)
-            grad = grad + self.j2.grad_temp(e)
-        self._staged_for = e
-        return ratio, grad
-
-    def stage_precomputed(
-        self,
-        e: int,
-        wrapped_pos: np.ndarray,
-        vgl: tuple[np.ndarray, np.ndarray, np.ndarray],
-        ee_row: tuple[np.ndarray, np.ndarray],
-        ei_row: tuple[np.ndarray, np.ndarray],
-        j1_usum_temp: float | None = None,
-        j2_urows: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> tuple[float, np.ndarray]:
-        """Stage a move whose every ingredient was computed batched.
-
-        The crowd driver evaluates orbitals, distance rows and Jastrow
-        radials for a whole walker population in single kernel calls,
-        then hands each walker its slices here.  Staging order matches
-        :meth:`ratio_grad` exactly; returns the *determinant* ratio and
-        gradient — the caller assembles the total ratio/gradient from its
-        batched Jastrow pieces in the same order the per-walker path
-        multiplies/adds them.
-
-        Parameters
-        ----------
-        wrapped_pos:
-            The trial position, already wrapped into the cell.
-        vgl:
-            Orbital ``(v, g, lap)`` at ``wrapped_pos``.
-        ee_row, ei_row:
-            ``(dist, disp)`` trial rows for the two tables (AA rows with
-            the self entry zeroed, as ``propose_row`` produces).
-        j1_usum_temp:
-            Trial u-sum for the one-body Jastrow (required iff ``j1``).
-        j2_urows:
-            ``(urow_new, urow_old)`` for the two-body Jastrow (required
-            iff ``j2``).
-        """
-        if self._staged_for is not None:
-            raise RuntimeError(
-                f"move already staged for electron {self._staged_for}"
-            )
-        self.electrons.propose(e, wrapped_pos, wrap=False)
-        self.ee_table.stage_row(e, *ee_row)
-        self.ei_table.stage_row(e, *ei_row)
-        v, g, lap = vgl
-        det_ratio, det_grad = self.slater.ratio_grad_from_vgl(e, v, g, lap)
-        if self.j1 is not None:
-            if j1_usum_temp is None:
-                raise ValueError("j1_usum_temp required when j1 is present")
-            self.j1.stage(e, j1_usum_temp)
-        if self.j2 is not None:
-            if j2_urows is None:
-                raise ValueError("j2_urows required when j2 is present")
-            self.j2.stage(e, *j2_urows)
-        self._staged_for = e
-        return det_ratio, det_grad
 
     def accept_move(self, e: int) -> None:
         """Commit every component's staged state for electron ``e``."""

@@ -42,7 +42,7 @@ class TestConstruction:
             RunConfig(tune="sometimes")
 
     @pytest.mark.parametrize(
-        "field", ["chunk_size", "tile_size", "processes", "delay"]
+        "field", ["chunk_size", "tile_size", "processes"]
     )
     def test_positive_int_validation(self, field):
         with pytest.raises(ValueError, match=field):
@@ -69,12 +69,11 @@ class TestRungOrder:
         monkeypatch.setenv("REPRO_TILE_SIZE", "16")
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_PROCESSES", "3")
-        monkeypatch.setenv("REPRO_DELAY", "4")
         monkeypatch.setenv("REPRO_TUNE", "off")
         cfg = RunConfig.from_env()
         assert (cfg.chunk_size, cfg.tile_size) == (64, 16)
         assert cfg.backend == "numpy"
-        assert (cfg.processes, cfg.delay, cfg.tune) == (3, 4, TUNE_OFF)
+        assert (cfg.processes, cfg.tune) == (3, TUNE_OFF)
         assert all(
             cfg.source_of(f) == "env"
             for f in ("chunk_size", "tile_size", "backend")
@@ -189,13 +188,15 @@ class TestSerialization:
         assert cfg.source_of("backend") == "default"
 
     def test_load_run_config_ignores_legacy_step_mode(self, tmp_path):
-        # Configs saved before the per-walker schedule was removed carry
-        # the retired "step_mode" key; they must still load.
+        # Configs saved before the per-walker schedule and the delay knob
+        # were removed carry the retired "step_mode" and "delay" keys;
+        # they must still load.
         path = tmp_path / "run.json"
-        path.write_text('{"chunk_size": 8, "step_mode": "walker"}')
+        path.write_text('{"chunk_size": 8, "step_mode": "walker", "delay": 4}')
         cfg = load_run_config(path)
         assert cfg.chunk_size == 8
         assert "step_mode" not in cfg.as_dict()
+        assert "delay" not in cfg.as_dict()
 
     def test_load_run_config_rejects_non_object(self, tmp_path):
         path = tmp_path / "run.json"

@@ -10,7 +10,13 @@ same energy traces, same acceptance counts.  Everything here uses
 import numpy as np
 import pytest
 
-from repro.lattice import Cell, PlaneWaveOrbitalSet, wigner_seitz_radius
+from repro.lattice import (
+    Cell,
+    PlaneWaveOrbitalSet,
+    graphite_basis_frac,
+    graphite_unit_cell,
+    wigner_seitz_radius,
+)
 from repro.qmc import (
     LocalEnergy,
     ParticleSet,
@@ -28,14 +34,17 @@ from tests.qmc.test_wavefunction import build_wf
 
 def build_population(
     n_walkers=3, n_orb=2, seed=7, layout="soa", with_jastrow=True,
-    vary_radials=False,
+    vary_radials=False, graphite=False,
 ):
     """Walkers sharing one orbital set, plus matched private streams.
 
     ``vary_radials`` gives every walker its own Jastrow strengths, so no
-    radial can be evaluated stacked.
+    radial can be evaluated stacked.  ``graphite`` puts the walkers in
+    the hexagonal graphite cell with its four carbon ions, where the
+    crowd computes every trial distance row through the tables'
+    non-orthorhombic minimal-image search.
     """
-    cell = Cell.cubic(6.0)
+    cell = graphite_unit_cell() if graphite else Cell.cubic(6.0)
     pw = PlaneWaveOrbitalSet(cell, n_orb)
     spos = SplineOrbitalSet.from_orbital_functions(
         cell, pw, (8, 8, 8), engine="fused", dtype=np.float64
@@ -44,7 +53,8 @@ def build_population(
     wfs, rngs = [], []
     for w in range(n_walkers):
         wrng = np.random.default_rng(seed + 100 * w)
-        ions = ParticleSet("ion", cell, cell.frac_to_cart(wrng.random((2, 3))))
+        frac = graphite_basis_frac() if graphite else wrng.random((2, 3))
+        ions = ParticleSet("ion", cell, cell.frac_to_cart(frac))
         electrons = ParticleSet.random("e", cell, 2 * n_orb, wrng)
         scale = 1.0 + 0.25 * w if vary_radials else 1.0
         j1 = make_polynomial_radial(0.4 * scale, rcut) if with_jastrow else None
@@ -54,19 +64,50 @@ def build_population(
     return wfs, rngs
 
 
+def stored_arrays(wf):
+    """Every array of derived state a walker stores, by name."""
+    arrays = {"positions": wf.electrons.positions}
+    for spin, det in enumerate(wf.slater.dets):
+        arrays[f"A{spin}"] = det.A
+        arrays[f"Ainv{spin}"] = det.Ainv
+        arrays[f"log_det{spin}"] = det.log_det
+        arrays[f"sign{spin}"] = det.sign
+    for name in ("ee_table", "ei_table"):
+        table = getattr(wf, name)
+        arrays[f"{name}.distances"] = table.distances
+        arrays[f"{name}.displacements"] = table.displacements
+    for name in ("j1", "j2"):
+        jastrow = getattr(wf, name)
+        if jastrow is not None:
+            arrays[f"{name}.usum"] = jastrow._usum
+            arrays[f"{name}.radials"] = jastrow.radials
+    return arrays
+
+
 def assert_walkers_bitwise_equal(wfs_a, wfs_b):
+    """Walker by walker, every stored array and log_value are equal."""
     for wa, wb in zip(wfs_a, wfs_b):
-        np.testing.assert_array_equal(
-            wa.electrons.positions, wb.electrons.positions
-        )
+        got, want = stored_arrays(wa), stored_arrays(wb)
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
         assert wa.log_value == wb.log_value
 
 
 class TestBatchedSweepIdentity:
-    @pytest.mark.parametrize("layout", ["soa", "aos"])
-    def test_sweeps_match_per_walker_bitwise(self, layout):
-        wfs_b, rngs_b = build_population(3, layout=layout)
-        wfs_s, rngs_s = build_population(3, layout=layout)
+    @pytest.mark.parametrize(
+        "layout, case",
+        [
+            pytest.param("soa", {}, id="soa"),
+            pytest.param("aos", {}, id="aos"),
+            pytest.param("soa", {"graphite": True, "n_orb": 4}, id="soa-graphite"),
+            pytest.param("aos", {"graphite": True, "n_orb": 4}, id="aos-graphite"),
+            pytest.param("soa", {"vary_radials": True}, id="soa-unshared"),
+        ],
+    )
+    def test_sweeps_match_per_walker_bitwise(self, layout, case):
+        wfs_b, rngs_b = build_population(3, layout=layout, **case)
+        wfs_s, rngs_s = build_population(3, layout=layout, **case)
         state = CrowdState(wfs_b, rngs_b)
         acc_total = 0
         for _ in range(3):
@@ -78,6 +119,21 @@ class TestBatchedSweepIdentity:
                 a, _ = sweep(wf, 0.25, rng)
                 acc_seq += a
         assert acc_total == acc_seq
+        assert_walkers_bitwise_equal(wfs_b, wfs_s)
+
+    def test_every_stored_array_matches_at_blas_size(self):
+        """4 walkers x 32 electrons (N=16), where the contractions go
+        through BLAS: after two sweeps every array a walker stores —
+        both spins' A, Ainv, log_det and sign, both tables, the Jastrow
+        u-sums and radial rows — is bitwise the per-walker oracle's."""
+        wfs_b, rngs_b = build_population(4, n_orb=16)
+        wfs_s, rngs_s = build_population(4, n_orb=16)
+        state = CrowdState(wfs_b, rngs_b)
+        for _ in range(2):
+            batched_sweep(state, 0.25)
+        for wf, rng in zip(wfs_s, rngs_s):
+            for _ in range(2):
+                sweep(wf, 0.25, rng)
         assert_walkers_bitwise_equal(wfs_b, wfs_s)
 
     def test_no_drift_mode_matches(self):
@@ -127,6 +183,58 @@ class TestBatchedSweepIdentity:
         # One batched call per electron index per sweep, plus one drift
         # cache over all committed positions at the sweep start.
         assert state.n_batched_calls == state.n_electrons + 1
+
+
+class TestResidentState:
+    """Walkers hold views of their crowd rows: one copy of walker state."""
+
+    def test_out_of_band_writes_land_in_the_crowd(self):
+        wfs, rngs = build_population(2)
+        state = CrowdState(wfs, rngs)
+        wf = wfs[1]
+        cell = wf.electrons.cell
+        moved = cell.wrap_cart(wf.electrons.positions + 0.3)
+        wf.electrons.load_positions(moved, wrap=False)
+        wf.recompute()
+        np.testing.assert_array_equal(state.positions[1], moved)
+        fresh = build_population(2)[0][1]
+        fresh.electrons.load_positions(moved, wrap=False)
+        fresh.recompute()
+        crowd_rows = {
+            "A0": state.A[1, 0], "Ainv0": state.Ainv[1, 0],
+            "log_det0": state.log_det[1, 0], "sign0": state.sign[1, 0],
+            "ee_table.distances": state.ee_dist[1],
+            "ee_table.displacements": state.ee_disp[1],
+            "ei_table.distances": state.ei_dist[1],
+            "j2.radials": state._jastrows[1].radials[1],
+        }
+        want = stored_arrays(fresh)
+        for name, row in crowd_rows.items():
+            np.testing.assert_array_equal(row, want[name], err_msg=name)
+
+    def test_clone_owns_its_arrays(self):
+        pool = WalkerRngPool(3)
+        walkers = build_dmc_ensemble(pool, 2, n_orbitals=2, grid_shape=(8, 8, 8))
+        state = CrowdState([w.wf for w in walkers], [w.rng for w in walkers])
+        clone = walkers[0].clone(pool.next_rng())
+        wf = clone.wf
+        owned = [wf.electrons.R.data]
+        for det in wf.slater.dets:
+            owned += [det.A, det.Ainv, det._log_det, det._sign]
+        for table in (wf.ee_table, wf.ei_table):
+            owned += [table.distances, table.displacements]
+        for jastrow in (wf.j1, wf.j2):
+            owned += [jastrow._usum, jastrow.radials]
+        blocks = [state._R, state.A, state.Ainv, state.log_det, state.sign]
+        blocks += [state.ee_dist, state.ee_disp, state.ei_dist, state.ei_disp]
+        blocks += [b for f in state._jastrows for b in (f.usum, f.radials)]
+        for array in owned:
+            assert not any(np.shares_memory(array, block) for block in blocks)
+        batched_sweep(state, 0.1)
+        # The crowd moved walker 0; its clone kept the old configuration.
+        assert not np.array_equal(
+            clone.wf.electrons.positions, walkers[0].wf.electrons.positions
+        )
 
 
 class TestVmcStepModes:
@@ -196,6 +304,15 @@ class TestCrowdStateValidation:
         bare = SlaterJastrow(electrons, ions, wfs[0].slater.spos)
         with pytest.raises(ValueError, match="Jastrow structure"):
             CrowdState([wfs[0], bare], rngs)
+
+    def test_rejects_mixed_layouts(self):
+        wfs, rngs = build_population(2)
+        wf = wfs[1]
+        aos = SlaterJastrow(
+            wf.electrons, wf.ions, wf.slater.spos, wf.j1.u, wf.j2.u, layout="aos"
+        )
+        with pytest.raises(ValueError, match="table layout"):
+            CrowdState([wfs[0], aos], rngs)
 
     def test_equal_radials_are_shared(self):
         # build_population gives each walker its own (identical) radials;
