@@ -3,8 +3,9 @@
 :class:`ServeClient` speaks the newline-delimited JSON protocol over
 one TCP or unix-socket connection; decoded eval streams come back as
 NumPy arrays **bit-identical** to a direct in-process
-:meth:`~repro.core.batched.BsplineBatched.evaluate_batch` call (the
-protocol round-trips floats exactly — see :mod:`repro.serve.protocol`).
+:meth:`~repro.core.batched.BsplineBatched.evaluate_batch` call (arrays
+travel as their raw bytes, base64 in the JSON line, so no float passes
+through decimal text — see :mod:`repro.serve.protocol`).
 
 ``python -m repro serve-client`` wraps it for shell use::
 

@@ -300,8 +300,18 @@ class QmcServer:
         self, writer: asyncio.StreamWriter, wlock: asyncio.Lock, obj: dict
     ) -> None:
         try:
+            line = protocol.encode_line(obj)
+        except RecursionError:
+            # An id nested just under the decoder's depth limit parses,
+            # but the response wrapped around it is one level deeper.
+            line = protocol.encode_line(
+                protocol.error_response(
+                    None, "bad_request", "request id is nested too deeply"
+                )
+            )
+        try:
             async with wlock:
-                writer.write(protocol.encode_line(obj))
+                writer.write(line)
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass  # client went away; nothing to tell it
@@ -427,7 +437,7 @@ class QmcServer:
                 int(g) for g in system.get("grid_shape", (12, 12, 12))
             )
             dtype = str(system.get("dtype", default_dtype))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProtocolError("bad_request", f"malformed system: {exc}")
         if not 1 <= n_orbitals <= _MAX_ORBITALS:
             raise ProtocolError(
@@ -470,7 +480,7 @@ class QmcServer:
         elif isinstance(positions, list):
             try:
                 array = np.asarray(positions, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ProtocolError(
                     "bad_request", f"malformed positions: {exc}"
                 )
@@ -524,7 +534,7 @@ class QmcServer:
     def _bounded_int(req, field, lo, hi, default) -> int:
         try:
             value = int(req.get(field, default))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ProtocolError("bad_request", f"{field} must be an integer")
         if not lo <= value <= hi:
             raise ProtocolError(
@@ -536,7 +546,7 @@ class QmcServer:
     def _bounded_float(req, field, lo, hi, default) -> float:
         try:
             value = float(req.get(field, default))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ProtocolError("bad_request", f"{field} must be a number")
         if not lo < value <= hi:
             raise ProtocolError(
@@ -549,13 +559,19 @@ class QmcServer:
     async def _table_spec(self, key: SystemKey) -> dict:
         """The shared-segment spec for ``key``, solving at most once.
 
-        The solve runs in the executor so a cold table never stalls the
-        event loop; the lock serializes cache access (two tenants
-        racing the same cold key must not both solve it).
+        A cached table is answered here on the event loop: one LRU touch,
+        no executor hop.  A miss takes the lock and solves in the
+        executor so a cold table never stalls the loop; the lock
+        serializes misses (two tenants racing the same cold key must not
+        both solve it).  The executor calls ``TableCache.get`` only under
+        the lock, so the hit path never runs while a thread is inside it.
         """
-        loop = asyncio.get_running_loop()
+        if not self._cache_lock.locked() and key in self._cache:
+            return self._cache.get(key)
         async with self._cache_lock:
-            spec = await loop.run_in_executor(
+            if key in self._cache:  # solved while this request waited
+                return self._cache.get(key)
+            spec = await asyncio.get_running_loop().run_in_executor(
                 self._executor, self._cache.get, key
             )
             self._table_specs[spec["name"]] = spec

@@ -2,26 +2,30 @@
 
 The central contract is the **serving bit-gate**: whatever a tenant
 receives over the wire must be ``assert_array_equal`` to a direct
-in-process call with the same inputs — through JSON, shared memory, a
-worker process, and (crucially) regardless of which other requests
-happened to share its micro-batch.
+in-process call with the same inputs — through the base64 wire form,
+shared memory, a worker process, and (crucially) regardless of which
+other requests happened to share its micro-batch.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.batched import BsplineBatched
 from repro.core.grid import Grid3D
 from repro.core.kinds import Kind
 from repro.parallel.crowd import CrowdSpec
 from repro.parallel.vmc import run_vmc_population
-from repro.serve import ServeClient, ServeError
+from repro.serve import ServeClient, ServeError, protocol
 from repro.serve.cache import SystemKey, solve_system_table
+from repro.serve.server import QmcServer
 
 from .conftest import TINY_SYSTEM
 
@@ -40,6 +44,21 @@ def direct_eval(system: dict, kind: Kind, positions: np.ndarray) -> dict:
     out = engine.new_output(kind, n=len(positions))
     engine.evaluate_batch(kind, positions, out)
     return {stream: getattr(out, stream) for stream in kind.streams}
+
+
+def raw_exchange(client: ServeClient, line: bytes) -> bytes:
+    """Send one raw line on ``client``'s connection; return the raw reply."""
+    client._file.write(line)
+    client._file.flush()
+    return client._file.readline()
+
+
+def builds_total(client: ServeClient) -> float:
+    return sum(
+        entry["value"]
+        for name, entry in client.stats()["metrics"].items()
+        if name.startswith("serve_table_builds_total")
+    )
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +104,7 @@ class TestBasics:
 
     def test_garbage_line_is_a_clean_error(self, server):
         with ServeClient(server.address) as client:
-            client._file.write(b"this is not json\n")
-            client._file.flush()
-            import json
-
-            response = json.loads(client._file.readline())
+            response = json.loads(raw_exchange(client, b"this is not json\n"))
             assert response["ok"] is False
             assert response["error"]["code"] == "bad_request"
             assert client.ping()
@@ -131,6 +146,181 @@ class TestBasics:
                     backend="no-such-backend",
                 )
             assert excinfo.value.code == "backend_unavailable"
+
+
+class TestWireContract:
+    """What every client — perfbench's id scanner, ``nc``, the five-line
+    client — may rely on in the raw response lines."""
+
+    def test_every_response_line_starts_with_its_id(self, server):
+        vgh = {"system": TINY_SYSTEM, "kind": "vgh", "positions": [[0.5, 0.5, 0.5]]}
+        small = {"system": TINY_SYSTEM, "n_walkers": 2, "seed": 3}
+        requests = [
+            ({"id": 1, "op": "ping"}, True),
+            ({"id": 2, "op": "stats"}, True),
+            ({"id": 3, "op": "eval", **vgh}, True),
+            ({"id": 4, "op": "vmc", **small, "n_steps": 2}, True),
+            ({"id": 5, "op": "dmc", **small, "n_generations": 2}, True),
+            ({"id": 6, "op": "eval", **vgh, "kind": "nope"}, False),
+            ({"id": 7, "op": "vmc", **small, "n_steps": -1}, False),
+            ({"id": 8, "op": "dmc", **small, "tau": "hot"}, False),
+            ({"id": 9, "op": "launch"}, False),
+            ({"id": "ten", "op": "ping"}, True),
+        ]
+        with ServeClient(server.address) as client:
+            for request, ok in requests:
+                reply = raw_exchange(client, protocol.encode_line(request))
+                prefix = b'{"id":' + json.dumps(request["id"]).encode() + b","
+                assert reply.startswith(prefix), reply[:80]
+                assert json.loads(reply)["ok"] is ok
+            reply = raw_exchange(client, b"{not json\n")
+            assert reply.startswith(b'{"id":null,'), reply[:80]
+
+    def test_streams_travel_as_base64(self, server):
+        with ServeClient(server.address) as client:
+            result, _ = client.request(
+                "eval",
+                system=TINY_SYSTEM,
+                kind="vgh",
+                positions=protocol.encode_array(np.full((1, 3), 0.5)),
+            )
+        for name, arr in result["streams"].items():
+            assert arr["dtype"] == "<f8" and isinstance(arr["data"], str)
+
+    def test_bare_list_positions_are_served_bitwise(self, server):
+        positions = np.random.default_rng(15).random((3, 3))
+        reference = direct_eval(TINY_SYSTEM, Kind.VGH, positions)
+        with ServeClient(server.address) as client:
+            result, _ = client.request(
+                "eval",
+                system=TINY_SYSTEM,
+                kind="vgh",
+                positions=positions.tolist(),
+            )
+        for name in Kind.VGH.streams:
+            streams = protocol.decode_array(result["streams"][name])
+            np.testing.assert_array_equal(streams, reference[name])
+
+    def test_list_form_positions_array_is_served_bitwise(self, server):
+        positions = np.random.default_rng(16).random((2, 3))
+        reference = direct_eval(TINY_SYSTEM, Kind.V, positions)
+        listed = {"dtype": "<f8", "shape": [2, 3], "data": positions.ravel().tolist()}
+        with ServeClient(server.address) as client:
+            result, _ = client.request(
+                "eval", system=TINY_SYSTEM, kind="v", positions=listed
+            )
+        np.testing.assert_array_equal(
+            protocol.decode_array(result["streams"]["v"]), reference["v"]
+        )
+
+
+def _eval_line(request_id: int, positions, **fields) -> bytes:
+    request = {
+        "id": request_id,
+        "op": "eval",
+        "system": TINY_SYSTEM,
+        "kind": "v",
+        "positions": positions,
+        **fields,
+    }
+    return protocol.encode_line(request)
+
+
+def _positions(dtype="<f8", shape=(1, 3), data=(0.5, 0.5, 0.5)) -> dict:
+    return {"dtype": dtype, "shape": list(shape), "data": list(data)}
+
+
+#: Malformed lines that once escaped as ``internal`` (or, for complex and
+#: object dtypes, were served after silently dropping data), each with the
+#: id its reply must echo (``None`` when the line cannot be parsed).
+MALFORMED_LINES = [
+    (None, b'{"id":1,"op":"ping","x":"\xc3("}\n'),
+    (None, b"[" * 100_000 + b"\n"),
+    (None, b'{"id":' + b"7" * 5000 + b',"op":"ping"}\n'),
+    (4, _eval_line(4, _positions(dtype="<U3", data=("0.5",) * 3))),
+    (5, _eval_line(5, _positions(dtype="<c16"))),
+    (6, _eval_line(6, _positions(dtype="|O"))),
+    (7, _eval_line(7, _positions(shape=(10**30, 3)))),
+    (8, _eval_line(8, {"dtype": "<f8", "shape": [1, 3], "data": {"a": 1}})),
+    (9, _eval_line(9, {"dtype": "<f8", "shape": [1, 3], "data": "not base64!"})),
+    (10, _eval_line(10, {"dtype": "<f8", "shape": [1, 3], "data": "AAAAAAAAAAA="})),
+    (11, _eval_line(11, [[10**400, 0.5, 0.5]])),
+    (12, _eval_line(12, [[0.5, 0.5, 0.5]], system={"n_orbitals": float("inf")})),
+    (13, protocol.encode_line({"id": 13, "op": "vmc", "n_steps": float("inf")})),
+]
+
+
+class TestMalformedWireInput:
+    def test_each_malformed_line_gets_bad_request(self, server):
+        """One connection: every line is answered ``bad_request`` with its
+        id, and the connection still answers a ping afterwards."""
+        with ServeClient(server.address) as client:
+            for request_id, line in MALFORMED_LINES:
+                response = json.loads(raw_exchange(client, line))
+                assert response["ok"] is False, (request_id, response)
+                assert response["error"]["code"] == "bad_request", (
+                    request_id,
+                    response["error"],
+                )
+                assert response["id"] == request_id
+            assert client.ping()
+
+    def test_every_id_nesting_depth_gets_one_reply(self, server):
+        """Around the JSON depth limits an id can parse yet be too deep to
+        echo inside its response; every line still gets a typed reply."""
+        pong = b',"ok":true,"result":{"pong":true}}\n'
+        with ServeClient(server.address, timeout=20.0) as client:
+            for depth in range(800, 2200):
+                request_id = b"[" * depth + b"]" * depth
+                line = b'{"id":' + request_id + b',"op":"ping"}\n'
+                # Read as bytes: decoding an echo this deep here would hit
+                # the same limits.
+                reply = raw_exchange(client, line)
+                if reply.startswith(b'{"id":null,'):
+                    assert b'"code":"bad_request"' in reply, reply[-120:]
+                else:
+                    assert reply == b'{"id":' + request_id + pong
+            assert client.ping()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.sampled_from(["dtype", "shape", "data", "x"]), inner),
+            max_leaves=16,
+        )
+    )
+    @example([[10**400, 0.5, 0.5]])
+    @example({"dtype": "<c16", "shape": [1, 3], "data": [0.5, 0.5, 0.5]})
+    def test_positions_parse_or_reject(self, value):
+        try:
+            positions = QmcServer._parse_positions(value)
+        except protocol.ProtocolError as exc:
+            assert exc.code == "bad_request"
+        else:
+            assert positions.dtype == np.float64 and positions.shape[1] == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(["n_orbitals", "box", "grid_shape", "dtype"]),
+            st.none()
+            | st.integers(-(10**400), 10**400)
+            | st.floats()
+            | st.text(max_size=4)
+            | st.lists(st.integers(-(10**30), 10**30) | st.floats(), max_size=4),
+        )
+        | st.integers()
+        | st.lists(st.integers())
+    )
+    @example({"n_orbitals": float("inf")})
+    @example({"box": 10**400})
+    def test_system_parses_or_rejects(self, system):
+        try:
+            QmcServer._system_key(system)
+        except protocol.ProtocolError as exc:
+            assert exc.code == "bad_request"
 
 
 class TestServedEvalBitGate:
@@ -366,6 +556,76 @@ class TestLifecycle:
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+class TestTableCacheOnTheLoop:
+    """A cached table is answered on the event loop; only misses solve in
+    the executor, serialized by the cache lock."""
+
+    def test_lru_order_holds_on_hits(self, make_server):
+        server = make_server(table_cache=2, workers=1)
+        systems = {
+            name: dict(TINY_SYSTEM, grid_shape=[g, g, g])
+            for name, g in (("A", 8), ("B", 9), ("C", 10))
+        }
+        keys = {
+            name: SystemKey(2, 6.0, system["grid_shape"], "float64")
+            for name, system in systems.items()
+        }
+        positions = np.random.default_rng(17).random((2, 3))
+        with ServeClient(server.address) as client:
+            for name in "ABAC":
+                streams, _ = client.evaluate(
+                    positions, kind="v", system=systems[name]
+                )
+                reference = direct_eval(systems[name], Kind.V, positions)
+                np.testing.assert_array_equal(streams["v"], reference["v"])
+        cache = server.server._cache
+        assert keys["A"] in cache and keys["C"] in cache
+        assert keys["B"] not in cache
+
+    def test_concurrent_cold_requests_build_once(self, make_server):
+        server = make_server(workers=2)
+        system = dict(TINY_SYSTEM, n_orbitals=3, grid_shape=[24, 24, 24])
+        positions = np.random.default_rng(18).random((2, 3))
+        barrier = threading.Barrier(2)
+        results: list = [None, None]
+
+        def tenant(i: int) -> None:
+            with ServeClient(server.address, tenant=f"cold-{i}") as client:
+                barrier.wait(timeout=30)
+                results[i] = client.evaluate(positions, kind="v", system=system)
+
+        with ServeClient(server.address) as client:
+            before = builds_total(client)
+            threads = [threading.Thread(target=tenant, args=(i,)) for i in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert builds_total(client) - before == 1
+        reference = direct_eval(system, Kind.V, positions)
+        for streams, _ in results:
+            np.testing.assert_array_equal(streams["v"], reference["v"])
+
+    def test_hit_does_not_leave_the_event_loop_thread(self, make_server):
+        server = make_server(workers=1)
+        cache = server.server._cache
+        callers: list[str] = []
+        real_get = cache.get
+
+        def recording_get(key):
+            callers.append(threading.current_thread().name)
+            return real_get(key)
+
+        cache.get = recording_get
+        with ServeClient(server.address) as client:
+            for _ in range(3):
+                client.evaluate([[0.5, 0.5, 0.5]], kind="v", system=TINY_SYSTEM)
+        loop_thread = server._thread.name
+        assert callers[0] != loop_thread  # the miss solved in the executor
+        assert callers[1:] == [loop_thread, loop_thread]
 
 
 class TestWorkerRecovery:
