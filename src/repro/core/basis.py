@@ -38,6 +38,7 @@ __all__ = [
     "bspline_d2weights",
     "bspline_all_weights",
     "bspline_weights_batch",
+    "bspline_fused_weights",
 ]
 
 #: Monomial coefficients of the four cubic B-spline basis functions.
@@ -183,3 +184,48 @@ def bspline_weights_batch(
         c3, c2, c1, c0 = mat[j]
         out[..., j] = ((c3 * m[..., 0] + c2 * m[..., 1]) + c1 * m[..., 2]) + c0 * m[..., 3]
     return out
+
+
+#: ``(order, tap)`` coefficients of each monomial ``t^3, t^2, t, 1`` over
+#: the value, first- and second-derivative matrices.
+_FUSED_C3, _FUSED_C2, _FUSED_C1, _FUSED_C0 = np.moveaxis(
+    np.stack([BSPLINE_A, BSPLINE_DA, BSPLINE_D2A]), -1, 0
+)
+
+
+def bspline_fused_weights(t: np.ndarray) -> np.ndarray:
+    """All three derivative orders' weights for a batch, in one pass.
+
+    The monomials are formed once and every ``(order, tap)`` weight is
+    combined in one broadcast, so a batch pays a handful of array
+    operations instead of three :func:`bspline_weights_batch` calls.
+
+    Parameters
+    ----------
+    t:
+        Array of fractional coordinates, any shape.
+
+    Returns
+    -------
+    numpy.ndarray
+        Shape ``(3, 4) + t.shape`` float64: ``[order, tap, ...]`` with
+        the sample axes innermost, so ``out[o]`` is
+        ``np.moveaxis(bspline_weights_batch(t, o), -1, 0)`` bit for bit.
+
+    Notes
+    -----
+    Each weight is computed by exactly the elementwise operations of
+    :func:`bspline_weights_batch` — ``((c3 t^3 + c2 t^2) + c1 t) + c0``
+    with ``t^2 = t t`` and ``t^3 = t^2 t`` — so its bits, sign of zero
+    included, equal the per-order reference and stay independent of the
+    batch it is computed in.  (The reference's ``c0 * 1`` is ``c0``
+    exactly, so the constant is added as is.)
+    """
+    t = np.asarray(t, dtype=np.float64)
+    shape = (3, 4) + (1,) * t.ndim
+    t2 = t * t
+    t3 = t2 * t
+    return (
+        (_FUSED_C3.reshape(shape) * t3 + _FUSED_C2.reshape(shape) * t2)
+        + _FUSED_C1.reshape(shape) * t
+    ) + _FUSED_C0.reshape(shape)

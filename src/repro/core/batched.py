@@ -52,7 +52,7 @@ import time
 
 import numpy as np
 
-from repro.core.basis import bspline_weights_batch
+from repro.core.basis import bspline_fused_weights
 from repro.core.coeffs import pad_table_3d
 from repro.core.grid import Grid3D
 from repro.core.kinds import Kind
@@ -309,6 +309,11 @@ class BsplineBatched:
         self._row_strides = (nyp * nzp, nzp)
         flat = padded.reshape(nxp * nyp * nzp, n_total)
         self._flat = flat[:, lo:hi] if spline_range is not None else flat
+        # Per-axis (1, 1/delta, 1/delta^2) in the table dtype: the chain
+        # rule factors of the (value, first, second) derivative weights.
+        self._weight_scale = np.array(
+            [[1.0, inv, inv * inv] for inv in grid.inv_deltas], dtype=self.dtype
+        )[:, :, np.newaxis, np.newaxis]
         off = np.arange(4, dtype=np.int64)
         self._cube = (
             (off[:, None] * nyp + off[None, :])[:, :, None] * nzp
@@ -486,21 +491,25 @@ class BsplineBatched:
         addition — no modulo wrap.  The weight matrices are ``(ns, 4)``
         contiguous arrays in the table dtype, derivative weights
         pre-scaled by the grid's inverse deltas — the shared front half
-        of every backend's chunk kernel.
+        of every backend's chunk kernel.  All nine come from one
+        :func:`~repro.core.basis.bspline_fused_weights` call as views of
+        one ``(axis, order, ns, 4)`` block, bitwise equal to the
+        per-order :func:`~repro.core.basis.bspline_weights_batch` form.
         """
         idx, frac = self.grid.locate_batch(positions)
         sy, sz = self._row_strides
         base = np.ascontiguousarray(
             idx[:, 0] * sy + idx[:, 1] * sz + idx[:, 2], dtype=np.int64
         )
-        weights = []
-        for axis in range(3):
-            a = bspline_weights_batch(frac[:, axis], 0).astype(self.dtype)
-            da = bspline_weights_batch(frac[:, axis], 1).astype(self.dtype)
-            d2a = bspline_weights_batch(frac[:, axis], 2).astype(self.dtype)
-            inv = self.grid.inv_deltas[axis]
-            weights.append((a, da * self.dtype.type(inv), d2a * self.dtype.type(inv * inv)))
-        return base, tuple(weights)
+        # One (axis, order, ns, 4) block: every weight cast to the table
+        # dtype first, then scaled in that dtype (order 0 by exactly 1).
+        w = bspline_fused_weights(frac.T)  # (order, tap, axis, ns)
+        block = np.empty((3, 3, len(frac), 4), dtype=self.dtype)
+        np.multiply(
+            w.transpose(2, 0, 3, 1), self._weight_scale,
+            out=block, dtype=self.dtype, casting="same_kind",
+        )
+        return base, tuple((b[0], b[1], b[2]) for b in block)
 
     def _gather(self, positions: np.ndarray):
         """Blocks ``(ns, 4, 4, 4, N)`` + per-axis weight triples.

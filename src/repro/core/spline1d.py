@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.basis import (
-    bspline_weights_batch,
-)
+from repro.core.basis import bspline_fused_weights, bspline_weights_batch
 
 __all__ = ["CubicBspline1D"]
+
+#: Stencil offsets: interval ``i`` reads coefficients ``i .. i+3``.
+_TAPS = np.arange(4)
 
 
 class CubicBspline1D:
@@ -131,15 +132,20 @@ class CubicBspline1D:
 
         Beyond the cutoff all three are zero (the short-ranged convention
         of QMC Jastrow factors).
+
+        The four stencil coefficients are gathered once and all three
+        orders are combined in one broadcast over
+        :func:`~repro.core.basis.bspline_fused_weights`, with the
+        operations (and so the bits) of three :meth:`_combine` calls.
         """
         scalar = not np.ndim(r)
         i, t, inside = self._locate(np.atleast_1d(r))
-        v = self._combine(i, bspline_weights_batch(t, 0))
-        dv = self._combine(i, bspline_weights_batch(t, 1)) * self.inv_delta
-        d2v = self._combine(i, bspline_weights_batch(t, 2)) * self.inv_delta**2
-        v = np.where(inside, v, 0.0)
-        dv = np.where(inside, dv, 0.0)
-        d2v = np.where(inside, d2v, 0.0)
+        w = bspline_fused_weights(t)  # (order, tap) + t.shape
+        c = self.coeffs[i + _TAPS.reshape((4,) + (1,) * i.ndim)]
+        vgl = ((w[:, 0] * c[0] + w[:, 1] * c[1]) + w[:, 2] * c[2]) + w[:, 3] * c[3]
+        vgl[1] *= self.inv_delta
+        vgl[2] *= self.inv_delta**2
+        v, dv, d2v = np.where(inside, vgl, 0.0)
         if scalar:
             return v[0], dv[0], d2v[0]
         return v, dv, d2v

@@ -379,8 +379,8 @@ class _CrowdShard(_Shard):
         """VMC over the shard: one local-energy trace per walker.
 
         The range advances in lock step through the batched population
-        kernels and is measured in one batched pass per step, whose
-        orbital block the next sweep reuses as its drift cache; walkers
+        kernels and is measured in one batched pass per step, from the
+        orbital block the sweeps keep resident (no kernel call); walkers
         only consume their private streams and measurement draws none,
         so every trace is independent of how the population is sharded.
         """

@@ -166,7 +166,8 @@ class _DmcShard(_Shard):
         templates share one orbital set), then measures the crowd in one
         batched pass; measurement consumes no RNG, so each task's result
         is bitwise independent of which shard carried it.  Templates
-        reload every call, so no drift cache is carried over.
+        reload every call, so the crowd's first sweep evaluates its drift
+        cache; the sweep keeps it current and the measurement reads it.
         """
         if not tasks:
             return []

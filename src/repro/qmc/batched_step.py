@@ -19,14 +19,16 @@ u'').  Each walker's component objects hold views of its row, so
 write the storage the batched step does.
 
 for each sweep:
-    0. ONE ``vgl_batch`` over every walker's every committed electron
-       position — the drift cache (:meth:`CrowdState.committed_vgl`).
-       Within a sweep each electron is visited exactly once, so its
-       committed orbitals cannot change before its visit and the cache
-       never goes stale.  A crowd measurement
-       (:class:`repro.qmc.estimators.CrowdLocalEnergy`) evaluates the
-       same block at the same positions, so a sweep that follows one
-       takes it over instead of evaluating it again.
+    0. the drift cache: the orbital ``(g, lap)`` of every walker's every
+       committed electron position (:meth:`CrowdState.committed_vgl`),
+       resident in the crowd like the rest of its state.  Only a crowd's
+       first sweep evaluates it, with ONE ``vgl_batch`` over all those
+       positions; after that each accepted move writes its trial rows
+       into it (step 4), so it always holds the committed orbitals and
+       a crowd measurement
+       (:class:`repro.qmc.estimators.CrowdLocalEnergy`) reads it without
+       a kernel call.  Rows are bitwise independent of the batch they
+       were evaluated in, so the block equals a fresh evaluation.
     for each electron index e:
         1. drift for all walkers: stacked determinant gradients over the
            cache plus Jastrow gradients from the resident radial rows;
@@ -39,8 +41,9 @@ for each sweep:
         3. stacked determinant ratios and trial gradients, then each
            walker's Metropolis decision from its own stream;
         4. ONE masked row-wise commit of every accepted walker: the
-           Sherman-Morrison update, table rows and columns, u-sums and
-           radial rows.  No per-walker staging or accept call runs.
+           Sherman-Morrison update, table rows and columns, u-sums,
+           radial rows and the drift cache's ``(g, lap)`` rows.  No
+           per-walker staging or accept call runs.
 
 Bit-identity with the per-walker path is a hard invariant, not an
 aspiration.  Every contraction the per-walker path does with ``@`` is a
@@ -200,9 +203,14 @@ class CrowdState:
     committed_vgl:
         Optional ``(g (nw, ne, 3, N), lap (nw, ne, N))`` measured at the
         walkers' current positions (a handed-over
-        :meth:`committed_vgl`); the first sweep then skips its drift
-        cache evaluation.  Rows are bitwise independent of the batch
-        they were evaluated in, so they may come from another crowd.
+        :meth:`committed_vgl`); the crowd then never evaluates its drift
+        cache.  Rows are bitwise independent of the batch they were
+        evaluated in, so they may come from another crowd.  The crowd
+        takes the arrays over and writes accepted moves into them.
+
+    Moving a walker's positions by any route other than
+    :func:`batched_sweep` (``load_positions``, say) leaves the block
+    stale: build a new crowd afterwards.
     """
 
     def __init__(
@@ -345,11 +353,12 @@ class CrowdState:
     def committed_vgl(self) -> tuple[np.ndarray, np.ndarray]:
         """Orbital gradients and Laplacians at every committed position.
 
-        ``(g (nw, ne, 3, N), lap (nw, ne, N))`` from ONE ``vgl_batch``
-        over the whole crowd, kept until a sweep moves the walkers.  It
-        is both the sweep's drift cache and the crowd estimator's
-        determinant input, so a measurement followed by a sweep
-        evaluates it once.
+        ``(g (nw, ne, 3, N), lap (nw, ne, N))``, resident in the crowd:
+        the first call (or a crowd's first sweep) evaluates it with ONE
+        ``vgl_batch`` over the whole crowd, and from then on every
+        accepted move writes its trial rows into it.  It is both the
+        sweep's drift cache and the crowd estimator's determinant input,
+        so a crowd pays for it once, not once per sweep or measurement.
         """
         if self._committed_vgl is None:
             _, g, lap = self.spos.vgl_batch(self.positions.reshape(-1, 3))
@@ -363,39 +372,47 @@ class CrowdState:
 
     # -- batched distance rows ------------------------------------------------
 
-    def _ion_frac(self):
-        """The walkers' ion fractional coordinates, stacked for the fast
-        row path (ions stay put through a sweep)."""
-        if not self._fast:
-            return None
-        return np.stack([wf.ei_table._src_frac for wf in self.wfs])
+    def _sources_frac(self):
+        """Fast row path: every walker's ion and electron fractional
+        coordinates ``(nw, 3, m)``, converted once per sweep.
 
-    def _minimal_image(self, wrapped: np.ndarray, src: np.ndarray):
+        Ions stay put through a sweep; :func:`batched_sweep` rewrites an
+        accepted walker's electron column with its trial's coordinates.
+        The orthorhombic inverse lattice is diagonal, so a position's
+        fractional bits do not depend on the batch it is converted in.
+        """
+        if not self._fast:
+            return None, None
+        ions = np.stack([wf.ei_table._src_frac for wf in self.wfs])
+        nw, ne = self.n_walkers, self.n_electrons
+        frac = self.cell.cart_to_frac(self.positions.reshape(-1, 3))
+        electrons = frac.reshape(nw, ne, 3).transpose(0, 2, 1)
+        return ions, np.ascontiguousarray(electrons)
+
+    def _minimal_image(self, frac: np.ndarray, src: np.ndarray):
         """Orthorhombic minimal-image ``(dist (nw, m), disp (nw, 3, m))``
-        from each walker's trial position to its ``(3, m)`` fractional
-        sources: the soa table's row math, vectorised over the crowd."""
-        dfrac = self.cell.cart_to_frac(wrapped)[:, :, np.newaxis] - src
+        from each walker's trial position (fractional, ``(nw, 3)``) to its
+        ``(3, m)`` fractional sources: the soa table's row math,
+        vectorised over the crowd."""
+        dfrac = frac[:, :, np.newaxis] - src
         dfrac -= np.round(dfrac)
         disp = dfrac * np.diag(self.cell.lattice)[np.newaxis, :, np.newaxis]
         return np.sqrt(disp[:, 0] ** 2 + disp[:, 1] ** 2 + disp[:, 2] ** 2), disp
 
-    def _rows_ei(self, wrapped: np.ndarray, ion_frac):
+    def _rows_ei(self, wrapped: np.ndarray, frac, ion_frac):
         """Trial ion->electron rows ``(dist, disp)`` for the whole crowd:
         one vectorised minimal-image computation on the fast path, else
         each table's own ``_compute_row``."""
         if self._fast:
-            return self._minimal_image(wrapped, ion_frac)
+            return self._minimal_image(frac, ion_frac)
         rows = [wf.ei_table._compute_row(wrapped[w]) for w, wf in enumerate(self.wfs)]
         dist = np.stack([dist for _, dist in rows])
         return dist, np.stack([disp for disp, _ in rows])
 
-    def _rows_ee(self, wrapped: np.ndarray, e: int):
+    def _rows_ee(self, wrapped: np.ndarray, e: int, frac, el_frac):
         """Trial electron-electron rows (self entry zeroed, as propose_row)."""
         if self._fast:
-            nw, ne = self.n_walkers, self.n_electrons
-            frac = self.cell.cart_to_frac(self.positions.reshape(-1, 3))
-            src = frac.reshape(nw, ne, 3).transpose(0, 2, 1)  # (nw, 3, ne)
-            dist, disp = self._minimal_image(wrapped, src)
+            dist, disp = self._minimal_image(frac, el_frac)
             dist[:, e] = 0.0
             disp[:, :, e] = 0.0
             return dist, disp
@@ -411,12 +428,20 @@ class CrowdState:
 
     # -- the masked commit ----------------------------------------------------
 
-    def _commit(self, ia, e, wrapped, v, det_ratio, ee_rows, ei_rows, trials) -> None:
+    def _commit(
+        self, ia, e, wrapped, trial_vgl, det_ratio, ee_rows, ei_rows, trials
+    ) -> None:
         """Electron ``e``'s trial state becomes committed for the accepted
         walkers ``ia``: every update the per-walker ``accept_move`` makes,
-        as one masked row-wise write per array."""
+        as one masked row-wise write per array, plus the trial orbital
+        ``(g, lap)`` rows into the resident drift cache."""
         spin, row = divmod(e, self.spos.n_orbitals)
+        v, g, lap = trial_vgl
         self._R[ia, :, e] = wrapped[ia]
+        if self._committed_vgl is not None:
+            cache_g, cache_lap = self._committed_vgl
+            cache_g[ia, e] = g[ia]
+            cache_lap[ia, e] = lap[ia]
         # Sherman-Morrison, DiracDeterminant.accept_move's operations.
         r = det_ratio[ia]
         u = v[ia]
@@ -468,14 +493,11 @@ def batched_sweep(
     sqrt_tau = np.sqrt(tau)
 
     if use_drift:
-        # Drift cache: the committed-position VGL, one batched call (or
-        # the block a measurement at these positions left).  Valid for
-        # the whole sweep — electron e's committed orbitals can only
-        # change when e itself moves, and each e is visited once.
+        # Drift cache: the resident committed-position VGL (one batched
+        # call on a crowd's first sweep).  Electron e's row changes only
+        # when e itself moves, after its drift has been read.
         cache_g, _ = state.committed_vgl()
-    # The walkers move from here on.
-    state._committed_vgl = None
-    ion_frac = state._ion_frac()
+    ion_frac, el_frac = state._sources_frac()
 
     for e in range(ne):
         spin, row = divmod(e, n)
@@ -500,10 +522,12 @@ def batched_sweep(
         # 2. one batched orbital call, batched rows, one radial
         # evaluation per Jastrow factor at the trials.
         wrapped = state.cell.wrap_cart(r_new)
-        v, g, _ = state.spos.vgl_batch(wrapped)
+        trial_vgl = state.spos.vgl_batch(wrapped)
+        v, g, _ = trial_vgl
         state.n_batched_calls += 1
-        ee_rows = state._rows_ee(wrapped, e)
-        ei_rows = state._rows_ei(wrapped, ion_frac)
+        frac = state.cell.cart_to_frac(wrapped) if state._fast else None
+        ee_rows = state._rows_ee(wrapped, e, frac, el_frac)
+        ei_rows = state._rows_ei(wrapped, frac, ion_frac)
 
         # 3. stacked ratios and trial gradients in the per-walker order:
         # ratio = (det * j1) * j2, grad = (det + j1) + j2.
@@ -543,7 +567,11 @@ def batched_sweep(
 
         # 4. one masked commit of every accepted walker.
         if ia.size:
-            state._commit(ia, e, wrapped, v, det_ratio, ee_rows, ei_rows, trials)
+            state._commit(
+                ia, e, wrapped, trial_vgl, det_ratio, ee_rows, ei_rows, trials
+            )
+            if el_frac is not None:
+                el_frac[ia, :, e] = frac[ia]
             state.accepts[ia] += 1
             accepted += ia.size
 

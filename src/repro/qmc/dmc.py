@@ -65,11 +65,12 @@ __all__ = ["DmcWalker", "DmcResult", "run_dmc", "build_dmc_ensemble"]
 class DmcWalker:
     """One DMC walker: wavefunction state + stream + bookkeeping.
 
-    ``committed_vgl`` is the walker's own copy of the orbital
-    ``(g (ne, 3, N), lap (ne, N))`` its last crowd measurement evaluated
-    at its current positions — the next sweep's drift cache.
-    :func:`run_dmc` sets it after measuring and the next sweep consumes
-    it; a run never takes one it did not measure itself.
+    ``committed_vgl`` is the walker's own copy of its crowd's resident
+    orbital block ``(g (ne, 3, N), lap (ne, N))`` at its current
+    positions: the block the last sweep kept current and the crowd
+    measurement read, and the next generation's drift cache.
+    :func:`run_dmc` sets it after measuring and the next generation's
+    crowd takes it over; a run never takes one it did not set itself.
     """
 
     wf: SlaterJastrow
@@ -195,9 +196,10 @@ class _LiveExecutor:
     freed once no walker views them.  By default each crowd is measured
     in one batched pass (:class:`~repro.qmc.estimators.CrowdLocalEnergy`)
     right after its sweep — the initial measurement on the loop's first
-    ask — and every walker keeps a copy of its measured
-    ``committed_vgl``, which branching hands to clones and the next
-    sweep takes as its drift cache.  With an ``estimator_factory`` each
+    ask — and every walker keeps a copy of its row of the crowd's
+    resident ``committed_vgl``, which branching hands to clones and the
+    next generation's crowd takes over, so after the initial
+    measurement no crowd evaluates the block again.  With an ``estimator_factory`` each
     walker is measured alone, when the loop asks, in walker order.
     """
 

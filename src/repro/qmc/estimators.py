@@ -15,9 +15,9 @@ one walker, one electron at a time; it is the per-walker oracle, and the
 only one that carries a nonlocal pseudopotential (the profiled miniQMC
 app measures through it).  :class:`CrowdLocalEnergy` measures a whole
 :class:`~repro.qmc.batched_step.CrowdState` in one batched pass from the
-crowd's resident state — one ``vgl_batch`` over every committed
-position, the cached Jastrow radial rows — and is what the production
-drivers use.  Its result is bitwise equal to
+crowd's resident state — the orbital block of every committed position
+the sweeps keep current, the cached Jastrow radial rows — and is what
+the production drivers use.  Its result is bitwise equal to
 ``LocalEnergy(wf, ion_charge).total()`` per walker.
 """
 
@@ -154,9 +154,11 @@ class CrowdLocalEnergy:
 
     The measurement stage of production VMC/DMC, read from the crowd's
     resident state.  Per-position set-up is paid once for the crowd
-    instead of once per electron per walker: ONE ``vgl_batch`` over
-    every committed position (:meth:`CrowdState.committed_vgl`, which
-    the next sweep reuses as its drift cache), one stacked ``np.matmul``
+    instead of once per electron per walker: the orbital ``(g, lap)`` of
+    every committed position (:meth:`CrowdState.committed_vgl`, the
+    sweep's resident drift cache, so a measurement after a sweep makes
+    no kernel call; ONE ``vgl_batch`` when the crowd has not swept yet),
+    one stacked ``np.matmul``
     per spin against the inverses' columns, and the Jastrow terms from
     the resident radial rows over the whole ``(nw, ne, m)`` tables — no
     radial is evaluated.

@@ -84,7 +84,8 @@ def run_vmc(
     The walker advances through the batched population-step kernels
     (:mod:`repro.qmc.batched_step`) as a crowd of one, and is measured by
     the crowd estimator (:class:`~repro.qmc.estimators.CrowdLocalEnergy`),
-    whose orbital block the next sweep reuses as its drift cache.
+    which reads the orbital block the sweeps keep resident: after the
+    first sweep, measuring makes no kernel call.
 
     Parameters
     ----------

@@ -11,14 +11,17 @@ paper's one-table-many-readers memory model, promoted to service
 scope).
 
 The cache is a plain LRU: when a ``capacity+1``-th distinct system
-arrives, the least-recently-served table's segment is unlinked and its
-name is queued for workers to detach lazily (workers drop their mapping
-at the next request they serve — a POSIX segment stays readable for
-existing mappings after unlink, so an in-flight batch is never yanked).
+arrives, the least-recently-served table leaves it.  A request pins the
+table it reads (``pin(name)`` ... ``unpin(name)``) until it is
+answered; an evicted table nobody pins is unlinked at once, a pinned
+one when its last pin goes, so a worker never has to attach a segment
+that is already gone.  Unlinked names are queued for workers to detach
+lazily (workers drop their mapping at the next request they serve).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 import numpy as np
@@ -87,8 +90,16 @@ class TableCache:
 
     ``get`` returns the picklable segment spec workers attach by; a miss
     solves the table (the only expensive step) and may evict the
-    least-recently-used entry, whose segment *name* is returned to the
-    caller via ``drain_evicted`` so workers can be told to detach.
+    least-recently-used entry.  An evicted table that is still pinned
+    stays *retired* (linked, out of the LRU) until its last ``unpin``,
+    and a request for its system takes it back without a solve.  Every
+    unlinked segment's *name* is returned via ``drain_evicted`` so
+    workers can be told to detach.
+
+    ``get`` may run in an executor thread while ``unpin`` runs on the
+    event loop, so the bookkeeping is under a lock (the solve is not).
+    Misses are not deduplicated: callers serialize them, as the
+    server's cache lock does.
     """
 
     def __init__(self, capacity: int = 8):
@@ -96,7 +107,10 @@ class TableCache:
             raise ValueError(f"table cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._tables: OrderedDict[SystemKey, SharedTable] = OrderedDict()
+        self._retired: dict[SystemKey, SharedTable] = {}
+        self._pins: dict[str, int] = {}
         self._evicted: list[str] = []
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._tables)
@@ -106,39 +120,71 @@ class TableCache:
 
     def get(self, key: SystemKey) -> dict:
         """The segment spec for ``key``, solving + caching on first use."""
-        table = self._tables.get(key)
+        with self._lock:
+            table = self._tables.get(key)
+            if table is None:
+                table = self._retired.pop(key, None)
         if table is None:
             table = SharedTable.create(solve_system_table(key))
-            self._tables[key] = table
             if OBS.enabled:
                 OBS.count("serve_table_builds_total")
+        with self._lock:
+            self._tables[key] = table
+            self._tables.move_to_end(key)
             while len(self._tables) > self.capacity:
-                _, lru = self._tables.popitem(last=False)
-                self._evicted.append(lru.name)
-                lru.close()
-                try:
-                    lru.unlink()
-                except FileNotFoundError:
-                    pass  # already gone; removal was the goal
+                lru_key, lru = self._tables.popitem(last=False)
+                if lru.name in self._pins:
+                    self._retired[lru_key] = lru
+                else:
+                    self._unlink(lru)
                 if OBS.enabled:
                     OBS.count("serve_table_evictions_total")
-        self._tables.move_to_end(key)
-        if OBS.enabled:
-            OBS.gauge("serve_tables_cached", len(self._tables))
-        return table.spec
+            if OBS.enabled:
+                OBS.gauge("serve_tables_cached", len(self._tables))
+            return table.spec
+
+    def pin(self, name: str) -> None:
+        """Keep segment ``name`` (a spec :meth:`get` just returned)
+        linked until a matching :meth:`unpin`, even if evicted."""
+        with self._lock:
+            self._pins[name] = self._pins.get(name, 0) + 1
+
+    def unpin(self, name: str) -> None:
+        """Drop one pin of segment ``name``; a retired table whose last
+        pin this was is unlinked now."""
+        with self._lock:
+            left = self._pins[name] - 1
+            if left:
+                self._pins[name] = left
+                return
+            del self._pins[name]
+            for key, table in self._retired.items():
+                if table.name == name:
+                    del self._retired[key]
+                    self._unlink(table)
+                    return
+
+    def _unlink(self, table: SharedTable) -> None:
+        self._evicted.append(table.name)
+        table.close()
+        try:
+            table.unlink()
+        except FileNotFoundError:
+            pass  # already gone; removal was the goal
 
     def drain_evicted(self) -> list[str]:
-        """Segment names evicted since the last drain (for worker
+        """Segment names unlinked since the last drain (for worker
         detach broadcasts); clears the pending list."""
-        evicted, self._evicted = self._evicted, []
+        with self._lock:
+            evicted, self._evicted = self._evicted, []
         return evicted
 
     def close(self) -> None:
-        """Unlink every owned segment (server shutdown)."""
-        while self._tables:
-            _, table = self._tables.popitem(last=False)
-            table.close()
-            try:
-                table.unlink()
-            except FileNotFoundError:
-                pass  # already gone; removal was the goal
+        """Unlink every owned segment, retired ones too (server shutdown)."""
+        with self._lock:
+            tables = [*self._tables.values(), *self._retired.values()]
+            self._tables.clear()
+            self._retired.clear()
+            self._pins.clear()
+            for table in tables:
+                self._unlink(table)

@@ -131,6 +131,8 @@ class QmcServer:
         self._backend_names: dict[str, str] = {}
         self._cache = TableCache(config.table_cache)
         self._cache_lock = asyncio.Lock()
+        # Specs of the tables still linked: cached, or evicted while a
+        # request pins them (see _table_spec / _unpin_table).
         self._table_specs: dict[str, dict] = {}
         self._pool: ProcessCrowdPool | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -557,7 +559,10 @@ class QmcServer:
     # -- shared helpers ------------------------------------------------------
 
     async def _table_spec(self, key: SystemKey) -> dict:
-        """The shared-segment spec for ``key``, solving at most once.
+        """The shared-segment spec for ``key``, solving at most once,
+        pinned: the caller must :meth:`_unpin_table` its name once the
+        request is answered (the segment stays linked until then, even
+        if the LRU evicts it meanwhile).
 
         A cached table is answered here on the event loop: one LRU touch,
         no executor hop.  A miss takes the lock and solves in the
@@ -566,19 +571,36 @@ class QmcServer:
         both solve it).  The executor calls ``TableCache.get`` only under
         the lock, so the hit path never runs while a thread is inside it.
         """
+        # Pinned before any await: only a miss evicts, and every miss
+        # runs under the cache lock, so the table is still linked.
         if not self._cache_lock.locked() and key in self._cache:
-            return self._cache.get(key)
+            spec = self._cache.get(key)
+            self._cache.pin(spec["name"])
+            return spec
         async with self._cache_lock:
             if key in self._cache:  # solved while this request waited
-                return self._cache.get(key)
-            spec = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self._cache.get, key
-            )
-            self._table_specs[spec["name"]] = spec
-            for name in self._cache.drain_evicted():
-                for releases in self._pending_release.values():
-                    releases.append(name)
+                spec = self._cache.get(key)
+            else:
+                spec = await asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._cache.get, key
+                )
+                self._table_specs[spec["name"]] = spec
+                self._forget_unlinked()
+            self._cache.pin(spec["name"])
         return spec
+
+    def _unpin_table(self, name: str) -> None:
+        """A request on table ``name`` is answered: drop its pin."""
+        self._cache.unpin(name)
+        self._forget_unlinked()
+
+    def _forget_unlinked(self) -> None:
+        """Unlinked segments leave ``_table_specs``, and every worker is
+        told to detach them with its next call."""
+        for name in self._cache.drain_evicted():
+            self._table_specs.pop(name, None)
+            for releases in self._pending_release.values():
+                releases.append(name)
 
     async def _lease_worker(self):
         worker = await self._worker_gate.get()
@@ -635,12 +657,15 @@ class QmcServer:
         backend = self._resolve_request_backend(req.get("backend"))
         positions = self._parse_positions(req.get("positions"))
         spec = await self._table_spec(key)
-        batch_key = (spec["name"], kind.value, backend, key.grid_shape)
-        future = asyncio.get_running_loop().create_future()
-        self._batcher.submit(
-            batch_key, BatchItem(tenant, positions, future)
-        )
-        streams, meta = await future
+        try:
+            batch_key = (spec["name"], kind.value, backend, key.grid_shape)
+            future = asyncio.get_running_loop().create_future()
+            self._batcher.submit(
+                batch_key, BatchItem(tenant, positions, future)
+            )
+            streams, meta = await future
+        finally:
+            self._unpin_table(spec["name"])
         result = {
             "kind": kind.value,
             "streams": {
@@ -800,13 +825,16 @@ class QmcServer:
                 req, "ion_charge", 0.0, 100.0, 4.0
             ),
         }
-        kwargs["table_spec"] = await self._table_spec(key)
-        worker, release = await self._lease_worker()
-        kwargs["release"] = release
+        kwargs["table_spec"] = spec = await self._table_spec(key)
         try:
-            out = await self._dispatch(worker, "run_vmc", kwargs)
+            worker, release = await self._lease_worker()
+            kwargs["release"] = release
+            try:
+                out = await self._dispatch(worker, "run_vmc", kwargs)
+            finally:
+                self._worker_gate.put_nowait(worker)
         finally:
-            self._worker_gate.put_nowait(worker)
+            self._unpin_table(spec["name"])
         result = {
             "energies": protocol.encode_array(out["energies"]),
             "accepted": int(out["accepted"]),

@@ -11,7 +11,7 @@ caches keyed by what requests actually touch —
   ``(segment name, backend name)`` — construction is cheap but not
   free, and a hot tenant system reuses its engine across batches.
 
-The parent's table cache evicts by LRU; evicted segment *names* ride
+The parent's table cache evicts by LRU; unlinked segment *names* ride
 along with the next batch dispatched to each worker (``release``), so
 mappings are dropped lazily without an extra broadcast round-trip.
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.basis import (
     BSPLINE_A,
@@ -10,6 +13,7 @@ from repro.core.basis import (
     bspline_all_weights,
     bspline_d2weights,
     bspline_dweights,
+    bspline_fused_weights,
     bspline_weights,
     bspline_weights_batch,
 )
@@ -137,3 +141,33 @@ class TestMatricesAndBatch:
     def test_batch_rejects_bad_order(self):
         with pytest.raises(ValueError, match="order"):
             bspline_weights_batch(np.array([0.5]), 3)
+
+
+_FRACTIONS = st.floats(0.0, 1.0, exclude_max=True)
+_BATCHES = st.one_of(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=_FRACTIONS),
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 9)),
+        elements=_FRACTIONS,
+    ),
+)
+
+
+class TestFusedWeights:
+    """One call for all three orders, bit for bit the per-order form."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=_BATCHES)
+    @example(t=np.array([0.0]))
+    @example(t=np.array([np.nextafter(1.0, 0.0)]))
+    @example(t=np.array([[0.0, np.nextafter(1.0, 0.0)], [0.5, 0.25]]))
+    def test_equals_per_order_reference_bitwise(self, t):
+        fused = bspline_fused_weights(t)
+        assert fused.shape == (3, 4) + t.shape
+        for order in range(3):
+            ref = np.moveaxis(bspline_weights_batch(t, order), -1, 0)
+            # Integer views compare the sign of zero too.
+            np.testing.assert_array_equal(
+                fused[order].view(np.int64), ref.view(np.int64)
+            )

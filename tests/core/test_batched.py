@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BsplineBatched, BsplineFused, Grid3D
+from repro.core.basis import bspline_weights_batch
 from repro.core.batched import BatchedOutput
 
 
@@ -334,3 +335,29 @@ class TestEvaluateDispatch:
             np.testing.assert_array_equal(
                 getattr(single, stream), getattr(batch, stream)
             )
+
+
+class TestLocateWeights:
+    """The fused weight block equals the per-axis, per-order formula."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_per_axis_reference(self, small_grid, dtype):
+        rng = np.random.default_rng(12)
+        table = rng.standard_normal(small_grid.shape + (5,)).astype(dtype)
+        engine = BsplineBatched(small_grid, table)
+        positions = rng.random((13, 3)) * 3.0 - 1.0
+        positions[0] = 0.0
+        base, weights = engine._locate_weights(positions)
+        _, frac = small_grid.locate_batch(positions)
+        for axis, triple in enumerate(weights):
+            inv = small_grid.inv_deltas[axis]
+            scale = (None, engine.dtype.type(inv), engine.dtype.type(inv * inv))
+            for order, got in enumerate(triple):
+                want = bspline_weights_batch(frac[:, axis], order).astype(dtype)
+                if scale[order] is not None:
+                    want = want * scale[order]
+                assert got.dtype == dtype and got.shape == (13, 4)
+                assert got.flags.c_contiguous
+                np.testing.assert_array_equal(
+                    got.view(np.uint8), want.view(np.uint8)
+                )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import CubicBspline1D
+from repro.core.basis import bspline_weights_batch
 
 
 class TestInterpolation:
@@ -71,3 +72,34 @@ class TestDerivatives:
         )
         r = np.linspace(0.05, 1.4, 20)
         np.testing.assert_allclose(sp.evaluate(r), np.cos(r), atol=5e-4)
+
+
+class TestFusedVgl:
+    """``evaluate_vgl`` gathers once and combines all orders in one
+    broadcast, with the bits of three per-order ``_combine`` calls."""
+
+    @pytest.mark.parametrize("shape", [(40,), (4, 10)])
+    def test_equals_three_call_form_bitwise(self, shape):
+        sp = CubicBspline1D.fit_function(
+            lambda r: np.exp(-r) * (1.0 - r / 2.0) ** 2,
+            2.0, n_knots=10, bc="clamped", deriv0=-0.5,
+        )
+        r = np.random.default_rng(3).random(shape) * 3.0  # a third beyond rcut
+        r.flat[:4] = [0.0, 2.0, np.nextafter(2.0, 0.0), 2.5]
+        i, t, inside = sp._locate(r)
+        ref = [
+            sp._combine(i, bspline_weights_batch(t, 0)),
+            sp._combine(i, bspline_weights_batch(t, 1)) * sp.inv_delta,
+            sp._combine(i, bspline_weights_batch(t, 2)) * sp.inv_delta**2,
+        ]
+        assert (~inside).any() and inside.any()
+        for got, want in zip(sp.evaluate_vgl(r), ref):
+            np.testing.assert_array_equal(got, np.where(inside, want, 0.0))
+
+    def test_scalar_matches_array(self):
+        sp = CubicBspline1D(np.arange(6.0), rcut=1.0)
+        for r in (0.3, 1.5):
+            scalar = sp.evaluate_vgl(r)
+            batch = sp.evaluate_vgl(np.array([r]))
+            for a, b in zip(scalar, batch):
+                assert np.ndim(a) == 0 and a == b[0]

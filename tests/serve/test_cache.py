@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -104,6 +107,97 @@ class TestTableCache:
             with pytest.raises(FileNotFoundError):
                 SharedTable.attach(spec)
         assert len(cache) == 0
+
+    def test_pinned_eviction_stays_linked_until_unpinned(self, shm_sentinel):
+        cache = TableCache(capacity=1)
+        try:
+            spec_a = cache.get(self.KEY_A)
+            cache.pin(spec_a["name"])
+            cache.get(self.KEY_B)  # evicts A, which a request still pins
+            assert self.KEY_A not in cache
+            assert cache.drain_evicted() == []
+            with SharedTable.attach(spec_a) as view:  # still linked
+                np.testing.assert_array_equal(
+                    view.array, solve_system_table(self.KEY_A)
+                )
+            cache.unpin(spec_a["name"])
+            assert cache.drain_evicted() == [spec_a["name"]]
+            with pytest.raises(FileNotFoundError):
+                SharedTable.attach(spec_a)
+        finally:
+            cache.close()
+
+    def test_retired_table_is_taken_back_without_a_solve(self, shm_sentinel):
+        cache = TableCache(capacity=1)
+        try:
+            name_a = cache.get(self.KEY_A)["name"]
+            cache.pin(name_a)
+            name_b = cache.get(self.KEY_B)["name"]  # retires A
+            cache.pin(name_b)
+            assert cache.get(self.KEY_A)["name"] == name_a  # retires B
+            cache.unpin(name_a)
+            assert cache.drain_evicted() == []  # A is cached again
+            cache.unpin(name_b)
+            assert cache.drain_evicted() == [name_b]
+        finally:
+            cache.close()
+
+    def test_close_unlinks_retired_tables(self, shm_sentinel):
+        cache = TableCache(capacity=1)
+        spec_a = cache.get(self.KEY_A)
+        cache.pin(spec_a["name"])
+        cache.get(self.KEY_B)
+        cache.close()
+        with pytest.raises(FileNotFoundError):
+            SharedTable.attach(spec_a)
+
+    def test_pins_hold_under_concurrent_unpins(self, shm_sentinel):
+        """Four threads pin and unpin three tables while the main thread
+        keeps evicting and taking them back: no pin count may lose an
+        update, and once the last pins go, every table but the cached
+        one is unlinked exactly once."""
+        cache = TableCache(capacity=1)
+        keys = (self.KEY_A, self.KEY_B, self.KEY_C)
+        names = []
+        for key in keys:  # a held pin each: evicted tables stay retired
+            names.append(cache.get(key)["name"])
+            cache.pin(names[-1])
+        errors: list[BaseException] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def hammer(i: int) -> None:
+                try:
+                    for j in range(i, i + 20000):
+                        cache.pin(names[j % 3])
+                        cache.unpin(names[j % 3])
+                except BaseException as exc:  # reported below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=hammer, args=(i,)) for i in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            i = 0
+            while any(thread.is_alive() for thread in threads):
+                assert cache.get(keys[i % 3])["name"] == names[i % 3]
+                i += 1
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not errors, errors[:1]
+            assert cache._pins == dict.fromkeys(names, 1)
+            for name in names:
+                cache.unpin(name)
+            cached = cache._tables[keys[(i - 1) % 3]].name
+            assert sorted(cache.drain_evicted()) == sorted(set(names) - {cached})
+            assert not cache._pins and not cache._retired
+        finally:
+            cache.close()
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):

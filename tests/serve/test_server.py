@@ -515,6 +515,64 @@ class TestLifecycle:
             assert evictions and evictions[0] >= 3
         server.stop()
 
+    def test_eviction_waits_for_batches_in_flight(
+        self, make_server, shm_sentinel
+    ):
+        """Three tenants pipeline 30 one-position evals each, of three
+        systems, through a one-entry cache: a table evicted while its
+        batches wait in the window stays linked until they are answered,
+        so every request succeeds, and only linked tables keep a spec."""
+        server = make_server(table_cache=1, workers=1)
+        systems = [dict(TINY_SYSTEM, grid_shape=[g, g, g]) for g in (8, 9, 10)]
+        positions = [np.random.default_rng(40 + i).random((30, 3)) for i in range(3)]
+        replies: list = [None] * 3
+        spec_counts: list[int] = []
+        done = threading.Event()
+
+        def tenant(i: int) -> None:
+            with ServeClient(server.address, tenant=f"t{i}") as client:
+                for k in range(30):
+                    client._file.write(protocol.encode_line({
+                        "id": k, "op": "eval", "kind": "vgh",
+                        "tenant": f"t{i}", "system": systems[i],
+                        "positions": protocol.encode_array(positions[i][k:k + 1]),
+                    }))
+                client._file.flush()
+                replies[i] = [json.loads(client._file.readline()) for _ in range(30)]
+
+        def watch() -> None:
+            while not done.is_set():
+                spec_counts.append(len(server.server._table_specs))
+                time.sleep(0.0005)
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        tenants = [threading.Thread(target=tenant, args=(i,)) for i in range(3)]
+        for thread in tenants:
+            thread.start()
+        for thread in tenants:
+            thread.join(timeout=120)
+        done.set()
+        watcher.join()
+        for i, answers in enumerate(replies):
+            assert answers is not None and len(answers) == 30
+            assert all(r["ok"] for r in answers), [
+                r["error"] for r in answers if not r["ok"]
+            ][:2]
+            reference = direct_eval(systems[i], Kind.VGH, positions[i])
+            for r in answers:
+                k = r["id"]
+                for name, arr in r["result"]["streams"].items():
+                    np.testing.assert_array_equal(
+                        protocol.decode_array(arr), reference[name][k:k + 1]
+                    )
+        # At most one linked table per system at any moment; once every
+        # batch is answered, only the cached one.
+        assert max(spec_counts) <= 3
+        cache = server.server._cache
+        assert len(server.server._table_specs) == len(cache) == 1
+        server.stop()
+
     def test_graceful_drain_finishes_inflight_work(self, make_server):
         """A request racing shutdown either completes normally or is
         refused with ``draining`` — never dropped on the floor."""
