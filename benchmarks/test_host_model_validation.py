@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit
-from repro.core import BsplineFused, Grid3D
+from repro.core import BsplineFused, Grid3D, Kind
 from repro.hwsim.hostcal import predict_fused_vgh_seconds, profile_host
 from repro.perf import format_table
 
@@ -30,7 +30,7 @@ def test_host_first_principles_prediction(benchmark):
     for n in (128, 512, 2048):
         P = rng.standard_normal((16, 16, 16, n)).astype(np.float32)
         eng = BsplineFused(grid, P)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         positions = grid.random_positions(16, rng)
         best = float("inf")
         for _ in range(3):

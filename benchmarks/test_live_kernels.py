@@ -14,6 +14,7 @@ from repro.core import (
     BsplineFused,
     BsplineSoA,
     Grid3D,
+    Kind,
 )
 
 N_SPLINES = 128
@@ -41,7 +42,7 @@ ENGINES = {
 def test_kernel_eval(benchmark, setup, engine, kernel):
     grid, P, positions = setup
     eng = ENGINES[engine](grid, P)
-    out = eng.new_output(kernel)
+    out = eng.new_output(Kind(kernel))
     kern = getattr(eng, kernel)
 
     def run():
@@ -57,7 +58,7 @@ def test_kernel_eval(benchmark, setup, engine, kernel):
 def test_tiled_vgh(benchmark, setup, tile_size):
     grid, P, positions = setup
     eng = BsplineAoSoA(grid, P, tile_size)
-    out = eng.new_output("vgh")
+    out = eng.new_output(Kind.VGH)
 
     def run():
         for x, y, z in positions:

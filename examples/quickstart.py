@@ -21,6 +21,7 @@ from repro.core import (
     BsplineFused,
     BsplineSoA,
     Grid3D,
+    Kind,
     solve_coefficients_3d,
 )
 from repro.lattice import Cell, PlaneWaveOrbitalSet
@@ -53,7 +54,7 @@ def main():
     reference = None
     print(f"\n{'engine':24s} {'ms/32 evals':>12s} {'max|dv| vs AoS':>16s}")
     for name, eng in engines.items():
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         t0 = time.perf_counter()
         for x, y, z in positions:
             eng.vgh(x, y, z, out)

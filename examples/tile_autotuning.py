@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Tile-size selection: measured wisdom on this host, modelled on paper HW.
+"""Tile-size selection: measured on this host, modelled on paper HW.
 
 The paper (Sec. VI) plans "an auto-tuning capability using miniQMC to
 guide the production runs similar to FFTW's solution using wisdom files".
 This example does both halves:
 
-1. **live** — run the measurement-based auto-tuner on this host and
-   persist the result to a wisdom file;
+1. **live** — run the measurement-based auto-tuner on this host (the
+   batched engine's persisted tuning lives in ``repro.tune``'s TuneDB,
+   driven by ``python -m repro tune run``);
 2. **model** — ask the calibrated hardware model for the optimal Nb on
    each of the paper's four machines, reproducing Fig. 7(c)'s peaks
    (BDW 64, KNC/KNL 512, BG/Q ~64) and the working-set reasons for them.
@@ -14,12 +15,9 @@ This example does both halves:
 Run:  python examples/tile_autotuning.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
-from repro.core import Grid3D, Wisdom, autotune_tile_size
+from repro.core import Grid3D, autotune_tile_size
 from repro.hwsim import (
     MACHINES,
     BsplinePerfModel,
@@ -39,12 +37,6 @@ def live_half() -> None:
     for nb, secs in sorted(timings.items()):
         marker = "  <-- winner" if nb == best else ""
         print(f"  Nb={nb:4d}: {secs * 1e3:8.2f} ms/batch{marker}")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        wisdom = Wisdom(Path(tmp) / "wisdom.json")
-        wisdom.record("vgh", 128, 16**3, best)
-        again = Wisdom(Path(tmp) / "wisdom.json")
-        print(f"  persisted + recalled: Nb = {again.lookup('vgh', 128, 16 ** 3)}")
     print("  (host optimum reflects Python per-tile dispatch, not caches)\n")
 
 

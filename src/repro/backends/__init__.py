@@ -20,9 +20,10 @@ Built-in backends:
   allclose tier.
 
 Selection: ``BsplineBatched(..., backend=...)`` /
-``SplineOrbitalSet(..., backend=...)`` / ``CrowdSpec(backend=...)`` /
-``--backend {auto,numpy,numba,cc}`` on both CLIs, with the
-``REPRO_BACKEND`` environment variable as the default override.  See
+``RunConfig(backend=...)`` (passed as ``config=`` to the QMC and
+miniQMC entry points) / ``--backend {auto,numpy,numba,cc}`` on both
+CLIs, with the ``REPRO_BACKEND`` environment variable as the default
+override.  See
 :func:`resolve_backend` for the exact policy and ``docs/API.md``
 ("Choose a kernel backend") for the user-facing story.
 """
@@ -52,7 +53,6 @@ from repro.backends.registry import (
     resolve_backend,
     unregister_backend,
 )
-from repro.backends.stub import StubDeviceBackend
 
 __all__ = [
     "AUTO_ORDER",
@@ -65,7 +65,6 @@ __all__ = [
     "KernelBackend",
     "NumbaBackend",
     "NumpyBackend",
-    "StubDeviceBackend",
     "TIER_ALLCLOSE",
     "TIER_EXACT",
     "available_backends",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "TUNE_OFF",
     "TUNE_LOOKUP",
     "TUNE_SEARCH",
-    "deprecated_kwargs",
     "load_run_config",
 ]
 
@@ -373,23 +371,3 @@ def load_run_config(path) -> RunConfig:
         sorted((f, SOURCE_KWARG) for f in _ENV_VARS if data.get(f) is not None)
     )
     return dataclasses.replace(cfg, provenance=prov)
-
-
-def deprecated_kwargs(api: str, replacement: str = "config=RunConfig(...)", **used) -> None:
-    """Warn (exactly once per call) about deprecated kwarg spellings.
-
-    ``used`` maps old kwarg names to whether the caller actually passed
-    them; nothing happens when none were.  The kept-one-release shims
-    across the package all funnel through here so the message — and the
-    ``-W error::DeprecationWarning`` CI gate that keeps *internal*
-    callers honest — stays uniform.
-    """
-    passed = sorted(name for name, was_used in used.items() if was_used)
-    if not passed:
-        return
-    warnings.warn(
-        f"{api}: {', '.join(passed)} deprecated since PR9, "
-        f"use {replacement} instead (removed next release)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

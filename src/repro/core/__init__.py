@@ -61,7 +61,6 @@ from repro.core.tiling import (
     input_working_set_bytes,
     output_working_set_bytes,
     split_table,
-    Wisdom,
 )
 from repro.core.verify import (
     EngineCheck,
@@ -109,7 +108,6 @@ __all__ = [
     "autotune_tile_size",
     "input_working_set_bytes",
     "output_working_set_bytes",
-    "Wisdom",
     "verify_backend",
     "verify_engines",
     "VerifyReport",

@@ -383,44 +383,32 @@ class BsplineBatched:
                 source=plan.source,
             )
 
-    def new_output(
-        self, kind: "Kind | str | int" = Kind.VGH, n: int | None = None
-    ) -> BatchedOutput:
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> BatchedOutput:
         """Allocate outputs for a batch of ``n`` positions.
 
-        Preferred spelling is ``new_output(Kind.VGH, n=ns)``.  The
-        original positional spelling ``new_output(ns)`` (batch size as
-        the single argument) stays as a silent alias.  The buffer always
-        carries all four streams; ``kind`` is validated for API parity
-        with the single-position engines.
+        The buffer always carries all four streams; ``kind`` is validated
+        for API parity with the single-position engines.
         """
-        if isinstance(kind, (int, np.integer)):
-            if n is not None:
-                raise TypeError(
-                    "pass either new_output(n_positions) or "
-                    "new_output(kind, n=...), not both"
-                )
-            n = int(kind)
-        else:
-            Kind.coerce(kind)
-            n = 1 if n is None else int(n)
+        Kind.check(kind)
+        n = int(n)
         if n <= 0:
             raise ValueError(f"n_positions must be positive, got {n}")
         return BatchedOutput(n, self.n_splines, self.dtype)
 
     # -- unified Engine protocol ---------------------------------------------
 
-    def evaluate(self, kind: "Kind | str", pos, out: BatchedOutput) -> BatchedOutput:
+    def evaluate(self, kind: Kind, pos, out: BatchedOutput) -> BatchedOutput:
         """Evaluate one position through the batched kernels (batch of 1)."""
+        kernel = self._kernels[Kind.check(kind)]
         self._pos1[0] = pos
-        self._kernels[Kind.coerce(kind)](self._pos1, out)
+        kernel(self._pos1, out)
         return out
 
     def evaluate_batch(
-        self, kind: "Kind | str", positions, out: BatchedOutput
+        self, kind: Kind, positions, out: BatchedOutput
     ) -> BatchedOutput:
         """Evaluate ``(ns, 3)`` positions, retaining every position's result."""
-        self._kernels[Kind.coerce(kind)](positions, out)
+        self._kernels[Kind.check(kind)](positions, out)
         return out
 
     # -- shared plumbing -----------------------------------------------------

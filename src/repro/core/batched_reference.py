@@ -8,7 +8,8 @@ with a ghost-padded flat-index gather plus cache-sized position chunks
 and spline tiles; **every** optimized configuration must reproduce this
 path bit for bit (``np.testing.assert_array_equal``), which is what the
 hypothesis suite (``tests/core/test_padded_gather.py``) and the
-``benchmarks/bench_pr5.py`` gate check against this class.
+benchmark's kernel-vgh gate (``perfbench/workloads.py``) check against
+this class.
 
 Not part of the public API — an oracle and benchmark baseline only; it
 is deliberately untuned and allocates the full-batch temporary.
@@ -45,18 +46,15 @@ class ReferenceBatched:
         self.n_splines = coefficients.shape[3]
         self.dtype = coefficients.dtype
 
-    def new_output(self, kind=Kind.VGH, n: int | None = None) -> BatchedOutput:
-        if isinstance(kind, (int, np.integer)):
-            n = int(kind)
-        else:
-            Kind.coerce(kind)
-            n = 1 if n is None else int(n)
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> BatchedOutput:
+        Kind.check(kind)
+        n = int(n)
         if n <= 0:
             raise ValueError(f"n_positions must be positive, got {n}")
         return BatchedOutput(n, self.n_splines, self.dtype)
 
-    def evaluate_batch(self, kind, positions, out: BatchedOutput) -> BatchedOutput:
-        kind = Kind.coerce(kind)
+    def evaluate_batch(self, kind: Kind, positions, out: BatchedOutput) -> BatchedOutput:
+        kind = Kind.check(kind)
         getattr(self, f"{kind.value}_batch")(positions, out)
         return out
 

@@ -53,22 +53,21 @@ class SinglePositionEngineMixin:
     """
 
     def evaluate(self, kind, pos, out):
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
         x, y, z = np.asarray(pos, dtype=np.float64).reshape(3)
         getattr(self, kind.value)(float(x), float(y), float(z), out)
         return out
 
     def evaluate_batch(self, kind, positions, out):
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
         kernel = getattr(self, kind.value)
         for x, y, z in np.asarray(positions, dtype=np.float64).reshape(-1, 3):
             kernel(float(x), float(y), float(z), out)
         return out
 
-    def _coerce_new_output(self, kind, n: int) -> Kind:
+    def _check_new_output(self, kind, n: int) -> Kind:
         """Shared argument validation for single-position ``new_output``."""
-        # stacklevel 4: warn at the caller of new_output, two frames up.
-        kind = Kind.coerce(kind, stacklevel=4)
+        kind = Kind.check(kind)
         if n != 1:
             raise ValueError(
                 f"{type(self).__name__} allocates one-walker buffers "

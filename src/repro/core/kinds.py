@@ -1,63 +1,36 @@
 """Evaluation kinds: the paper's V/VGL/VGH kernel selector as an enum.
 
 Every engine entry point — ``new_output``, ``evaluate``, ``evaluate_batch``,
-:meth:`NestedEvaluator.evaluate`, and the miniqmc drivers — accepts a
-:class:`Kind`.  The legacy bare-string spelling (``"v"``, ``"vgl"``,
-``"vgh"``) keeps working through :meth:`Kind.coerce`, which emits a
-:class:`DeprecationWarning` attributed to the caller; CI escalates that
-warning to an error on the package's own modules so ``repro`` itself can
-never regress to the old spelling.
+:meth:`NestedEvaluator.evaluate` and the evaluators that wrap them — takes
+a :class:`Kind` member and raises :class:`TypeError` for anything else
+(:meth:`Kind.check`), before doing any work.  ``Kind("vgh")`` (lookup by
+value) is how configuration strings — CLI flags, JSON configs, wire
+requests, driver ``kernels=`` tuples — become members.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
 
 __all__ = ["Kind"]
 
 
 class Kind(enum.Enum):
-    """Which derivative streams an orbital evaluation produces.
-
-    ``Kind("vgl")`` (lookup by value) stays silent — it is how normalized
-    configuration strings (CLI flags, JSON configs) become members.  Only
-    :meth:`coerce` warns, because it marks an API call site still using
-    the deprecated string spelling.
-    """
+    """Which derivative streams an orbital evaluation produces."""
 
     V = "v"
     VGL = "vgl"
     VGH = "vgh"
 
     @classmethod
-    def coerce(cls, kind: "Kind | str", stacklevel: int = 3) -> "Kind":
-        """Normalize ``kind`` to a member, warning on the string spelling.
-
-        ``stacklevel`` attributes the warning to the *external* call site;
-        the default suits a one-frame wrapper (``coerce`` called directly
-        inside the public method).  Wrappers one level deeper pass 4.
-        """
-        if isinstance(kind, cls):
-            return kind
-        if isinstance(kind, str):
-            try:
-                member = cls(kind)
-            except ValueError:
-                valid = ", ".join(repr(m.value) for m in cls)
-                raise ValueError(
-                    f"unknown kernel kind {kind!r}; expected one of {valid}"
-                ) from None
-            warnings.warn(
-                f"passing kind={kind!r} as a bare string is deprecated; "
-                f"pass Kind.{member.name} instead",
-                DeprecationWarning,
-                stacklevel=stacklevel,
+    def check(cls, kind) -> "Kind":
+        """Return ``kind`` if it is a member; raise :class:`TypeError` if not."""
+        if not isinstance(kind, cls):
+            raise TypeError(
+                f"kind must be a Kind member (Kind.V, Kind.VGL or Kind.VGH), "
+                f"got {kind!r}"
             )
-            return member
-        raise TypeError(
-            f"kind must be a Kind or str, got {type(kind).__name__}"
-        )
+        return kind
 
     @property
     def streams(self) -> tuple[str, ...]:

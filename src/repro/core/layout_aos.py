@@ -70,9 +70,9 @@ class BsplineAoS(SinglePositionEngineMixin):
         self.n_splines = coefficients.shape[3]
         self.dtype = coefficients.dtype
 
-    def new_output(self, kind: "Kind | str" = Kind.VGH, n: int = 1) -> WalkerAoS:
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> WalkerAoS:
         """Allocate a matching output buffer (``kind`` kept for API parity)."""
-        self._coerce_new_output(kind, n)
+        self._check_new_output(kind, n)
         return WalkerAoS(self.n_splines, self.dtype)
 
     # -- kernels ---------------------------------------------------------

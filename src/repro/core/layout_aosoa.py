@@ -74,9 +74,9 @@ class BsplineAoSoA(SinglePositionEngineMixin):
     def __getitem__(self, t: int) -> BsplineSoA:
         return self.tiles[t]
 
-    def new_output(self, kind: "Kind | str" = Kind.VGH, n: int = 1) -> WalkerTiled:
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> WalkerTiled:
         """Allocate a tiled output buffer matching this engine's blocking."""
-        self._coerce_new_output(kind, n)
+        self._check_new_output(kind, n)
         return WalkerTiled(self.n_splines, self.tile_size, self.dtype)
 
     # -- kernels ---------------------------------------------------------
@@ -107,7 +107,7 @@ class BsplineAoSoA(SinglePositionEngineMixin):
 
     def eval_tiles(
         self,
-        kind: "Kind | str",
+        kind: Kind,
         tile_ids: range | list[int],
         positions: np.ndarray,
         out: WalkerTiled,
@@ -121,8 +121,7 @@ class BsplineAoSoA(SinglePositionEngineMixin):
         Parameters
         ----------
         kind:
-            :class:`~repro.core.kinds.Kind` (legacy strings accepted with
-            a deprecation warning).
+            A :class:`~repro.core.kinds.Kind` member.
         tile_ids:
             Tile indices this call is responsible for.
         positions:
@@ -131,7 +130,7 @@ class BsplineAoSoA(SinglePositionEngineMixin):
             The walker's tiled output buffer; only tiles in ``tile_ids``
             are written.
         """
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
         self._check(out)
         positions = np.asarray(positions, dtype=np.float64)
         if OBS.enabled:

@@ -68,9 +68,9 @@ class BsplineFused(SinglePositionEngineMixin):
         self.n_splines = coefficients.shape[3]
         self.dtype = coefficients.dtype
 
-    def new_output(self, kind: "Kind | str" = Kind.VGH, n: int = 1) -> WalkerSoA:
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> WalkerSoA:
         """Allocate a matching SoA output buffer."""
-        self._coerce_new_output(kind, n)
+        self._check_new_output(kind, n)
         return WalkerSoA(self.n_splines, self.dtype)
 
     def _setup(self, x: float, y: float, z: float):

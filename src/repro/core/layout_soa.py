@@ -74,9 +74,9 @@ class BsplineSoA(SinglePositionEngineMixin):
         self.dtype = coefficients.dtype
         self._report_obs = bool(report_obs)
 
-    def new_output(self, kind: "Kind | str" = Kind.VGH, n: int = 1) -> WalkerSoA:
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> WalkerSoA:
         """Allocate a matching SoA output buffer."""
-        self._coerce_new_output(kind, n)
+        self._check_new_output(kind, n)
         return WalkerSoA(self.n_splines, self.dtype)
 
     # -- kernels ---------------------------------------------------------

@@ -81,15 +81,14 @@ class NestedEvaluator:
         self.close()
 
     def evaluate(
-        self, kind: "Kind | str", positions: np.ndarray, out: WalkerTiled
+        self, kind: Kind, positions: np.ndarray, out: WalkerTiled
     ) -> None:
         """Run kernel ``kind`` at every position, tiles split across threads.
 
         Parameters
         ----------
         kind:
-            :class:`~repro.core.kinds.Kind` (legacy strings accepted with
-            a deprecation warning).
+            A :class:`~repro.core.kinds.Kind` member.
         positions:
             ``(ns, 3)`` batch of evaluation positions (one walker's random
             sample set, paper Fig. 3 L18).
@@ -98,7 +97,7 @@ class NestedEvaluator:
             results *of the last position* in every tile, matching the
             sequential driver's semantics.
         """
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
         if self._closed:
             raise RuntimeError(
                 "NestedEvaluator is closed; create a new evaluator "

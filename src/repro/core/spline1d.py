@@ -125,13 +125,12 @@ class CubicBspline1D:
         v = np.where(inside, v, 0.0)
         return v if np.ndim(r) else v[0]
 
-    def evaluate_vgl(
-        self, r: np.ndarray | float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate_vgl(self, r: np.ndarray | float) -> np.ndarray:
         """Value, first derivative and second derivative at each radius.
 
-        Beyond the cutoff all three are zero (the short-ranged convention
-        of QMC Jastrow factors).
+        Returns one ``(3,) + shape(r)`` array of (u, u', u''), which
+        unpacks as ``v, dv, d2v``.  Beyond the cutoff all three are zero
+        (the short-ranged convention of QMC Jastrow factors).
 
         The four stencil coefficients are gathered once and all three
         orders are combined in one broadcast over
@@ -145,10 +144,8 @@ class CubicBspline1D:
         vgl = ((w[:, 0] * c[0] + w[:, 1] * c[1]) + w[:, 2] * c[2]) + w[:, 3] * c[3]
         vgl[1] *= self.inv_delta
         vgl[2] *= self.inv_delta**2
-        v, dv, d2v = np.where(inside, vgl, 0.0)
-        if scalar:
-            return v[0], dv[0], d2v[0]
-        return v, dv, d2v
+        vgl = np.where(inside, vgl, 0.0)
+        return vgl[:, 0] if scalar else vgl
 
     @classmethod
     def fit_function(

@@ -17,14 +17,12 @@ The machine-aware *model-based* tile selection lives in
 the arithmetic, the candidate enumeration, and a *measurement-based*
 auto-tuner in the spirit of the paper's planned "auto-tuning capability
 using miniQMC ... similar to FFTW's solution using wisdom files"
-(Sec. VI), including wisdom persistence.
+(Sec. VI).  Persisted tuning lives in :class:`repro.tune.db.TuneDB`.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +35,6 @@ __all__ = [
     "output_working_set_bytes",
     "candidate_tile_sizes",
     "autotune_tile_size",
-    "Wisdom",
 ]
 
 #: Output streams per kernel and layout, from paper Secs. IV & V-A.
@@ -146,7 +143,7 @@ def autotune_tile_size(
     This is the FFTW-wisdom-style tuner the paper plans for production
     runs: run the real tiled kernel at each candidate Nb on a handful of
     random positions and keep the one with the best time.  The result is
-    host-specific; persist it with :class:`Wisdom`.
+    host-specific.
 
     Returns
     -------
@@ -178,39 +175,3 @@ def autotune_tile_size(
     best_nb = min(timings, key=timings.get)
     return best_nb, timings
 
-
-class Wisdom:
-    """Persisted tile-size choices, keyed by (kernel, N, Ng, dtype).
-
-    A tiny JSON file playing the role of FFTW's wisdom: tune once per
-    host/architecture with miniQMC, then production runs just look the
-    answer up (paper Sec. VI).
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._data: dict[str, int] = {}
-        if self.path.exists():
-            self._data = json.loads(self.path.read_text())
-
-    @staticmethod
-    def _key(kernel: str, n_splines: int, n_grid_points: int, dtype: str) -> str:
-        return f"{kernel}:{n_splines}:{n_grid_points}:{dtype}"
-
-    def lookup(
-        self, kernel: str, n_splines: int, n_grid_points: int, dtype: str = "float32"
-    ) -> int | None:
-        """Stored optimal Nb, or None if this configuration was never tuned."""
-        return self._data.get(self._key(kernel, n_splines, n_grid_points, dtype))
-
-    def record(
-        self,
-        kernel: str,
-        n_splines: int,
-        n_grid_points: int,
-        tile_size: int,
-        dtype: str = "float32",
-    ) -> None:
-        """Store an optimal Nb and write the wisdom file."""
-        self._data[self._key(kernel, n_splines, n_grid_points, dtype)] = int(tile_size)
-        self.path.write_text(json.dumps(self._data, indent=1, sort_keys=True))

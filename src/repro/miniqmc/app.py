@@ -115,9 +115,6 @@ def build_app(
     seed: int = 2017,
     profile: bool = True,
     with_pseudopotential: bool = False,
-    tile_size: int | None = None,
-    chunk_size: int | None = None,
-    backend: str | None = None,
     config=None,
 ) -> AppInstance:
     """Assemble a miniQMC problem on a cubic cell.
@@ -146,36 +143,7 @@ def build_app(
         the cache heuristic.  Exact-tier backends keep trajectories
         bitwise invariant; allclose-tier backends shift them within the
         declared tolerance.
-    tile_size, chunk_size, backend:
-        .. deprecated:: PR9
-           Pre-config spellings; a non-None value overrides the
-           matching ``config`` field and warns.  Use
-           ``config=RunConfig(...)``.
     """
-    from repro.config import RunConfig, deprecated_kwargs
-
-    deprecated_kwargs(
-        "build_app",
-        tile_size=tile_size is not None,
-        chunk_size=chunk_size is not None,
-        backend=backend is not None,
-    )
-    if config is None:
-        config = RunConfig.from_env(
-            tile_size=tile_size, chunk_size=chunk_size, backend=backend
-        )
-    else:
-        overrides = {
-            k: v
-            for k, v in (
-                ("tile_size", tile_size),
-                ("chunk_size", chunk_size),
-                ("backend", backend),
-            )
-            if v is not None
-        }
-        if overrides:
-            config = config.replace(**overrides)
     pool = WalkerRngPool(seed)
     rng = pool.next_rng()
     cell = Cell.cubic(box)

@@ -118,7 +118,15 @@ def _finalize(result: DriverResult) -> DriverResult:
 
 
 def _driver_fingerprint(config: MiniQmcConfig, engine: str, kernels) -> dict:
-    """What must match for a driver checkpoint to be resumable."""
+    """What must match for a driver checkpoint to be resumable.
+
+    ``chunk_size`` and ``backend`` are the fields of the caller's
+    :class:`~repro.config.RunConfig` as given (``None`` when it passed
+    none), not the values the environment or tuner resolve them to; a
+    backend instance is recorded by its registry name.
+    """
+    run = config.config
+    backend = run.backend if run is not None else None
     return {
         "engine": engine,
         "n_splines": config.n_splines,
@@ -127,8 +135,8 @@ def _driver_fingerprint(config: MiniQmcConfig, engine: str, kernels) -> dict:
         "n_iters": config.n_iters,
         "n_walkers": config.n_walkers,
         "tile_size": config.tile_size,
-        "chunk_size": config.chunk_size,
-        "backend": config.backend,
+        "chunk_size": run.chunk_size if run is not None else None,
+        "backend": getattr(backend, "name", backend),
         "seed": config.seed,
         "kernels": [k.value for k in _as_kinds(kernels)],
     }

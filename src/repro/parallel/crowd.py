@@ -83,13 +83,6 @@ class CrowdSpec:
     grid_shape: tuple[int, int, int] = (12, 12, 12)
     engine: str = "fused"
     seed: int = 2017
-    #: .. deprecated:: PR9
-    #:    Pre-config spellings of the execution knobs; a non-None value
-    #:    overrides the matching :attr:`config` field and warns.  Use
-    #:    ``config=RunConfig(...)``.
-    tile_size: int | None = None
-    chunk_size: int | None = None
-    backend: str | None = None
     #: The execution configuration (:class:`repro.config.RunConfig`).
     #: ``None`` builds one from the environment at use time.  The run
     #: entry points resolve it **parent-side** (tuned-DB winner or
@@ -102,31 +95,11 @@ class CrowdSpec:
     config: "RunConfig | None" = None
 
     def __post_init__(self) -> None:
-        from repro.config import deprecated_kwargs
-
-        deprecated_kwargs(
-            "CrowdSpec",
-            tile_size=self.tile_size is not None,
-            chunk_size=self.chunk_size is not None,
-            backend=self.backend is not None,
-        )
         if self.n_walkers <= 0:
             raise ValueError(f"n_walkers must be positive, got {self.n_walkers}")
         if self.engine not in _ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.tile_size is not None and self.tile_size <= 0:
-            raise ValueError(f"tile_size must be positive, got {self.tile_size}")
-        if self.chunk_size is not None and self.chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be positive, got {self.chunk_size}"
-            )
-        backend = (
-            self.backend
-            if self.backend is not None
-            else self.config.backend
-            if self.config is not None
-            else None
-        )
+        backend = self.config.backend if self.config is not None else None
         if backend is not None and not isinstance(backend, str):
             raise ValueError(
                 "CrowdSpec backends must be registered backend names "
@@ -134,7 +107,7 @@ class CrowdSpec:
             )
 
     def run_config(self) -> "RunConfig":
-        """The effective config: deprecated field overrides over ``config``.
+        """The effective config: :attr:`config`, or the environment's.
 
         When :attr:`config` is None the environment is consulted (rung 2)
         — in whichever process calls this, which is why the run entry
@@ -142,34 +115,21 @@ class CrowdSpec:
         """
         from repro.config import RunConfig
 
-        cfg = self.config if self.config is not None else RunConfig.from_env()
-        overrides = {
-            k: v
-            for k, v in (
-                ("tile_size", self.tile_size),
-                ("chunk_size", self.chunk_size),
-                ("backend", self.backend),
-            )
-            if v is not None
-        }
-        return cfg.replace(**overrides) if overrides else cfg
+        return self.config if self.config is not None else RunConfig.from_env()
 
     def resolved(self, dtype=np.float64) -> "CrowdSpec":
         """A copy whose config is fully resolved (concrete chunk/tile).
 
-        The parent calls this once before sharding; the returned spec's
-        deprecated knob fields are folded into :attr:`config`, so a
-        worker unpickling it reconstructs the parent's exact plan
-        without touching its own env or tuning DB.
+        The parent calls this once before sharding, so a worker
+        unpickling the returned spec reconstructs the parent's exact
+        plan without touching its own env or tuning DB.
         """
         cfg = self.run_config()
         if not cfg.is_resolved:
             cfg = cfg.resolved_for(
                 self.n_orbitals, batch=self.n_walkers, dtype=dtype
             )
-        return dataclasses.replace(
-            self, tile_size=None, chunk_size=None, backend=None, config=cfg
-        )
+        return dataclasses.replace(self, config=cfg)
 
 
 def solve_spec_table(spec: CrowdSpec) -> np.ndarray:
@@ -418,10 +378,6 @@ class _CrowdShard(_Shard):
         """Drop table views, then detach the shared segment."""
         self.crowd = self.spos = None
         super().close()
-
-
-#: Pool initializer for crowd shards.
-_init_crowd_shard = _CrowdShard.attach
 
 
 class _InProcess:

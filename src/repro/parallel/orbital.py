@@ -602,7 +602,7 @@ class OrbitalEvaluator:
             raise AttributeError(name) from None
         return getattr(engine, name)
 
-    def new_output(self, kind=Kind.VGH, n: int | None = None) -> BatchedOutput:
+    def new_output(self, kind: Kind = Kind.VGH, n: int = 1) -> BatchedOutput:
         """Full-width output allocation (delegates to the local engine)."""
         return self._engine.new_output(kind, n=n)
 
@@ -658,7 +658,7 @@ class OrbitalEvaluator:
         same inputs (the module-docstring contract); larger batches
         stream through the ring slot in ``max_positions`` pieces.
         """
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(
@@ -699,7 +699,7 @@ class OrbitalEvaluator:
         """The measured pipe-gather baseline: identical fan-out topology,
         but workers pickle their result rectangles back through pipes and
         the parent assembles them.  Benchmark-only."""
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
         positions = np.asarray(positions, dtype=np.float64)
         if self._closed:
             raise RuntimeError("OrbitalEvaluator is closed")
@@ -722,8 +722,9 @@ class OrbitalEvaluator:
         out.valid = frozenset(streams)
         return out
 
-    def evaluate(self, kind, pos, out: BatchedOutput) -> BatchedOutput:
+    def evaluate(self, kind: Kind, pos, out: BatchedOutput) -> BatchedOutput:
         """Single-position evaluation (batch of 1 through the fan-out)."""
+        Kind.check(kind)
         self._pos1[0] = pos
         return self.evaluate_batch(kind, self._pos1, out)
 

@@ -8,7 +8,6 @@ factors, Slater determinants with Sherman-Morrison updates (paper Eqs.
 """
 
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.delayed import DelayedDeterminant
 from repro.qmc.determinant import DiracDeterminant
 from repro.qmc.distance_tables import DistanceTableAA, DistanceTableAB
 from repro.qmc.dmc import DmcResult, DmcWalker, run_dmc
@@ -40,7 +39,6 @@ __all__ = [
     "ParticleSet",
     "CrowdState",
     "batched_sweep",
-    "DelayedDeterminant",
     "DistanceTableAA",
     "DistanceTableAB",
     "OneBodyJastrow",

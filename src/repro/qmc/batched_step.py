@@ -135,12 +135,9 @@ class _JastrowFactor:
         """(u, u', u'') over electron ``e``'s stacked trial rows, ``(nw, 3, m)``."""
         exclude = e if self.two_body else None
         if self.shared:
-            return np.stack(self.jastrows[0]._row_terms(dist, exclude)[:3], axis=1)
+            return np.moveaxis(self.jastrows[0]._row_terms(dist, exclude), 0, 1)
         return np.stack(
-            [
-                np.stack(j._row_terms(d, exclude)[:3])
-                for j, d in zip(self.jastrows, dist)
-            ]
+            [j._row_terms(d, exclude) for j, d in zip(self.jastrows, dist)]
         )
 
     def grad(self, dist, disp, du) -> np.ndarray:
@@ -188,18 +185,9 @@ class CrowdState:
         One :class:`SlaterJastrow` per walker.  All walkers must share
         the *same orbital set object* (the read-only table of paper
         Fig. 3), live in its cell, have equal electron counts, agree on
-        Jastrow structure, table layout and ion count, and use per-move
-        (Sherman-Morrison) determinants.
+        Jastrow structure, table layout and ion count.
     rngs:
         One private stream per walker.
-    config:
-        Optional :class:`repro.config.RunConfig`; when given, the shared
-        orbital set is reconfigured with it (per-walker trajectories are
-        bitwise invariant to the blocking knobs).
-    tile_size, chunk_size:
-        .. deprecated:: PR9
-           Use ``config=RunConfig(...)``; honoured (with a warning) for
-           one release.
     committed_vgl:
         Optional ``(g (nw, ne, 3, N), lap (nw, ne, N))`` measured at the
         walkers' current positions (a handed-over
@@ -217,9 +205,6 @@ class CrowdState:
         self,
         wavefunctions: list[SlaterJastrow],
         rngs: list,
-        tile_size: int | None = None,
-        chunk_size: int | None = None,
-        config=None,
         committed_vgl: tuple[np.ndarray, np.ndarray] | None = None,
     ):
         if not wavefunctions:
@@ -259,25 +244,6 @@ class CrowdState:
                 raise ValueError(
                     "crowd walkers must agree on table layout and ion count"
                 )
-            if wf.slater.delay is not None:
-                raise ValueError(
-                    "crowd walkers need per-move determinants, not "
-                    "delayed updates"
-                )
-
-        from repro.config import deprecated_kwargs
-
-        deprecated_kwargs(
-            "CrowdState",
-            tile_size=tile_size is not None,
-            chunk_size=chunk_size is not None,
-        )
-        if tile_size is not None or chunk_size is not None:
-            config = (config or spos.config).replace(
-                tile_size=tile_size, chunk_size=chunk_size
-            )
-        if config is not None:
-            spos.configure_batched(config=config)
 
         self.wfs = list(wavefunctions)
         self.rngs = list(rngs)

@@ -650,9 +650,6 @@ def build_dmc_ensemble(
     box: float = 6.0,
     grid_shape: tuple[int, int, int] = (12, 12, 12),
     engine: str = "fused",
-    tile_size: int | None = None,
-    chunk_size: int | None = None,
-    backend: str | None = None,
     config=None,
 ) -> list[DmcWalker]:
     """A small, fully deterministic DMC ensemble (CLI and test harnesses).
@@ -664,9 +661,7 @@ def build_dmc_ensemble(
     before loading checkpointed positions into it.  ``config`` (a
     :class:`repro.config.RunConfig`) carries the batched-kernel knobs:
     blocking never changes a trajectory bit, while an allclose-tier
-    backend shifts it within its declared tolerance.  The
-    ``tile_size``/``chunk_size``/``backend`` kwargs are the deprecated
-    pre-config spellings, honoured (with a warning) for one release.
+    backend shifts it within its declared tolerance.
     """
     from repro.lattice.cell import Cell
     from repro.lattice.orbitals import PlaneWaveOrbitalSet
@@ -683,9 +678,6 @@ def build_dmc_ensemble(
         grid_shape,
         engine=engine,
         dtype=np.float64,
-        tile_size=tile_size,
-        chunk_size=chunk_size,
-        backend=backend,
         config=config,
     )
     rcut = 0.9 * wigner_seitz_radius(cell)

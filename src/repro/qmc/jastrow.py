@@ -84,10 +84,9 @@ class _JastrowBase:
         self.u = ufunc
         self.layout = layout
 
-    def _row_terms(
-        self, dist_row: np.ndarray, exclude: int | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """u, u', u'' over distance rows plus the valid-pair mask.
+    def _row_terms(self, dist_row: np.ndarray, exclude: int | None) -> np.ndarray:
+        """(u, u', u'') over distance rows, ``(3,) + dist_row.shape``,
+        zero on masked pairs.
 
         ``exclude`` masks the self entry of AA rows; zero-distance entries
         are masked as well (they can only be the self entry anyway).
@@ -99,13 +98,8 @@ class _JastrowBase:
         """
         mask = dist_row > 0.0
         if exclude is not None:
-            mask = mask.copy()
             mask[..., exclude] = False
-        v, dv, d2v = self.u.evaluate_vgl(dist_row)
-        v = np.where(mask, v, 0.0)
-        dv = np.where(mask, dv, 0.0)
-        d2v = np.where(mask, d2v, 0.0)
-        return v, dv, d2v, mask
+        return np.where(mask, self.u.evaluate_vgl(dist_row), 0.0)
 
     def _grad_lap_from_row(
         self,
@@ -120,7 +114,7 @@ class _JastrowBase:
         back ``(..., 3)`` and Laplacians ``(...)`` (0-d for one row —
         the public per-electron methods convert to float).
         """
-        _, dv, d2v, _ = self._row_terms(dist_row, exclude)
+        _, dv, d2v = self._row_terms(dist_row, exclude)
         w = pair_weights(dist_row, dv)
         return pair_grad(self.layout, w, disp_row), pair_lap(w, d2v)
 
@@ -178,9 +172,9 @@ class TwoBodyJastrow(_JastrowBase):
         elementwise, and the self entries are masked because the table
         keeps its diagonal at distance zero.
         """
-        v, dv, d2v, _ = self._row_terms(self.table.distances, None)
-        self.radials[0], self.radials[1], self.radials[2] = v, dv, d2v
-        self._usum[...] = v.sum(axis=-1)
+        terms = self._row_terms(self.table.distances, None)
+        self.radials[...] = terms
+        self._usum[...] = terms[0].sum(axis=-1)
 
     def log_value(self) -> float:
         """J2 contribution to log Psi."""
@@ -191,11 +185,10 @@ class TwoBodyJastrow(_JastrowBase):
 
         Requires ``table.propose_row(i, ...)`` to have been called.
         """
-        v_new, dv, d2v, _ = self._row_terms(self.table.temp_dist, i)
-        v_old, _, _, _ = self._row_terms(self.table.row(i), i)
-        self._rad_temp[0], self._rad_temp[1], self._rad_temp[2] = v_new, dv, d2v
-        self._urow_old[...] = v_old
-        self._usum_temp = float(v_new.sum())
+        terms = self._row_terms(self.table.temp_dist, i)
+        self._rad_temp[...] = terms
+        self._urow_old[...] = self._row_terms(self.table.row(i), i)[0]
+        self._usum_temp = float(terms[0].sum())
         return float(np.exp(-(self._usum_temp - self._usum[i])))
 
     def accept_move(self, i: int) -> None:
@@ -250,9 +243,9 @@ class OneBodyJastrow(_JastrowBase):
 
     def recompute(self) -> None:
         """Rebuild per-electron u-sums and radial rows from the committed table."""
-        v, dv, d2v, _ = self._row_terms(self.table.distances, None)
-        self.radials[0], self.radials[1], self.radials[2] = v, dv, d2v
-        self._usum[...] = v.sum(axis=-1)
+        terms = self._row_terms(self.table.distances, None)
+        self.radials[...] = terms
+        self._usum[...] = terms[0].sum(axis=-1)
 
     def log_value(self) -> float:
         """J1 contribution to log Psi."""
@@ -260,9 +253,9 @@ class OneBodyJastrow(_JastrowBase):
 
     def ratio(self, i: int) -> float:
         """exp(J1_new - J1_old) for the staged move of electron ``i``."""
-        v_new, dv, d2v, _ = self._row_terms(self.table.temp_dist, None)
-        self._rad_temp[0], self._rad_temp[1], self._rad_temp[2] = v_new, dv, d2v
-        self._usum_temp = float(v_new.sum())
+        terms = self._row_terms(self.table.temp_dist, None)
+        self._rad_temp[...] = terms
+        self._usum_temp = float(terms[0].sum())
         return float(np.exp(-(self._usum_temp - self._usum[i])))
 
     def accept_move(self, i: int) -> None:

@@ -37,9 +37,6 @@ _ENGINES = {
     "fused": BsplineFused,
 }
 
-#: configure_batched sentinel: "argument not given" (None is meaningful).
-_UNSET = object()
-
 
 class SplineOrbitalSet:
     """N B-spline orbitals evaluated at Cartesian positions.
@@ -62,11 +59,6 @@ class SplineOrbitalSet:
         unresolved blocking fields are concretized lazily — tuned-DB
         winner if one is tier-eligible, cache-budget heuristic
         otherwise.
-    tile_size, chunk_size, backend:
-        .. deprecated:: PR9
-           Pre-config spellings of the same knobs, honoured for one
-           release (a passed value overrides the matching ``config``
-           field and warns).  Use ``config=RunConfig(...)``.
     padded_table:
         Optional ghost-padded ``(nx+3, ny+3, nz+3, N)`` table from
         :func:`repro.core.coeffs.pad_table_3d`; when given, the batched
@@ -91,36 +83,13 @@ class SplineOrbitalSet:
         cell: Cell,
         grid: Grid3D,
         engine,
-        tile_size: int | None = None,
-        chunk_size: int | None = None,
         padded_table: np.ndarray | None = None,
-        backend=None,
         config=None,
     ):
-        from repro.config import RunConfig, deprecated_kwargs
+        from repro.config import RunConfig
 
-        deprecated_kwargs(
-            "SplineOrbitalSet",
-            tile_size=tile_size is not None,
-            chunk_size=chunk_size is not None,
-            backend=backend is not None,
-        )
         if config is None:
-            config = RunConfig.from_env(
-                tile_size=tile_size, chunk_size=chunk_size, backend=backend
-            )
-        else:
-            overrides = {
-                k: v
-                for k, v in (
-                    ("tile_size", tile_size),
-                    ("chunk_size", chunk_size),
-                    ("backend", backend),
-                )
-                if v is not None
-            }
-            if overrides:
-                config = config.replace(**overrides)
+            config = RunConfig.from_env()
         if tuple(grid.lengths) != (1.0, 1.0, 1.0):
             raise ValueError(
                 "SplineOrbitalSet grids live in fractional coordinates; "
@@ -142,61 +111,6 @@ class SplineOrbitalSet:
         self._padded_table = padded_table
         self._B = np.linalg.inv(cell.lattice)  # cart -> frac Jacobian (rows a)
         self._M = self._B @ self._B.T  # Laplacian metric
-
-    @property
-    def tile_size(self) -> int | None:
-        """The config's spline-tile width (read-only view)."""
-        return self.config.tile_size
-
-    @property
-    def chunk_size(self) -> int | None:
-        """The config's gather-chunk size (read-only view)."""
-        return self.config.chunk_size
-
-    @property
-    def backend(self):
-        """The config's kernel-backend spec (read-only view)."""
-        return self.config.backend
-
-    def configure_batched(
-        self,
-        tile_size: int | None = None,
-        chunk_size: int | None = None,
-        backend=_UNSET,
-        config=None,
-    ) -> None:
-        """Re-plan the batched engine with an explicit configuration.
-
-        Drops the cached engine so the next evaluation rebuilds it with
-        the new plan — results stay bitwise identical for any setting
-        (see :mod:`repro.core.batched`); only the cache behaviour moves.
-        Pass ``config=RunConfig(...)`` (the PR9 spelling) to replace the
-        whole configuration.
-
-        The knob kwargs are the pre-config spelling, honoured one more
-        release with a DeprecationWarning: ``tile_size``/``chunk_size``
-        reset together (``None`` = re-tune), while ``backend`` switches
-        only when given — unlike the tuner knobs, a backend choice
-        changes numerics at the allclose tier, so it never resets
-        implicitly.
-        """
-        from repro.config import deprecated_kwargs
-
-        deprecated_kwargs(
-            "SplineOrbitalSet.configure_batched",
-            tile_size=tile_size is not None,
-            chunk_size=chunk_size is not None,
-            backend=backend is not _UNSET,
-        )
-        if config is not None:
-            self.config = config
-        else:
-            changes = {"tile_size": tile_size, "chunk_size": chunk_size}
-            if backend is not _UNSET:
-                changes["backend"] = backend
-            self.config = self.config.replace(**changes)
-        if hasattr(self, "_batched"):
-            del self._batched
 
     def _get_batched(self):
         """The lazily-built batched engine over the same table.
@@ -234,9 +148,6 @@ class SplineOrbitalSet:
         grid_shape: tuple[int, int, int],
         engine: str = "fused",
         dtype: np.dtype | type = np.float32,
-        tile_size: int | None = None,
-        chunk_size: int | None = None,
-        backend: str | None = None,
         config=None,
     ) -> "SplineOrbitalSet":
         """Sample analytic orbitals on the grid, solve, and wrap an engine.
@@ -256,10 +167,6 @@ class SplineOrbitalSet:
             Coefficient-table dtype (paper default: single precision).
         config:
             :class:`repro.config.RunConfig` for the batched engine.
-        tile_size, chunk_size, backend:
-            .. deprecated:: PR9
-               Use ``config=RunConfig(...)``; honoured (with a warning)
-               for one release.
         """
         if engine == "aosoa":
             raise ValueError(
@@ -275,15 +182,7 @@ class SplineOrbitalSet:
             eng = _ENGINES[engine](grid, P)
         except KeyError:
             raise ValueError(f"unknown engine {engine!r}") from None
-        return cls(
-            cell,
-            grid,
-            eng,
-            tile_size=tile_size,
-            chunk_size=chunk_size,
-            backend=backend,
-            config=config,
-        )
+        return cls(cell, grid, eng, config=config)
 
     def _frac(self, cart_pos: np.ndarray) -> np.ndarray:
         return self.cell.wrap_frac(self.cell.cart_to_frac(cart_pos))
@@ -382,23 +281,12 @@ class SlaterDet:
     electrons:
         The electron :class:`~repro.qmc.particleset.ParticleSet`; its
         size must be exactly ``2 * spos.n_orbitals``.
-    delay:
-        Opt-in delayed (rank-k) inverse updates: with ``delay=k`` each
-        spin uses a :class:`~repro.qmc.delayed.DelayedDeterminant` that
-        accumulates up to ``k`` accepted rows before one Woodbury flush
-        (``k=1`` degenerates to per-move updates).  ``None`` (default)
-        keeps the paper's per-move Sherman-Morrison
-        :class:`~repro.qmc.determinant.DiracDeterminant`.  Ratios and
-        derivatives agree move for move to rounding (different
-        operation order, so equality is ``allclose``, not bitwise).
+
+    Each spin keeps the paper's per-move Sherman-Morrison
+    :class:`~repro.qmc.determinant.DiracDeterminant`.
     """
 
-    def __init__(
-        self,
-        spos: SplineOrbitalSet,
-        electrons: ParticleSet,
-        delay: int | None = None,
-    ):
+    def __init__(self, spos: SplineOrbitalSet, electrons: ParticleSet):
         n = spos.n_orbitals
         if len(electrons) != 2 * n:
             raise ValueError(
@@ -408,19 +296,10 @@ class SlaterDet:
         self.spos = spos
         self.electrons = electrons
         self.n_orbitals = n
-        self.delay = delay
-        if delay is None:
-            self.dets = [
-                DiracDeterminant(self._build_matrix(0)),
-                DiracDeterminant(self._build_matrix(1)),
-            ]
-        else:
-            from repro.qmc.delayed import DelayedDeterminant
-
-            self.dets = [
-                DelayedDeterminant(self._build_matrix(0), delay=delay),
-                DelayedDeterminant(self._build_matrix(1), delay=delay),
-            ]
+        self.dets = [
+            DiracDeterminant(self._build_matrix(0)),
+            DiracDeterminant(self._build_matrix(1)),
+        ]
         self._staged_for: int | None = None
 
     def _build_matrix(self, spin: int) -> np.ndarray:

@@ -149,9 +149,9 @@ class ResilientEvaluator:
         self.retries = 0
         self.fallbacks = 0
 
-    def evaluate(self, kind: "Kind | str", positions: np.ndarray, out) -> None:
+    def evaluate(self, kind: Kind, positions: np.ndarray, out) -> None:
         """Nested evaluation with retry, then single-threaded degradation."""
-        kind = Kind.coerce(kind)
+        kind = Kind.check(kind)
 
         def count_retry(attempt, exc):
             self.retries += 1

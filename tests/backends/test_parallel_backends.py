@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.backends import TIER_EXACT, get_backend, registered_backends
+from repro.config import RunConfig
 from repro.parallel import (
     CrowdSpec,
     run_crowd_parallel,
@@ -63,7 +64,9 @@ def _require(name):
 
 
 def _dmc_spec(backend_name):
-    return CrowdSpec(n_walkers=3, n_orbitals=2, seed=29, backend=backend_name)
+    return CrowdSpec(
+        n_walkers=3, n_orbitals=2, seed=29, config=RunConfig(backend=backend_name)
+    )
 
 
 # Sequential references are deterministic in the spec, so compute each
@@ -129,7 +132,9 @@ class TestCrowdParallel:
         self, backend_name, shm_sentinel
     ):
         _require(backend_name)
-        spec = CrowdSpec(n_walkers=4, n_orbitals=2, seed=31, backend=backend_name)
+        spec = CrowdSpec(
+            n_walkers=4, n_orbitals=2, seed=31, config=RunConfig(backend=backend_name)
+        )
         sequential = run_crowd_sequential(spec, n_sweeps=N_SWEEPS, tau=TAU_CROWD)
         parallel = run_crowd_parallel(
             spec, n_workers=2, n_sweeps=N_SWEEPS, tau=TAU_CROWD

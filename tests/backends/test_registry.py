@@ -1,4 +1,4 @@
-"""Registry semantics: capability validation, gating, resolution, the stub.
+"""Registry semantics: capability validation, gating, resolution.
 
 The registry's core promise: **no backend serves kernels before passing
 the differential harness at its declared tier.**  These tests register
@@ -6,9 +6,6 @@ deliberately broken backends and watch the gate reject them — eagerly
 at registration, or lazily at first resolution — plus the selection
 policy details (env override, instance pass-through, kind envelope).
 """
-
-import sys
-import types
 
 import numpy as np
 import pytest
@@ -22,7 +19,6 @@ from repro.backends import (
     ENV_VAR,
     KernelBackend,
     NumpyBackend,
-    StubDeviceBackend,
     available_backends,
     get_backend,
     register_backend,
@@ -199,32 +195,3 @@ class TestKindEnvelope:
         eng.v_batch(positions, out)  # declared kind works
         with pytest.raises(BackendUnavailable, match="does not serve"):
             eng.vgh_batch(positions, out)
-
-
-class TestStubTemplate:
-    def test_stub_is_not_registered(self):
-        assert "stub-device" not in registered_backends()
-
-    def test_stub_unavailable_without_cupy(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "cupy", None)
-        stub = StubDeviceBackend()
-        assert not stub.is_available()
-        assert "cupy" in stub.availability_error()
-
-    def test_stub_cores_raise_not_implemented(self, monkeypatch):
-        # Satisfy the import requirement so make_cores proceeds to the
-        # template closures, which must refuse to pretend they work.
-        monkeypatch.setitem(sys.modules, "cupy", types.ModuleType("cupy"))
-        stub = StubDeviceBackend()
-        rng = np.random.default_rng(0)
-        grid = Grid3D(4, 4, 4, lengths=(1.0, 1.0, 1.0))
-        table = rng.standard_normal((4, 4, 4, 4))
-
-        class _Engine:
-            dtype = table.dtype
-
-        cores = stub.make_cores(_Engine())
-        with pytest.raises(NotImplementedError, match="template"):
-            cores.v(np.zeros((1, 3)), np.zeros((1, 4)))
-        with pytest.raises(NotImplementedError, match="template"):
-            cores.vgh(np.zeros((1, 3)), None, None, None, None)

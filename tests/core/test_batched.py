@@ -6,6 +6,7 @@ import pytest
 from repro.core import BsplineBatched, BsplineFused, Grid3D
 from repro.core.basis import bspline_weights_batch
 from repro.core.batched import BatchedOutput
+from repro.core.kinds import Kind
 
 
 @pytest.fixture
@@ -29,17 +30,17 @@ def positions(small_grid, rng):
 
 class TestAgreementWithPerPosition:
     def test_v(self, batched, fused, positions):
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.v_batch(positions, out)
-        single = fused.new_output("v")
+        single = fused.new_output(Kind.V)
         for s, (x, y, z) in enumerate(positions):
             fused.v(x, y, z, single)
             np.testing.assert_allclose(out.v[s], single.v, atol=1e-10)
 
     def test_vgl(self, batched, fused, positions):
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgl_batch(positions, out)
-        single = fused.new_output("vgl")
+        single = fused.new_output(Kind.VGL)
         for s, (x, y, z) in enumerate(positions):
             fused.vgl(x, y, z, single)
             np.testing.assert_allclose(out.v[s], single.v, atol=1e-10)
@@ -47,15 +48,15 @@ class TestAgreementWithPerPosition:
             np.testing.assert_allclose(out.l[s], single.l, atol=1e-9)
 
     def test_vgh(self, batched, fused, positions):
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgh_batch(positions, out)
-        single = fused.new_output("vgh")
+        single = fused.new_output(Kind.VGH)
         for s, (x, y, z) in enumerate(positions):
             fused.vgh(x, y, z, single)
             np.testing.assert_allclose(out.h[s], single.h, atol=1e-9)
 
     def test_vgh_fills_laplacian(self, batched, positions):
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgh_batch(positions, out)
         np.testing.assert_allclose(
             out.l, out.h[:, 0] + out.h[:, 3] + out.h[:, 5], atol=1e-9
@@ -71,10 +72,10 @@ class TestStreamValidity:
     """
 
     def test_fresh_output_starts_with_nothing_valid(self, batched):
-        assert batched.new_output(3).valid == frozenset()
+        assert batched.new_output(Kind.VGH, n=3).valid == frozenset()
 
     def test_each_kernel_declares_its_streams(self, batched, positions):
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.v_batch(positions, out)
         assert out.valid == {"v"}
         batched.vgl_batch(positions, out)
@@ -84,7 +85,7 @@ class TestStreamValidity:
 
     def test_reuse_poisons_stale_streams(self, batched, positions, rng):
         # vgh -> vgl: h goes stale; vgl -> v: g and l go stale too.
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgh_batch(positions, out)
         moved = positions + 0.05
         batched.vgl_batch(moved, out)
@@ -98,11 +99,11 @@ class TestStreamValidity:
 
     def test_refreshed_streams_match_a_fresh_buffer(self, batched, positions):
         # The poison/refresh cycle must not perturb the live streams.
-        reused = batched.new_output(len(positions))
+        reused = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgh_batch(positions, reused)
         batched.v_batch(positions + 0.05, reused)
         batched.vgl_batch(positions, reused)
-        fresh = batched.new_output(len(positions))
+        fresh = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgl_batch(positions, fresh)
         np.testing.assert_array_equal(reused.v, fresh.v)
         np.testing.assert_array_equal(reused.g, fresh.g)
@@ -125,7 +126,7 @@ class TestChunking:
             max_batch_bytes=chunk_positions * per_position,
         )
         assert chunked._chunk == chunk_positions
-        a, b = full.new_output(len(positions)), chunked.new_output(len(positions))
+        a, b = full.new_output(Kind.VGH, n=len(positions)), chunked.new_output(Kind.VGH, n=len(positions))
         getattr(full, f"{kind}_batch")(positions, a)
         getattr(chunked, f"{kind}_batch")(positions, b)
         np.testing.assert_array_equal(a.v, b.v)
@@ -138,10 +139,10 @@ class TestChunking:
     def test_singleton_matches_batch_bitwise(self, batched, positions):
         # The sharding contract in repro.parallel rests on this: a
         # position's bits cannot depend on its batch-mates.
-        full = batched.new_output(len(positions))
+        full = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgh_batch(positions, full)
         for s in range(len(positions)):
-            one = batched.new_output(1)
+            one = batched.new_output(Kind.VGH, n=1)
             batched.vgh_batch(positions[s : s + 1], one)
             np.testing.assert_array_equal(one.v[0], full.v[s])
             np.testing.assert_array_equal(one.h[:, :], full.h[s : s + 1])
@@ -157,19 +158,19 @@ class TestChunking:
 
 class TestValidation:
     def test_output_shapes(self, batched):
-        out = batched.new_output(5)
+        out = batched.new_output(Kind.VGH, n=5)
         assert out.v.shape == (5, 24)
         assert out.g.shape == (5, 3, 24)
         assert out.h.shape == (5, 6, 24)
 
     def test_rejects_bad_positions(self, batched):
-        out = batched.new_output(2)
+        out = batched.new_output(Kind.VGH, n=2)
         with pytest.raises(ValueError, match=r"\(ns, 3\)"):
             batched.v_batch(np.zeros((2, 2)), out)
 
     def test_rejects_zero_batch(self, batched):
         with pytest.raises(ValueError):
-            batched.new_output(0)
+            batched.new_output(Kind.VGH, n=0)
 
     def test_rejects_mismatched_grid(self, small_table):
         with pytest.raises(ValueError, match="does not match"):
@@ -177,7 +178,7 @@ class TestValidation:
 
     def test_f32_dtype_propagates(self, small_grid, small_table_f32):
         b = BsplineBatched(small_grid, small_table_f32)
-        out = b.new_output(3)
+        out = b.new_output(Kind.VGH, n=3)
         assert out.v.dtype == np.float32
 
     def test_direct_output_defaults_to_float64(self):
@@ -188,15 +189,15 @@ class TestValidation:
             assert stream.dtype == np.float64
 
     def test_f64_engine_results_stay_f64(self, batched, positions):
-        out = batched.new_output(len(positions))
+        out = batched.new_output(Kind.VGH, n=len(positions))
         batched.vgh_batch(positions, out)
         assert out.v.dtype == np.float64
         assert out.h.dtype == np.float64
 
     def test_batch_of_one(self, batched, fused):
-        out = batched.new_output(1)
+        out = batched.new_output(Kind.VGH, n=1)
         batched.vgh_batch(np.array([[0.5, 0.5, 0.5]]), out)
-        single = fused.new_output("vgh")
+        single = fused.new_output(Kind.VGH)
         fused.vgh(0.5, 0.5, 0.5, single)
         np.testing.assert_allclose(out.v[0], single.v, atol=1e-10)
 
@@ -218,8 +219,8 @@ class TestTiling:
     ):
         plain = BsplineBatched(small_grid, small_table)
         tiled = BsplineBatched(small_grid, small_table, tile_size=tile)
-        a = plain.new_output("vgh", n=len(positions))
-        b = tiled.new_output("vgh", n=len(positions))
+        a = plain.new_output(Kind.VGH, n=len(positions))
+        b = tiled.new_output(Kind.VGH, n=len(positions))
         plain.vgh_batch(positions, a)
         tiled.vgh_batch(positions, b)
         for stream in ("v", "g", "l", "h"):
@@ -258,8 +259,8 @@ class TestPaddedConstructor:
         raw = BsplineBatched(small_grid, small_table)
         pre = BsplineBatched(small_grid, pad_table_3d(small_table))
         np.testing.assert_array_equal(pre.P, small_table)
-        a = raw.new_output("vgh", n=len(positions))
-        b = pre.new_output("vgh", n=len(positions))
+        a = raw.new_output(Kind.VGH, n=len(positions))
+        b = pre.new_output(Kind.VGH, n=len(positions))
         raw.vgh_batch(positions, a)
         pre.vgh_batch(positions, b)
         for stream in ("v", "g", "l", "h"):
@@ -291,7 +292,7 @@ class TestChunkedPoisoning:
         self, small_grid, small_table, positions
     ):
         eng = BsplineBatched(small_grid, small_table, chunk_size=2)
-        out = eng.new_output("vgh", n=len(positions))
+        out = eng.new_output(Kind.VGH, n=len(positions))
         eng.vgh_batch(positions, out)
         assert "h" in out.valid
 
@@ -305,7 +306,7 @@ class TestChunkedPoisoning:
         self, small_grid, small_table, positions
     ):
         eng = BsplineBatched(small_grid, small_table, chunk_size=2)
-        out = eng.new_output("vgl", n=len(positions))
+        out = eng.new_output(Kind.VGL, n=len(positions))
         out.h = out.h.view(_FillCounter)
         eng.vgl_batch(positions, out)
         assert getattr(out.h, "fill_calls", 0) == 0
@@ -313,8 +314,6 @@ class TestChunkedPoisoning:
 
 class TestEvaluateDispatch:
     def test_kernel_methods_resolved_once(self, batched):
-        from repro.core.kinds import Kind
-
         assert set(batched._kernels) == {Kind.V, Kind.VGL, Kind.VGH}
         assert batched._kernels[Kind.VGH].__func__ is (
             BsplineBatched.vgh_batch
@@ -322,14 +321,14 @@ class TestEvaluateDispatch:
 
     def test_scratch_position_buffer_is_reused(self, batched):
         buf = batched._pos1
-        out = batched.new_output("v")
-        batched.evaluate("v", (0.25, 0.5, 0.75), out)
+        out = batched.new_output(Kind.V)
+        batched.evaluate(Kind.V, (0.25, 0.5, 0.75), out)
         assert batched._pos1 is buf
 
     def test_evaluate_matches_batch_of_one_bitwise(self, batched, positions):
-        single = batched.new_output("vgh")
-        batch = batched.new_output("vgh", n=1)
-        batched.evaluate("vgh", positions[0], single)
+        single = batched.new_output(Kind.VGH)
+        batch = batched.new_output(Kind.VGH, n=1)
+        batched.evaluate(Kind.VGH, positions[0], single)
         batched.vgh_batch(positions[:1], batch)
         for stream in ("v", "g", "l", "h"):
             np.testing.assert_array_equal(

@@ -8,6 +8,8 @@ rely on.
 """
 
 import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from repro.config import (
     TUNE_OFF,
     TUNE_SEARCH,
     RunConfig,
-    deprecated_kwargs,
     load_run_config,
 )
 from repro.tune.db import TIER_ALLCLOSE, TuneDB, TunedConfig, TuneShape
@@ -205,12 +206,122 @@ class TestSerialization:
             load_run_config(path)
 
 
-class TestDeprecatedKwargs:
-    def test_warns_once_per_call_listing_all_kwargs(self):
-        with pytest.warns(DeprecationWarning, match="chunk_size, tile_size") as rec:
-            deprecated_kwargs("Api", chunk_size=True, tile_size=True, backend=False)
-        assert len(rec) == 1
+def _knob_surfaces():
+    """Every surface that lost its per-call knob kwargs: name ->
+    (build(ensemble, **kwargs), deleted kwarg names)."""
+    from repro.lattice import Cell, PlaneWaveOrbitalSet
+    from repro.miniqmc.app import build_app
+    from repro.miniqmc.config import MiniQmcConfig
+    from repro.parallel import CrowdSpec
+    from repro.qmc.batched_step import CrowdState
+    from repro.qmc.dmc import build_dmc_ensemble
+    from repro.qmc.rng import WalkerRngPool
+    from repro.qmc.slater import SlaterDet, SplineOrbitalSet
 
-    def test_silent_when_nothing_used(self, recwarn):
-        deprecated_kwargs("Api", chunk_size=False)
-        assert not recwarn.list
+    knobs = ("tile_size", "chunk_size", "backend")
+
+    def spos(ens):
+        return ens[0].wf.slater.spos
+
+    def from_functions(ens, **kw):
+        cell = Cell.cubic(6.0)
+        return SplineOrbitalSet.from_orbital_functions(
+            cell, PlaneWaveOrbitalSet(cell, 2), (8, 8, 8), **kw
+        )
+
+    return {
+        "SplineOrbitalSet": (
+            lambda ens, **kw: SplineOrbitalSet(
+                spos(ens).cell, spos(ens).grid, spos(ens).engine, **kw
+            ),
+            knobs,
+        ),
+        "SplineOrbitalSet.from_orbital_functions": (from_functions, knobs),
+        "build_dmc_ensemble": (
+            lambda ens, **kw: build_dmc_ensemble(
+                WalkerRngPool(11), 1, n_orbitals=2, grid_shape=(8, 8, 8), **kw
+            ),
+            knobs,
+        ),
+        "build_app": (
+            lambda ens, **kw: build_app(
+                n_orbitals=2, grid_shape=(8, 8, 8), profile=False, **kw
+            ),
+            knobs,
+        ),
+        "CrowdSpec": (
+            lambda ens, **kw: CrowdSpec(n_walkers=2, n_orbitals=2, **kw),
+            knobs,
+        ),
+        "MiniQmcConfig": (
+            lambda ens, **kw: MiniQmcConfig(8, (8, 8, 8), **kw),
+            ("chunk_size", "backend"),
+        ),
+        "CrowdState": (
+            lambda ens, **kw: CrowdState(
+                [w.wf for w in ens], [w.rng for w in ens], **kw
+            ),
+            ("tile_size", "chunk_size", "config"),
+        ),
+        "SlaterDet": (
+            lambda ens, **kw: SlaterDet(spos(ens), ens[0].wf.electrons, **kw),
+            ("delay",),
+        ),
+    }
+
+
+_KNOB_VALUES = {
+    "tile_size": 2,
+    "chunk_size": 4,
+    "backend": "numpy",
+    "config": RunConfig(chunk_size=4),
+    "delay": 2,
+}
+
+_DELETED_KWARGS = [
+    (surface, kwarg)
+    for surface, (_, kwargs) in _knob_surfaces().items()
+    for kwarg in kwargs
+]
+
+
+class TestOneKnobSpelling:
+    """``config=RunConfig(...)`` is the only way to set chunk, tile and
+    backend above the ``BsplineBatched`` primitive; the per-call kwargs
+    are gone, and so is ``SlaterDet``'s delayed-update knob."""
+
+    @pytest.fixture(scope="class")
+    def ensemble(self):
+        from repro.qmc.dmc import build_dmc_ensemble
+        from repro.qmc.rng import WalkerRngPool
+
+        return build_dmc_ensemble(
+            WalkerRngPool(11), 2, n_orbitals=2, grid_shape=(8, 8, 8)
+        )
+
+    @pytest.mark.parametrize("surface, kwarg", _DELETED_KWARGS)
+    def test_deleted_kwarg_raises_type_error(self, surface, kwarg, ensemble):
+        build, _ = _knob_surfaces()[surface]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{kwarg}'"):
+            build(ensemble, **{kwarg: _KNOB_VALUES[kwarg]})
+
+    def test_miniqmc_tile_size_is_not_deprecated(self, recwarn):
+        # tile_size is the physical AoSoA block width (the paper's Nb),
+        # not a tuning knob — it stays a first-class field.
+        from repro.miniqmc.config import MiniQmcConfig
+
+        MiniQmcConfig(8, (8, 8, 8), tile_size=8)
+        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
+
+    def test_supported_spellings_stay_silent(self):
+        code = (
+            "import warnings\n"
+            "with warnings.catch_warnings(record=True) as rec:\n"
+            "    warnings.simplefilter('always')\n"
+            "    from repro.tune import plan_tiles\n"
+            "    from repro.core import plan_tiles as core_plan\n"
+            "assert not [w for w in rec\n"
+            "            if issubclass(w.category, DeprecationWarning)], rec\n"
+            "assert plan_tiles is core_plan\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

@@ -15,6 +15,7 @@ from repro.core import (
     BsplineFused,
     BsplineSoA,
     Grid3D,
+    Kind,
 )
 from repro.core.refimpl import reference_v, reference_vgh, reference_vgl
 
@@ -44,7 +45,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("pos", POSITIONS)
     def test_v(self, engine_name, pos, small_grid, small_table):
         eng = make_engine(engine_name, small_grid, small_table)
-        out = eng.new_output("v")
+        out = eng.new_output(Kind.V)
         eng.v(*pos, out)
         ref = reference_v(small_grid, small_table, *pos)
         np.testing.assert_allclose(out.as_canonical()["v"], ref, atol=1e-12)
@@ -52,7 +53,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("pos", POSITIONS)
     def test_vgl(self, engine_name, pos, small_grid, small_table):
         eng = make_engine(engine_name, small_grid, small_table)
-        out = eng.new_output("vgl")
+        out = eng.new_output(Kind.VGL)
         eng.vgl(*pos, out)
         rv, rg, rl = reference_vgl(small_grid, small_table, *pos)
         c = out.as_canonical()
@@ -63,7 +64,7 @@ class TestAgainstReference:
     @pytest.mark.parametrize("pos", POSITIONS)
     def test_vgh(self, engine_name, pos, small_grid, small_table):
         eng = make_engine(engine_name, small_grid, small_table)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         eng.vgh(*pos, out)
         rv, rg, rh = reference_vgh(small_grid, small_table, *pos)
         c = out.as_canonical()
@@ -76,7 +77,7 @@ class TestAgainstReference:
     ):
         # Two evaluations in a row must give the second position's values.
         eng = make_engine(engine_name, small_grid, small_table)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         eng.vgh(*POSITIONS[0], out)
         eng.vgh(*POSITIONS[1], out)
         ref = reference_vgh(small_grid, small_table, *POSITIONS[1])[0]
@@ -88,7 +89,7 @@ class TestDerivativeConsistency:
 
     def test_vgl_lap_equals_vgh_trace(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, small_table)
-        o1, o2 = eng.new_output("vgl"), eng.new_output("vgh")
+        o1, o2 = eng.new_output(Kind.VGL), eng.new_output(Kind.VGH)
         eng.vgl(1.0, 0.7, 2.0, o1)
         eng.vgh(1.0, 0.7, 2.0, o2)
         trace = o2.hess("xx") + o2.hess("yy") + o2.hess("zz")
@@ -96,11 +97,11 @@ class TestDerivativeConsistency:
 
     def test_gradient_matches_finite_difference_of_v(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, small_table)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         x, y, z = 0.9, 0.6, 1.3
         eng.vgh(x, y, z, out)
         eps = 1e-6
-        vp, vm = eng.new_output("v"), eng.new_output("v")
+        vp, vm = eng.new_output(Kind.V), eng.new_output(Kind.V)
         eng.v(x + eps, y, z, vp)
         eng.v(x - eps, y, z, vm)
         fd = (vp.v - vm.v) / (2 * eps)
@@ -110,11 +111,11 @@ class TestDerivativeConsistency:
         self, small_grid, small_table
     ):
         eng = BsplineSoA(small_grid, small_table)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         x, y, z = 1.1, 0.4, 0.9
         eng.vgh(x, y, z, out)
         eps = 1e-5
-        gp, gm = eng.new_output("vgh"), eng.new_output("vgh")
+        gp, gm = eng.new_output(Kind.VGH), eng.new_output(Kind.VGH)
         eng.vgh(x, y + eps, z, gp)
         eng.vgh(x, y - eps, z, gm)
         fd_hxy = (gp.gx - gm.gx) / (2 * eps)
@@ -122,7 +123,7 @@ class TestDerivativeConsistency:
 
     def test_periodicity_of_all_outputs(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, small_table)
-        o1, o2 = eng.new_output("vgh"), eng.new_output("vgh")
+        o1, o2 = eng.new_output(Kind.VGH), eng.new_output(Kind.VGH)
         lx, ly, lz = small_grid.lengths
         eng.vgh(0.7, 0.3, 1.1, o1)
         eng.vgh(0.7 + 2 * lx, 0.3 - ly, 1.1 + lz, o2)
@@ -136,7 +137,7 @@ class TestCrossLayoutIdentity:
     def test_all_layouts_agree_on_random_positions(self, small_grid, small_table, rng):
         engines = [make_engine(n, small_grid, small_table) for n in
                    ("aos", "soa", "fused", "aosoa")]
-        outs = [e.new_output("vgh") for e in engines]
+        outs = [e.new_output(Kind.VGH) for e in engines]
         for pos in small_grid.random_positions(10, rng):
             canon = []
             for e, o in zip(engines, outs):
@@ -150,12 +151,12 @@ class TestCrossLayoutIdentity:
 
     def test_tiled_any_tile_size_agrees(self, small_grid, small_table):
         base = BsplineSoA(small_grid, small_table)
-        out_base = base.new_output("vgh")
+        out_base = base.new_output(Kind.VGH)
         base.vgh(*POSITIONS[0], out_base)
         ref = out_base.as_canonical()
         for nb in (1, 2, 3, 4, 6, 8, 12, 24):
             tiled = BsplineAoSoA(small_grid, small_table, nb)
-            out = tiled.new_output("vgh")
+            out = tiled.new_output(Kind.VGH)
             tiled.vgh(*POSITIONS[0], out)
             c = out.as_canonical()
             for field in ("v", "g", "l", "h"):
@@ -170,7 +171,7 @@ class TestFloat32Precision:
         self, engine_name, small_grid, small_table_f32
     ):
         eng = ENGINES[engine_name](small_grid, small_table_f32)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         eng.vgh(*POSITIONS[0], out)
         ref = reference_vgh(
             small_grid, small_table_f32.astype(np.float64), *POSITIONS[0]
@@ -181,7 +182,7 @@ class TestFloat32Precision:
 
     def test_f32_outputs_have_f32_dtype(self, small_grid, small_table_f32):
         eng = BsplineSoA(small_grid, small_table_f32)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         eng.vgh(*POSITIONS[0], out)
         assert out.v.dtype == np.float32
         assert out.g.dtype == np.float32
@@ -200,7 +201,7 @@ class TestValidation:
 
     def test_new_output_rejects_unknown_kind(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, small_table)
-        with pytest.raises(ValueError, match="unknown kernel"):
+        with pytest.raises(TypeError, match="Kind member"):
             eng.new_output("vvv")
 
     def test_aosoa_rejects_nondivisor_tile(self, small_grid, small_table):
@@ -210,6 +211,6 @@ class TestValidation:
     def test_aosoa_rejects_foreign_output(self, small_grid, small_table):
         eng8 = BsplineAoSoA(small_grid, small_table, 8)
         eng12 = BsplineAoSoA(small_grid, small_table, 12)
-        out12 = eng12.new_output("v")
+        out12 = eng12.new_output(Kind.V)
         with pytest.raises(ValueError, match="blocking"):
             eng8.v(0.1, 0.1, 0.1, out12)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BsplineAoSoA, BsplineSoA, NestedEvaluator
+from repro.core import BsplineAoSoA, BsplineSoA, Kind, NestedEvaluator
 from repro.core.partition import partition
 
 
@@ -48,11 +48,11 @@ class TestNestedEvaluator:
     @pytest.mark.parametrize("kind", ["v", "vgl", "vgh"])
     def test_nested_matches_sequential(self, tiled, nth, kind, small_grid, rng):
         positions = small_grid.random_positions(3, rng)
-        seq_out = tiled.new_output(kind)
-        tiled.eval_tiles(kind, range(tiled.n_tiles), positions, seq_out)
+        seq_out = tiled.new_output(Kind(kind))
+        tiled.eval_tiles(Kind(kind), range(tiled.n_tiles), positions, seq_out)
         with NestedEvaluator(tiled, nth) as nested:
-            par_out = tiled.new_output(kind)
-            nested.evaluate(kind, positions, par_out)
+            par_out = tiled.new_output(Kind(kind))
+            nested.evaluate(Kind(kind), positions, par_out)
         a, b = seq_out.as_canonical(), par_out.as_canonical()
         for field in ("v", "g", "l", "h"):
             np.testing.assert_array_equal(a[field], b[field])
@@ -60,16 +60,16 @@ class TestNestedEvaluator:
     def test_convenience_wrappers(self, tiled, small_grid, rng):
         positions = small_grid.random_positions(2, rng)
         with NestedEvaluator(tiled, 2) as nested:
-            out = tiled.new_output("vgh")
+            out = tiled.new_output(Kind.VGH)
             nested.evaluate_v(positions, out)
             nested.evaluate_vgl(positions, out)
             nested.evaluate_vgh(positions, out)
 
     def test_rejects_unknown_kind(self, tiled, small_grid, rng):
         with NestedEvaluator(tiled, 2) as nested:
-            with pytest.raises(ValueError, match="unknown kernel"):
+            with pytest.raises(TypeError, match="Kind member"):
                 nested.evaluate("bad", small_grid.random_positions(1, rng),
-                                tiled.new_output("v"))
+                                tiled.new_output(Kind.V))
 
     def test_rejects_nonpositive_threads(self, tiled):
         with pytest.raises(ValueError):
@@ -79,9 +79,9 @@ class TestNestedEvaluator:
         with NestedEvaluator(tiled, 2) as nested:
             wrong = BsplineAoSoA(
                 tiled.grid, np.zeros((12, 10, 14, 24), dtype=np.float64), 12
-            ).new_output("v")
+            ).new_output(Kind.V)
             with pytest.raises(ValueError, match="blocking"):
-                nested.evaluate("v", small_grid.random_positions(1, rng), wrong)
+                nested.evaluate(Kind.V, small_grid.random_positions(1, rng), wrong)
 
     def test_partition_is_static_and_contiguous(self, tiled):
         with NestedEvaluator(tiled, 3) as nested:
@@ -98,11 +98,11 @@ class TestNestedEvaluator:
         with NestedEvaluator(tiled, 2) as nested:
             wrong = BsplineAoSoA(
                 tiled.grid, np.zeros((12, 10, 14, 24), dtype=np.float64), 12
-            ).new_output("v")
+            ).new_output(Kind.V)
             with pytest.raises(ValueError):
-                nested.evaluate("v", positions, wrong)
-            good = tiled.new_output("v")
-            nested.evaluate("v", positions, good)
+                nested.evaluate(Kind.V, positions, wrong)
+            good = tiled.new_output(Kind.V)
+            nested.evaluate(Kind.V, positions, good)
             assert np.isfinite(good.tiles[0].v).all()
 
     def test_evaluate_after_close_raises_clear_error(
@@ -114,7 +114,7 @@ class TestNestedEvaluator:
         assert nested.closed
         with pytest.raises(RuntimeError, match="closed; create a new evaluator"):
             nested.evaluate(
-                "v", small_grid.random_positions(1, rng), tiled.new_output("v")
+                Kind.V, small_grid.random_positions(1, rng), tiled.new_output(Kind.V)
             )
 
     def test_close_is_idempotent(self, tiled):

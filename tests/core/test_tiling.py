@@ -1,11 +1,10 @@
-"""Unit tests for tiling arithmetic, candidates, autotuning and wisdom."""
+"""Unit tests for tiling arithmetic, candidates and autotuning."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
     Grid3D,
-    Wisdom,
     autotune_tile_size,
     candidate_tile_sizes,
     input_working_set_bytes,
@@ -85,7 +84,7 @@ class TestCandidates:
             candidate_tile_sizes(0)
 
 
-class TestAutotuneAndWisdom:
+class TestAutotune:
     def test_autotune_returns_valid_candidate(self, rng):
         grid = Grid3D(8, 8, 8)
         P = rng.standard_normal((8, 8, 8, 16)).astype(np.float32)
@@ -95,19 +94,3 @@ class TestAutotuneAndWisdom:
         assert best in (4, 8, 16)
         assert set(timings) == {4, 8, 16}
         assert all(t > 0 for t in timings.values())
-
-    def test_wisdom_roundtrip(self, tmp_path):
-        w = Wisdom(tmp_path / "wisdom.json")
-        assert w.lookup("vgh", 2048, 48**3) is None
-        w.record("vgh", 2048, 48**3, 512)
-        assert w.lookup("vgh", 2048, 48**3) == 512
-        # A fresh instance reads the persisted file.
-        w2 = Wisdom(tmp_path / "wisdom.json")
-        assert w2.lookup("vgh", 2048, 48**3) == 512
-
-    def test_wisdom_keys_are_specific(self, tmp_path):
-        w = Wisdom(tmp_path / "w.json")
-        w.record("vgh", 2048, 48**3, 512)
-        assert w.lookup("vgl", 2048, 48**3) is None
-        assert w.lookup("vgh", 1024, 48**3) is None
-        assert w.lookup("vgh", 2048, 48**3, dtype="float64") is None

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.miniqmc import (
     MiniQmcConfig,
     live_kernel_config,
@@ -160,7 +161,7 @@ class TestBatchedEngine:
             assert res.throughputs[kern] > 0
 
     def test_chunk_and_tile_knobs(self, cfg, table):
-        c = replace(cfg, tile_size=8, chunk_size=2)
+        c = replace(cfg, tile_size=8, config=RunConfig(chunk_size=2))
         res = run_kernel_driver(c, "batched", kernels=("vgh",), coefficients=table)
         assert res.evals["vgh"] == c.n_walkers * c.n_iters * c.n_samples
 
@@ -181,6 +182,16 @@ class TestBatchedEngine:
     def test_fingerprint_includes_chunk_size(self, cfg):
         from repro.miniqmc.driver import _driver_fingerprint
 
-        a = _driver_fingerprint(replace(cfg, chunk_size=None), "batched", ("v",))
-        b = _driver_fingerprint(replace(cfg, chunk_size=2), "batched", ("v",))
+        a = _driver_fingerprint(replace(cfg, config=None), "batched", ("v",))
+        b = _driver_fingerprint(
+            replace(cfg, config=RunConfig(chunk_size=2)), "batched", ("v",)
+        )
         assert a != b
+
+    def test_fingerprint_names_a_backend_instance(self, cfg):
+        # Checkpoint manifests are JSON: an instance is recorded by name.
+        from repro.backends import get_backend
+        from repro.miniqmc.driver import _driver_fingerprint
+
+        run = replace(cfg, config=RunConfig(backend=get_backend("numpy")))
+        assert _driver_fingerprint(run, "batched", ("v",))["backend"] == "numpy"

@@ -13,11 +13,7 @@ import pytest
 
 from repro.config import RunConfig
 from repro.core.coeffs import pad_table_3d
-from repro.parallel.crowd import (
-    CrowdSpec,
-    _init_crowd_shard,
-    solve_spec_table,
-)
+from repro.parallel.crowd import CrowdSpec, _CrowdShard, solve_spec_table
 from repro.parallel.pool import ProcessCrowdPool
 from repro.parallel.shared_table import SharedTable
 from repro.tune.db import TuneDB, TunedConfig, TuneShape
@@ -33,7 +29,7 @@ def _worker_plans(spec, n_workers=2):
     shared = SharedTable.create(pad_table_3d(table))
     try:
         table_spec = dict(shared.spec, n_workers=n_workers)
-        with ProcessCrowdPool(n_workers, _init_crowd_shard, (spec, table_spec)) as pool:
+        with ProcessCrowdPool(n_workers, _CrowdShard.attach, (spec, table_spec)) as pool:
             return pool.broadcast("plan")
     finally:
         shared.close()
@@ -88,14 +84,12 @@ class TestInheritance:
         assert len(populated) == 3
         assert all(p == populated[0] for p in populated[1:])
 
-    def test_resolved_folds_deprecated_fields_into_config(self):
-        with pytest.warns(DeprecationWarning):
-            spec = CrowdSpec(**SPEC_KW, chunk_size=3, tile_size=2)
+    def test_resolved_keeps_explicit_config(self):
+        spec = CrowdSpec(**SPEC_KW, config=RunConfig(chunk_size=3, tile_size=2))
         resolved = spec.resolved()
-        assert (resolved.chunk_size, resolved.tile_size) == (None, None)
         assert (resolved.config.chunk_size, resolved.config.tile_size) == (3, 2)
-        # The resolved spec round-trips through pickle without warning
-        # (what actually happens on dispatch to a spawned worker).
+        # The resolved spec round-trips through pickle (what actually
+        # happens on dispatch to a spawned worker).
         import pickle
 
         clone = pickle.loads(pickle.dumps(resolved))

@@ -165,94 +165,3 @@ class TestSlaterDet:
         det, _, _ = slater
         with pytest.raises(RuntimeError):
             det.accept_move(0)
-
-
-class TestDelayedSlaterDet:
-    """SlaterDet(delay=k) must track the Sherman-Morrison pair move for move."""
-
-    @pytest.fixture
-    def paired(self, rng):
-        cell = Cell.cubic(5.0)
-        pw = PlaneWaveOrbitalSet(cell, 4)
-        spos = SplineOrbitalSet.from_orbital_functions(
-            cell, pw, (12, 12, 12), engine="fused", dtype=np.float64
-        )
-        positions = ParticleSet.random("e", cell, 8, rng).positions
-        e_dirac = ParticleSet("e", cell, positions.copy())
-        e_delay = ParticleSet("e", cell, positions.copy())
-        return (
-            SlaterDet(spos, e_dirac),
-            e_dirac,
-            SlaterDet(spos, e_delay, delay=3),
-            e_delay,
-        )
-
-    def test_delay_selects_delayed_determinants(self, paired):
-        from repro.qmc.delayed import DelayedDeterminant
-        from repro.qmc.determinant import DiracDeterminant
-
-        dirac, _, delayed, _ = paired
-        assert all(isinstance(d, DiracDeterminant) for d in dirac.dets)
-        assert all(isinstance(d, DelayedDeterminant) for d in delayed.dets)
-        assert delayed.delay == 3
-
-    def test_delay_one_requires_positive(self, rng):
-        cell = Cell.cubic(5.0)
-        pw = PlaneWaveOrbitalSet(cell, 4)
-        spos = SplineOrbitalSet.from_orbital_functions(
-            cell, pw, (12, 12, 12), engine="fused", dtype=np.float64
-        )
-        electrons = ParticleSet.random("e", cell, 8, rng)
-        with pytest.raises(ValueError):
-            SlaterDet(spos, electrons, delay=0)
-
-    def test_move_for_move_parity(self, paired, rng):
-        # Same spline orbitals, same proposals: ratios, gradients,
-        # Laplacians, and log values agree to rounding at every move —
-        # allclose, not bitwise, because the effective-column algebra
-        # orders its flops differently.
-        dirac, e_dirac, delayed, e_delay = paired
-        moves = rng.integers(0, 8, size=12)
-        steps = rng.standard_normal((12, 3)) * 0.2
-        accept = rng.random(12) < 0.6
-        for k, (e, dx, acc) in enumerate(zip(moves, steps, accept)):
-            e = int(e)
-            new_pos = e_dirac[e] + dx
-            r0, g0 = dirac.ratio_grad(e, new_pos)
-            r1, g1 = delayed.ratio_grad(e, new_pos)
-            assert np.isclose(r1, r0, atol=1e-9), f"move {k}"
-            np.testing.assert_allclose(g1, g0, atol=1e-9)
-            if acc and abs(r0) > 1e-3:
-                dirac.accept_move(e)
-                delayed.accept_move(e)
-                for es, pos in ((e_dirac, new_pos), (e_delay, new_pos)):
-                    es.propose(e, pos)
-                    es.accept()
-            else:
-                dirac.reject_move(e)
-                delayed.reject_move(e)
-            assert np.isclose(delayed.log_value, dirac.log_value, atol=1e-8)
-            gl0 = dirac.grad_lap(e)
-            gl1 = delayed.grad_lap(e)
-            np.testing.assert_allclose(gl1[0], gl0[0], atol=1e-8)
-            assert np.isclose(gl1[1], gl0[1], atol=1e-7)
-
-    def test_recompute_parity_after_updates(self, paired, rng):
-        dirac, e_dirac, delayed, e_delay = paired
-        for e in (1, 4, 7):
-            new_pos = e_dirac[e] + rng.standard_normal(3) * 0.1
-            r, _ = dirac.ratio_grad(e, new_pos)
-            delayed.ratio_grad(e, new_pos)
-            if abs(r) > 1e-3:
-                dirac.accept_move(e)
-                delayed.accept_move(e)
-                for es in (e_dirac, e_delay):
-                    es.propose(e, new_pos)
-                    es.accept()
-            else:
-                dirac.reject_move(e)
-                delayed.reject_move(e)
-        dirac.recompute()
-        delayed.recompute()
-        assert np.isclose(delayed.log_value, dirac.log_value, atol=1e-8)
-        assert delayed.sign == dirac.sign

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.config import RunConfig
 from repro.miniqmc.app import build_app, run_profiled
 from repro.miniqmc.config import MiniQmcConfig
 from repro.miniqmc.driver import run_kernel_driver, run_tiled_driver
@@ -399,6 +400,13 @@ class TestDriverResume:
             run_kernel_driver(other, "soa", resume=tmp_path / "ck")
         with pytest.raises(CheckpointError, match="does not match"):
             run_kernel_driver(cfg, "fused", resume=tmp_path / "ck")
+        # The batched engine's chunk comes from the caller's RunConfig.
+        chunked = MiniQmcConfig(**self.CFG, config=RunConfig(chunk_size=8))
+        run_kernel_driver(chunked, "batched", checkpoint_every=2,
+                          checkpoint_path=tmp_path / "chunked")
+        rechunked = MiniQmcConfig(**self.CFG, config=RunConfig(chunk_size=16))
+        with pytest.raises(CheckpointError, match="does not match"):
+            run_kernel_driver(rechunked, "batched", resume=tmp_path / "chunked")
 
 
 class TestAppResume:

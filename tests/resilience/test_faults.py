@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BsplineAoSoA, BsplineSoA, NestedEvaluator
+from repro.core import BsplineAoSoA, BsplineSoA, Kind, NestedEvaluator
 from repro.qmc.dmc import DmcWalker, run_dmc
 from repro.qmc.estimators import LocalEnergy
 from repro.qmc.rng import WalkerRngPool
@@ -80,7 +80,7 @@ class TestCorruptedTable:
             small_table, n_sites=small_table.size // 4
         )
         guarded = GuardedEngine(BsplineSoA(small_grid, corrupted), "raise")
-        out = guarded.new_output("vgh")
+        out = guarded.new_output(Kind.VGH)
         with pytest.raises(GuardViolation, match="VGH"):
             guarded.vgh(0.5, 0.5, 0.5, out)
         assert guarded.violations == 1
@@ -97,8 +97,8 @@ class TestCorruptedTable:
             reference_table=small_table,
         )
         pristine = BsplineSoA(small_grid, small_table)
-        out = guarded.new_output("vgh")
-        ref = pristine.new_output("vgh")
+        out = guarded.new_output(Kind.VGH)
+        ref = pristine.new_output(Kind.VGH)
         guarded.vgh(0.3, 0.7, 1.1, out)
         pristine.vgh(0.3, 0.7, 1.1, ref)
         assert guarded.repairs == 1
@@ -185,9 +185,9 @@ class TestKilledWorkers:
         eng.eval_tiles = inj.failing(eng.eval_tiles, n_failures=1)
         positions = small_grid.random_positions(2, rng)
         with NestedEvaluator(eng, 2) as nested:
-            out = eng.new_output("v")
+            out = eng.new_output(Kind.V)
             with pytest.raises(SimulatedFault, match="injected fault"):
-                nested.evaluate("v", positions, out)
+                nested.evaluate(Kind.V, positions, out)
             # The transient fault is gone; the evaluator still works.
-            nested.evaluate("v", positions, out)
+            nested.evaluate(Kind.V, positions, out)
         assert np.isfinite(out.tiles[0].v).all()

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pytest
 
-from repro.core import BsplineAoS, BsplineAoSoA, BsplineFused, BsplineSoA
+from repro.core import BsplineAoS, BsplineAoSoA, BsplineFused, BsplineSoA, Kind
 from repro.qmc.rng import WalkerRngPool
 from repro.resilience import (
     GuardConfig,
@@ -73,7 +73,7 @@ class TestGuardedEngine:
         self, layout, kind, small_grid, small_table
     ):
         guarded = GuardedEngine(_ENGINES[layout](small_grid, small_table), "raise")
-        out = guarded.new_output(kind)
+        out = guarded.new_output(Kind(kind))
         getattr(guarded, kind)(0.4, 0.6, 0.9, out)
         assert guarded.violations == 0
 
@@ -81,14 +81,14 @@ class TestGuardedEngine:
     def test_raise_policy_detects_all_layouts(self, layout, small_grid, small_table):
         eng = _ENGINES[layout](small_grid, _poisoned_table(small_table))
         guarded = GuardedEngine(eng, "raise")
-        out = guarded.new_output("vgh")
+        out = guarded.new_output(Kind.VGH)
         with pytest.raises(GuardViolation, match="non-finite VGH"):
             guarded.vgh(0.4, 0.6, 0.9, out)
 
     def test_count_policy_records_and_continues(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, _poisoned_table(small_table))
         guarded = GuardedEngine(eng, "count")
-        out = guarded.new_output("vgl")
+        out = guarded.new_output(Kind.VGL)
         for _ in range(3):
             guarded.vgl(0.4, 0.6, 0.9, out)
         assert guarded.violations == 3
@@ -106,7 +106,7 @@ class TestGuardedEngine:
         failures: list[BaseException] = []
 
         def hammer():
-            out = guarded.new_output("vgh")  # outputs stay thread-private
+            out = guarded.new_output(Kind.VGH)  # outputs stay thread-private
             barrier.wait()
             try:
                 for _ in range(per_thread):
@@ -130,8 +130,8 @@ class TestGuardedEngine:
         eng = _ENGINES[layout](small_grid, _poisoned_table(small_table))
         guarded = GuardedEngine(eng, "recompute", reference_table=small_table)
         pristine = _ENGINES[layout](small_grid, small_table)
-        out = guarded.new_output(kind)
-        ref = pristine.new_output(kind)
+        out = guarded.new_output(Kind(kind))
+        ref = pristine.new_output(Kind(kind))
         getattr(guarded, kind)(0.4, 0.6, 0.9, out)
         getattr(pristine, kind)(0.4, 0.6, 0.9, ref)
         assert guarded.repairs == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BsplineAoSoA, NestedEvaluator
+from repro.core import BsplineAoSoA, Kind, NestedEvaluator
 from repro.resilience import (
     FaultInjector,
     ResilientEvaluator,
@@ -92,12 +92,12 @@ class TestResilientEvaluator:
             nested, RetryPolicy(max_attempts=3, base_delay=0.0),
             sleep=lambda _: None,
         )
-        out = engine.new_output("vgh")
-        resilient.evaluate("vgh", positions, out)
+        out = engine.new_output(Kind.VGH)
+        resilient.evaluate(Kind.VGH, positions, out)
         resilient.close()
         assert resilient.retries == 2
         assert resilient.fallbacks == 0
-        ref = self._reference(engine, "vgh", positions)
+        ref = self._reference(engine, Kind.VGH, positions)
         got = out.as_canonical()
         for name in ("v", "g", "h"):
             np.testing.assert_array_equal(got[name], ref[name])
@@ -112,12 +112,12 @@ class TestResilientEvaluator:
             nested, RetryPolicy(max_attempts=2, base_delay=0.0),
             sleep=lambda _: None,
         ) as resilient:
-            out = engine.new_output("vgl")
-            resilient.evaluate("vgl", positions, out)
+            out = engine.new_output(Kind.VGL)
+            resilient.evaluate(Kind.VGL, positions, out)
         assert resilient.fallbacks == 1
         assert resilient.retries == 1
         # The fallback runs the same pure kernels: bit-identical results.
-        ref = self._reference(engine, "vgl", positions)
+        ref = self._reference(engine, Kind.VGL, positions)
         got = out.as_canonical()
         for name in ("v", "g", "l"):
             np.testing.assert_array_equal(got[name], ref[name])

@@ -13,6 +13,7 @@ from repro.core import (
     BsplineAoSoA,
     BsplineSoA,
     Grid3D,
+    Kind,
     NestedEvaluator,
     solve_coefficients_3d,
 )
@@ -25,7 +26,7 @@ class TestCorruptedData:
         bad = small_table.copy()
         bad[3, 4, 5, :] = np.nan
         eng = BsplineSoA(small_grid, bad)
-        out = eng.new_output("vgh")
+        out = eng.new_output(Kind.VGH)
         # Position whose stencil covers the poisoned point.
         dx, dy, dz = small_grid.deltas
         eng.vgh(3.2 * dx, 4.1 * dy, 5.3 * dz, out)
@@ -33,7 +34,7 @@ class TestCorruptedData:
 
     def test_inf_positions_raise_or_wrap(self, small_grid, small_table):
         eng = BsplineSoA(small_grid, small_table)
-        out = eng.new_output("v")
+        out = eng.new_output(Kind.V)
         with pytest.raises((ValueError, OverflowError)):
             eng.v(np.inf, 0.0, 0.0, out)
 
@@ -72,9 +73,9 @@ class TestProtocolMisuse:
         nested.close()
         with pytest.raises(RuntimeError):
             nested.evaluate(
-                "v",
+                Kind.V,
                 small_grid.random_positions(1, np.random.default_rng(0)),
-                tiled.new_output("v"),
+                tiled.new_output(Kind.V),
             )
 
 

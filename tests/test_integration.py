@@ -105,7 +105,7 @@ class TestEngineInteroperability:
         positions = grid.random_positions(5, rng)
 
         batched = BsplineBatched(grid, P)
-        b_out = batched.new_output(5)
+        b_out = batched.new_output(Kind.VGH, n=5)
         batched.vgh_batch(positions, b_out)
 
         tiled = BsplineAoSoA(grid, P, 8)
