@@ -291,7 +291,6 @@ def _dmc_main(argv: list[str]) -> int:
         mttr_txt = f", mean MTTR {sum(mttr) / len(mttr):.3f} s" if mttr else ""
         print(
             f"fleet: {report['restarts']} restarts, "
-            f"{report['rebalances']} rebalances, "
             f"{report['scale_events']} scale events, "
             f"{report['final_workers']} final workers{mttr_txt}"
         )

@@ -11,34 +11,20 @@ lineage deliberately leave to the driver:
   and the in-flight work replayed **bit-identically**;
 * :class:`~repro.fleet.supervisor.FleetConfig` — the policy knobs:
   deadlines, restart budgets, elastic min/max bounds, latency and RSS
-  budgets, rebalance threshold;
-* :mod:`~repro.fleet.rebalance` — deterministic planning of DMC walker
-  migrations when branching skews the shards;
+  budgets;
 * :mod:`~repro.fleet.dmc` — the supervised executor of
   :func:`repro.parallel.run_dmc_sharded`, reached through its
   ``fleet=`` parameter (and the CLIs' ``--elastic`` /
   ``--worker-timeout`` flags).
 
+Which worker runs a walker is not the fleet's decision:
+:mod:`repro.parallel.sharding` splits the walkers contiguously over
+whatever workers are live, every generation, supervised or not.
+
 Everything observable lands in the OBS registry: restarts, recovery
-latency (MTTR), scale events, migrated walkers/bytes, the live worker
-count.
+latency (MTTR), scale events, the live worker count.
 """
 
-from repro.fleet.rebalance import (
-    Move,
-    RebalancePlan,
-    balanced_sizes,
-    plan_rebalance,
-    shard_imbalance,
-)
 from repro.fleet.supervisor import FleetConfig, FleetSupervisor
 
-__all__ = [
-    "FleetConfig",
-    "FleetSupervisor",
-    "Move",
-    "RebalancePlan",
-    "balanced_sizes",
-    "plan_rebalance",
-    "shard_imbalance",
-]
+__all__ = ["FleetConfig", "FleetSupervisor"]

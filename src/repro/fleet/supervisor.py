@@ -75,11 +75,6 @@ class FleetConfig:
     rss_budget_mb:
         Fleet-wide resident-memory budget; exceeding it forces a shrink
         regardless of latency.  ``None`` disables the check.
-    rebalance:
-        Plan DMC walker migrations when shards skew (see
-        :mod:`repro.fleet.rebalance`).
-    rebalance_threshold:
-        Migrate only when the straggler excess exceeds this fraction.
     start_method:
         Multiprocessing start method override for the supervised pool.
     """
@@ -93,8 +88,6 @@ class FleetConfig:
     max_workers: int | None = None
     latency_budget: float | None = None
     rss_budget_mb: float | None = None
-    rebalance: bool = True
-    rebalance_threshold: float = 0.25
     start_method: str | None = None
 
     def __post_init__(self) -> None:
@@ -126,10 +119,6 @@ class FleetConfig:
         if self.rss_budget_mb is not None and self.rss_budget_mb <= 0:
             raise ValueError(
                 f"rss_budget_mb must be positive, got {self.rss_budget_mb}"
-            )
-        if self.rebalance_threshold < 0:
-            raise ValueError(
-                f"rebalance_threshold must be >= 0, got {self.rebalance_threshold}"
             )
 
 
@@ -196,7 +185,7 @@ class FleetSupervisor:
         self.restarts: list[int] = [0] * n_workers
         #: Detection-to-recovered latency of every recovery, in seconds.
         self.mttr_seconds: list[float] = []
-        #: Audit trail: restarts, scale events, armed faults, rebalances.
+        #: Audit trail: restarts, scale events, armed and skipped faults.
         self.events: list[dict] = []
         self._journal: list[list[tuple]] = [[] for _ in range(n_workers)]
         if OBS.enabled:
@@ -471,9 +460,6 @@ class FleetSupervisor:
         return {
             "restarts": self.total_restarts,
             "scale_events": self.scale_events,
-            "rebalances": sum(
-                1 for e in self.events if e["kind"] == "rebalance"
-            ),
             "mttr_seconds": list(self.mttr_seconds),
             "final_workers": self.n_workers,
             "events": list(self.events),

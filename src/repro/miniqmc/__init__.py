@@ -17,7 +17,6 @@ from repro.miniqmc.config import (
     random_coefficients,
 )
 from repro.miniqmc.driver import DriverResult, run_kernel_driver, run_tiled_driver
-from repro.miniqmc.ensemble import EnsembleResult, WalkerEnsemble
 
 __all__ = [
     "MiniQmcConfig",
@@ -29,6 +28,4 @@ __all__ = [
     "DriverResult",
     "run_kernel_driver",
     "run_tiled_driver",
-    "WalkerEnsemble",
-    "EnsembleResult",
 ]

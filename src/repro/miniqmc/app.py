@@ -390,14 +390,6 @@ def main(argv: list[str] | None = None) -> int:
         "are fixed at start",
     )
     parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        metavar="K",
-        help="accepted for CLI symmetry with 'python -m repro dmc'; crowd "
-        "shards never resize, so this only bounds the supervisor",
-    )
-    parser.add_argument(
         "--worker-timeout",
         type=float,
         default=None,
@@ -456,15 +448,11 @@ def main(argv: list[str] | None = None) -> int:
             args.backend = resolve_backend(args.backend).name
         except (BackendUnavailable, BackendConformanceError) as exc:
             parser.error(str(exc))
-    fleet_flags = (
-        args.elastic
-        or args.max_workers is not None
-        or args.worker_timeout is not None
-    )
+    fleet_flags = args.elastic or args.worker_timeout is not None
     if fleet_flags and args.walkers is None and args.processes is None:
         parser.error(
-            "--elastic/--max-workers/--worker-timeout require population "
-            "mode (--walkers/--processes)"
+            "--elastic/--worker-timeout require population mode "
+            "(--walkers/--processes)"
         )
     counts = ("n_orbitals", "sweeps", "walkers", "processes", "tile_size",
               "chunk", "checkpoint_every")
@@ -554,16 +542,13 @@ def _population_main(args, observe: bool, cfg) -> int:
     n_walkers = args.walkers if args.walkers is not None else 8
     n_workers = args.processes if args.processes is not None else 1
     fleet = None
-    if args.elastic or args.max_workers is not None or args.worker_timeout is not None:
+    if args.elastic or args.worker_timeout is not None:
         from repro.fleet import FleetConfig
 
         # Crowd shards are stateful (walkers live worker-side), so the
         # supervisor provides recovery only — never elastic resizing.
         try:
-            fleet = FleetConfig(
-                max_workers=args.max_workers,
-                worker_timeout=args.worker_timeout,
-            )
+            fleet = FleetConfig(worker_timeout=args.worker_timeout)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -5,32 +5,35 @@ and push them through V, VGL and VGH against a shared read-only table.
 ``run_tiled_driver`` is Fig. 6: the same samples against an AoSoA engine,
 optionally with nested threads per walker (Opt C).
 
-On this host walkers execute sequentially (one core); since walkers share
-nothing but the read-only table, per-eval cost — and therefore every
-layout *comparison* — is unaffected.  The returned
-:class:`DriverResult` carries the paper's throughput metric per kernel.
+One walker loop serves both drivers, in-process and in their worker
+processes: walker ``w`` is evaluated at ``grid.random_positions(ns,
+walker_rng(seed, w))`` — a stream keyed by its global index only (see
+:mod:`repro.parallel.sharding`) — through the engine's
+``evaluate_batch`` or the nested evaluator's ``evaluate``.  So the
+positions evaluated do not depend on ``processes``, on which shard a
+walker lands in, or on where a resumed run picks up.  Since walkers
+share nothing but the read-only table, per-eval cost — and therefore
+every layout *comparison* — is the same sequential or sharded.  The
+returned :class:`DriverResult` carries the paper's throughput metric
+per kernel.
 
 Resilience: both drivers accept ``checkpoint_every`` (walkers) /
 ``checkpoint_path`` / ``resume`` so a killed benchmark run does not
 repeat completed work — the checkpoint carries accumulated per-kernel
-seconds/evals plus the exact RNG state, so the resumed run consumes the
-same position stream the uninterrupted run would have.
+seconds/evals and the next walker, and the resumed run evaluates the
+remaining walkers at the positions the uninterrupted run would have.
 ``run_tiled_driver`` additionally takes a
 :class:`~repro.resilience.retry.RetryPolicy` that wraps the nested
 evaluator in bounded retry-with-backoff and single-threaded fallback
 (:class:`~repro.resilience.retry.ResilientEvaluator`).
 
 Process parallelism: both drivers accept ``processes`` — walkers are
-sharded over a :class:`~repro.parallel.pool.ProcessCrowdPool` whose
-workers attach the coefficient table through a
+split contiguously (:func:`~repro.parallel.sharding.shard_slices`) over
+a :class:`~repro.parallel.pool.ProcessCrowdPool` whose workers attach
+the coefficient table through a
 :class:`~repro.parallel.shared_table.SharedTable` (one physical copy, as
-in paper Fig. 3, at process scope).  In process mode each walker draws
-its positions from its own ``SeedSequence(seed+1, spawn_key=(walker,))``
-stream, so per-kernel eval counts and position streams are identical for
-any process count (including ``processes=1``); the sequential
-``processes=None`` path keeps its historical single-stream behaviour.
-Checkpointing is a sequential-mode feature — combining it with
-``processes`` raises.
+in paper Fig. 3, at process scope).  Checkpointing is a sequential-mode
+feature — combining it with ``processes`` raises.
 """
 
 from __future__ import annotations
@@ -51,12 +54,13 @@ from repro.core.layout_soa import BsplineSoA
 from repro.core.nested import NestedEvaluator
 from repro.miniqmc.config import MiniQmcConfig, random_coefficients
 from repro.obs import OBS, kernel_bytes_moved
+from repro.parallel.pool import ProcessCrowdPool
+from repro.parallel.sharding import shard_slices, walker_rng
+from repro.parallel.shared_table import SharedTable
 from repro.perf.throughput import throughput
 from repro.resilience.checkpoint import (
     CheckpointError,
     load_checkpoint,
-    restore_rng,
-    rng_state,
     save_checkpoint,
 )
 from repro.resilience.retry import ResilientEvaluator, RetryPolicy
@@ -142,40 +146,6 @@ def _driver_fingerprint(config: MiniQmcConfig, engine: str, kernels) -> dict:
     }
 
 
-def _save_driver_checkpoint(
-    path, fingerprint: dict, result: DriverResult, ki: int, walker: int, rng
-) -> None:
-    save_checkpoint(
-        path,
-        {
-            "kind": "kernel_driver",
-            "fingerprint": fingerprint,
-            "kernel_index": ki,
-            "walkers_done": walker,
-            "seconds": result.seconds,
-            "evals": result.evals,
-            "rng_state": rng_state(rng),
-        },
-    )
-
-
-def _resume_driver(resume, fingerprint: dict, result: DriverResult):
-    """Restore progress counters; returns (kernel_index, walkers_done, rng)."""
-    ckpt = load_checkpoint(resume, expect_kind="kernel_driver")
-    if ckpt.manifest["fingerprint"] != fingerprint:
-        raise CheckpointError(
-            f"driver checkpoint does not match this run: saved "
-            f"{ckpt.manifest['fingerprint']!r}, requested {fingerprint!r}"
-        )
-    result.seconds.update(ckpt.manifest["seconds"])
-    result.evals.update({k: int(v) for k, v in ckpt.manifest["evals"].items()})
-    return (
-        int(ckpt.manifest["kernel_index"]),
-        int(ckpt.manifest["walkers_done"]),
-        restore_rng(ckpt.manifest["rng_state"]),
-    )
-
-
 def _batched_run_config(config: MiniQmcConfig):
     """The batched engine's :class:`~repro.config.RunConfig`, resolved
     parent-side (rungs 1-4) so process shards inherit identical blocking.
@@ -190,7 +160,20 @@ def _batched_run_config(config: MiniQmcConfig):
     return cfg
 
 
-def _checkpoint_args_ok(checkpoint_every: int | None, checkpoint_path) -> None:
+def _engine(name: str, table: np.ndarray, config: MiniQmcConfig, run_config=None):
+    """The engine a driver names: ``aos``/``soa``/``fused``, ``batched``
+    (blocked by ``run_config``) or ``aosoa<Nb>`` (``config.tile_size``)."""
+    grid = Grid3D(*config.grid_shape)
+    if name.startswith("aosoa"):
+        return BsplineAoSoA(grid, table, config.tile_size)
+    if name == "batched":
+        return BsplineBatched(grid, table, config=run_config)
+    return _ENGINES[name](grid, table)
+
+
+def _check_checkpoint_args(
+    checkpoint_every, checkpoint_path, resume, processes
+) -> None:
     if checkpoint_every is not None:
         if checkpoint_every <= 0:
             raise ValueError(
@@ -198,6 +181,126 @@ def _checkpoint_args_ok(checkpoint_every: int | None, checkpoint_path) -> None:
             )
         if checkpoint_path is None:
             raise ValueError("checkpoint_every requires checkpoint_path")
+    if processes is not None and (checkpoint_every is not None or resume is not None):
+        raise ValueError(
+            "checkpoint/resume is a sequential-mode feature; "
+            "run with processes=None to checkpoint"
+        )
+
+
+# -- the one walker loop ------------------------------------------------------
+
+
+def _walker_evals(
+    evaluate, eng, kind: Kind, config: MiniQmcConfig, walkers, engine: str,
+    **span_args,
+):
+    """Evaluate ``kind`` for each walker in ``walkers``, in order.
+
+    Walker ``w`` runs ``config.n_iters`` calls of ``evaluate(kind,
+    positions, out)`` — an engine's ``evaluate_batch`` or a nested
+    evaluator's ``evaluate`` — at ``eng.grid.random_positions(n_samples,
+    walker_rng(config.seed, w))``, into one output buffer.  Yields
+    ``(w, evals, seconds)`` per walker, the seconds covering the kernel
+    calls only, and reports the same to OBS (eval count, modelled bytes
+    and a ``kernel:<kind>`` span tagged with ``engine``, ``walker`` and
+    ``span_args``).
+    """
+    n_out = config.n_samples if isinstance(eng, BsplineBatched) else 1
+    out = eng.new_output(kind, n=n_out)
+    n_evals = config.n_iters * config.n_samples
+    bytes_per_eval = kernel_bytes_moved(
+        kind.value, eng.layout, config.n_splines, eng.dtype.itemsize
+    )
+    for w in walkers:
+        positions = eng.grid.random_positions(
+            config.n_samples, walker_rng(config.seed, w)
+        )
+        t0 = time.perf_counter()
+        for _ in range(config.n_iters):
+            evaluate(kind, positions, out)
+        dt = time.perf_counter() - t0
+        if OBS.enabled:
+            OBS.kernel_eval(
+                engine, kind.value, n_evals, dt, n_evals * bytes_per_eval
+            )
+            OBS.complete(
+                f"kernel:{kind.value}",
+                t0,
+                dt,
+                cat="miniqmc",
+                engine=engine,
+                walker=w,
+                **span_args,
+            )
+        yield w, n_evals, dt
+
+
+def _run_in_process(
+    result: DriverResult,
+    evaluate,
+    eng,
+    kernels,
+    checkpoint_every: int | None,
+    checkpoint_path,
+    resume,
+    **span_args,
+) -> DriverResult:
+    """Every kernel over every walker in this process.
+
+    Checkpoints every ``checkpoint_every`` walkers (per kernel); with
+    ``resume``, the kernels and walkers the checkpoint recorded are
+    skipped and their counters restored.
+    """
+    config = result.config
+    fingerprint = _driver_fingerprint(config, result.engine, kernels)
+    start_ki, start_walker = 0, 0
+    if resume is not None:
+        start_ki, start_walker = _resume_driver(resume, fingerprint, result)
+    for ki, kind in enumerate(_as_kinds(kernels)):
+        if ki < start_ki:
+            continue  # fully recorded in the restored result
+        kern = kind.value
+        first = start_walker if ki == start_ki else 0
+        if not first:
+            result.seconds[kern] = 0.0
+            result.evals[kern] = 0
+        walkers = range(first, config.n_walkers)
+        for w, n_evals, dt in _walker_evals(
+            evaluate, eng, kind, config, walkers, result.engine, **span_args
+        ):
+            result.seconds[kern] += dt
+            result.evals[kern] += n_evals
+            if checkpoint_every is not None and (w + 1) % checkpoint_every == 0:
+                save_checkpoint(
+                    checkpoint_path,
+                    {
+                        "kind": "kernel_driver",
+                        "fingerprint": fingerprint,
+                        "kernel_index": ki,
+                        "walkers_done": w + 1,
+                        "seconds": result.seconds,
+                        "evals": result.evals,
+                    },
+                )
+    return _finalize(result)
+
+
+def _resume_driver(resume, fingerprint: dict, result: DriverResult):
+    """Restore progress counters; returns (kernel_index, walkers_done).
+
+    Positions come from per-walker streams, so a checkpoint needs no RNG
+    state; the ``rng_state`` older checkpoints carry is ignored.
+    """
+    ckpt = load_checkpoint(resume, expect_kind="kernel_driver")
+    if ckpt.manifest["fingerprint"] != fingerprint:
+        raise CheckpointError(
+            f"driver checkpoint does not match this run: saved "
+            f"{ckpt.manifest['fingerprint']!r}, requested {fingerprint!r}"
+        )
+    result.seconds.update(ckpt.manifest["seconds"])
+    result.evals.update({k: int(v) for k, v in ckpt.manifest["evals"].items()})
+    return int(ckpt.manifest["kernel_index"]), int(ckpt.manifest["walkers_done"])
 
 
 # -- process-parallel walker sharding ----------------------------------------
@@ -206,81 +309,45 @@ def _checkpoint_args_ok(checkpoint_every: int | None, checkpoint_path) -> None:
 class _DriverShard:
     """Worker-process state for the process-parallel kernel drivers.
 
-    Attaches the shared coefficient table, builds its engine once, and
-    evaluates its contiguous walker range per ``run(kern)`` call.  Each
-    walker's positions come from ``SeedSequence(seed+1, spawn_key=(w,))``
-    — a function of the global walker index only, so shard boundaries
-    cannot change what gets evaluated.
+    The pool initializer: attaches the shared coefficient table, builds
+    the engine once, and runs the drivers' walker loop over this
+    worker's contiguous walker range per ``run(kern)`` call.
     """
 
     def __init__(self, worker_id: int, table_spec: dict, payload: dict):
-        from repro.parallel.shared_table import SharedTable
-        from repro.parallel.sharding import shard_slices
-
         self._table = SharedTable.attach(table_spec)
         config: MiniQmcConfig = payload["config"]
-        nx, ny, nz = config.grid_shape
-        self.grid = Grid3D(nx, ny, nz)
-        if payload["engine"].startswith("aosoa"):
-            self.eng = BsplineAoSoA(self.grid, self._table.array, config.tile_size)
-        elif payload["engine"] == "batched":
-            # The parent shared a ghost-padded table; adopt it zero-copy.
-            # Blocking comes pre-resolved from the parent; only the
-            # backend resolves here — fleet-worker policy, degrading to
-            # NumPy (warned + counted) if this process can't serve it.
-            cfg = payload["run_config"]
-            if cfg.backend is not None and not hasattr(cfg.backend, "capability"):
-                from repro.backends import resolve_backend
+        # The batched engine adopts the parent's ghost-padded table
+        # zero-copy, with blocking pre-resolved parent-side; only the
+        # backend resolves here — fleet-worker policy, degrading to
+        # NumPy (warned + counted) if this process can't serve it.
+        cfg = payload["run_config"]
+        if cfg is not None and cfg.backend is not None and not hasattr(
+            cfg.backend, "capability"
+        ):
+            from repro.backends import resolve_backend
 
-                cfg = cfg.replace(
-                    backend=resolve_backend(cfg.backend, fallback=True)
-                )
-            self.eng = BsplineBatched(self.grid, self._table.array, config=cfg)
-        else:
-            self.eng = _ENGINES[payload["engine"]](self.grid, self._table.array)
+            cfg = cfg.replace(backend=resolve_backend(cfg.backend, fallback=True))
+        self.eng = _engine(payload["engine"], self._table.array, config, cfg)
         self.engine_name = payload["engine"]
         self.config = config
-        shard = shard_slices(config.n_walkers, payload["n_workers"])[worker_id]
+        shard = shard_slices(config.n_walkers, table_spec["n_workers"])[worker_id]
         self.walkers = range(shard.start, shard.stop)
 
-    def run(self, kern: str) -> dict:
-        """Evaluate kernel ``kern`` for every walker of this shard."""
-        config = self.config
-        kind = Kind(kern)
-        batched = isinstance(self.eng, BsplineBatched)
-        if batched:
-            out = self.eng.new_output(kind, n=config.n_samples)
-        else:
-            out = self.eng.new_output(kind)
-            kern_fn = getattr(self.eng, kind.value)
-        count = 0
-        t0 = time.perf_counter()
-        for w in self.walkers:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed + 1, spawn_key=(w,))
-            )
-            positions = self.grid.random_positions(config.n_samples, rng)
-            for _ in range(config.n_iters):
-                if batched:
-                    self.eng.evaluate_batch(kind, positions, out)
-                else:
-                    for x, y, z in positions:
-                        kern_fn(x, y, z, out)
-            count += config.n_iters * config.n_samples
-        dt = time.perf_counter() - t0
-        if OBS.enabled and count:
-            layout = "aos" if self.engine_name == "aos" else "soa"
-            OBS.kernel_eval(
+    def run(self, kern: str) -> int:
+        """Evaluate kernel ``kern`` for every walker of this shard;
+        returns the eval count."""
+        return sum(
+            n_evals
+            for _, n_evals, _ in _walker_evals(
+                self.eng.evaluate_batch,
+                self.eng,
+                Kind(kern),
+                self.config,
+                self.walkers,
                 self.engine_name,
-                kern,
-                count,
-                dt,
-                count
-                * kernel_bytes_moved(
-                    kern, layout, config.n_splines, self._table.dtype.itemsize
-                ),
             )
-        return {"evals": count, "seconds": dt}
+        )
 
     def close(self) -> None:
         self.eng = None
@@ -290,56 +357,42 @@ class _DriverShard:
             pass
 
 
-def _init_driver_shard(worker_id: int, table_spec: dict, payload: dict):
-    return _DriverShard(worker_id, table_spec, payload)
-
-
 def _run_sharded(
     config: MiniQmcConfig,
     engine_name: str,
     kernels,
     P: np.ndarray,
     processes: int,
-    start_method: str | None = None,
 ) -> DriverResult:
-    """The shared process-mode loop behind both kernel drivers.
+    """The process-mode run behind both kernel drivers.
 
     Per kernel, one scatter/gather round over the pool; the recorded
     seconds are parent wall-clock (the number speedups come from), and
     the eval counts are the sum over shards — identical for any
     ``processes``.
     """
-    from repro.parallel.pool import ProcessCrowdPool
-    from repro.parallel.shared_table import SharedTable
-
     result = DriverResult(config=config, engine=engine_name)
     # The batched engine wants the ghost-padded table in the shared
     # segment so every worker attaches the halo zero-copy.
     shared = SharedTable.create(
         pad_table_3d(P) if engine_name == "batched" else P
     )
-    table_spec = dict(shared.spec, n_workers=processes)
     payload = {
         "config": config,
         "engine": engine_name,
-        "n_workers": processes,
         "run_config": (
             _batched_run_config(config) if engine_name == "batched" else None
         ),
     }
     try:
         with ProcessCrowdPool(
-            processes,
-            _init_driver_shard,
-            (table_spec, payload),
-            start_method=start_method,
+            processes, _DriverShard, (dict(shared.spec, n_workers=processes), payload)
         ) as pool:
             for kind in _as_kinds(kernels):
                 kern = kind.value
                 t0 = time.perf_counter()
-                shards = pool.broadcast("run", kern)
+                result.evals[kern] = sum(pool.broadcast("run", kern))
                 result.seconds[kern] = time.perf_counter() - t0
-                result.evals[kern] = sum(s["evals"] for s in shards)
             pool.merge_metrics()
     finally:
         shared.close()
@@ -386,90 +439,26 @@ def run_kernel_driver(
     processes:
         Shard walkers over this many worker processes sharing the table
         through shared memory (see the module docstring).  ``None``
-        keeps the sequential in-process loop.  Mutually exclusive with
+        runs the walkers in this process.  Mutually exclusive with
         checkpointing.
     """
     if engine not in _ENGINES and engine != "batched":
         raise ValueError(f"unknown engine {engine!r}")
-    _checkpoint_args_ok(checkpoint_every, checkpoint_path)
+    _check_checkpoint_args(checkpoint_every, checkpoint_path, resume, processes)
     P = coefficients if coefficients is not None else random_coefficients(config)
     if processes is not None:
-        if checkpoint_every is not None or resume is not None:
-            raise ValueError(
-                "checkpoint/resume is a sequential-mode feature; "
-                "run with processes=None to checkpoint"
-            )
         return _run_sharded(config, engine, kernels, P, processes)
-    nx, ny, nz = config.grid_shape
-    grid = Grid3D(nx, ny, nz)
-    if engine == "batched":
-        eng = BsplineBatched(grid, P, config=_batched_run_config(config))
-    else:
-        eng = _ENGINES[engine](grid, P)
-    batched = engine == "batched"
-    result = DriverResult(config=config, engine=engine)
-    fingerprint = _driver_fingerprint(config, engine, kernels)
-    if resume is not None:
-        start_ki, start_walker, rng = _resume_driver(resume, fingerprint, result)
-    else:
-        start_ki, start_walker = 0, 0
-        rng = np.random.default_rng(config.seed + 1)
-    for ki, kind in enumerate(_as_kinds(kernels)):
-        if ki < start_ki:
-            continue  # fully recorded in the restored result
-        kern = kind.value
-        if batched:
-            out = eng.new_output(kind, n=config.n_samples)
-        else:
-            out = eng.new_output(kind)
-            kern_fn = getattr(eng, kind.value)
-        if ki == start_ki and start_walker:
-            total = result.seconds.get(kern, 0.0)
-            count = result.evals.get(kern, 0)
-            first_walker = start_walker
-        else:
-            total = 0.0
-            count = 0
-            first_walker = 0
-        for walker in range(first_walker, config.n_walkers):
-            positions = grid.random_positions(config.n_samples, rng)
-            t0 = time.perf_counter()
-            for _ in range(config.n_iters):
-                if batched:
-                    eng.evaluate_batch(kind, positions, out)
-                else:
-                    for x, y, z in positions:
-                        kern_fn(x, y, z, out)
-            dt = time.perf_counter() - t0
-            total += dt
-            n_batch = config.n_iters * config.n_samples
-            count += n_batch
-            result.seconds[kern] = total
-            result.evals[kern] = count
-            if OBS.enabled:
-                OBS.kernel_eval(
-                    engine,
-                    kern,
-                    n_batch,
-                    dt,
-                    n_batch
-                    * kernel_bytes_moved(
-                        kern, eng.layout, config.n_splines, P.itemsize
-                    ),
-                )
-                OBS.complete(
-                    f"kernel:{kern}",
-                    t0,
-                    dt,
-                    cat="miniqmc",
-                    engine=engine,
-                    walker=walker,
-                )
-            if checkpoint_every is not None and (walker + 1) % checkpoint_every == 0:
-                _save_driver_checkpoint(
-                    checkpoint_path, fingerprint, result, ki, walker + 1, rng
-                )
-    return _finalize(result)
+    run_config = _batched_run_config(config) if engine == "batched" else None
+    eng = _engine(engine, P, config, run_config)
+    return _run_in_process(
+        DriverResult(config=config, engine=engine),
+        eng.evaluate_batch,
+        eng,
+        kernels,
+        checkpoint_every,
+        checkpoint_path,
+        resume,
+    )
 
 
 def run_tiled_driver(
@@ -499,32 +488,17 @@ def run_tiled_driver(
     """
     if not config.tile_size:
         raise ValueError("run_tiled_driver requires config.tile_size")
-    _checkpoint_args_ok(checkpoint_every, checkpoint_path)
-    P = coefficients if coefficients is not None else random_coefficients(config)
-    if processes is not None:
-        if checkpoint_every is not None or resume is not None:
-            raise ValueError(
-                "checkpoint/resume is a sequential-mode feature; "
-                "run with processes=None to checkpoint"
-            )
-        if n_threads != 1 or retry_policy is not None:
-            raise ValueError(
-                "processes shards walkers over worker processes; nested "
-                "threads/retry policies apply to the sequential path only"
-            )
-        return _run_sharded(
-            config, f"aosoa{config.tile_size}", kernels, P, processes
+    _check_checkpoint_args(checkpoint_every, checkpoint_path, resume, processes)
+    if processes is not None and (n_threads != 1 or retry_policy is not None):
+        raise ValueError(
+            "processes shards walkers over worker processes; nested "
+            "threads/retry policies apply to the sequential path only"
         )
-    nx, ny, nz = config.grid_shape
-    grid = Grid3D(nx, ny, nz)
-    eng = BsplineAoSoA(grid, P, config.tile_size)
-    result = DriverResult(config=config, engine=f"aosoa{config.tile_size}")
-    fingerprint = _driver_fingerprint(config, result.engine, kernels)
-    if resume is not None:
-        start_ki, start_walker, rng = _resume_driver(resume, fingerprint, result)
-    else:
-        start_ki, start_walker = 0, 0
-        rng = np.random.default_rng(config.seed + 1)
+    P = coefficients if coefficients is not None else random_coefficients(config)
+    name = f"aosoa{config.tile_size}"
+    if processes is not None:
+        return _run_sharded(config, name, kernels, P, processes)
+    eng = _engine(name, P, config)
     nested = NestedEvaluator(eng, n_threads) if n_threads > 1 else None
     evaluator = nested
     if nested is not None and retry_policy is not None:
@@ -536,63 +510,20 @@ def run_tiled_driver(
             "driver_tile_occupancy", min(n_threads, eng.n_tiles) / n_threads
         )
     try:
-        for ki, kind in enumerate(_as_kinds(kernels)):
-            if ki < start_ki:
-                continue
-            kern = kind.value
-            out = eng.new_output(kind)
-            if ki == start_ki and start_walker:
-                total = result.seconds.get(kern, 0.0)
-                count = result.evals.get(kern, 0)
-                first_walker = start_walker
-            else:
-                total = 0.0
-                count = 0
-                first_walker = 0
-            for walker in range(first_walker, config.n_walkers):
-                positions = grid.random_positions(config.n_samples, rng)
-                t0 = time.perf_counter()
-                for _ in range(config.n_iters):
-                    if evaluator is not None:
-                        evaluator.evaluate(kind, positions, out)
-                    else:
-                        kern_fn = getattr(eng, kind.value)
-                        for x, y, z in positions:
-                            kern_fn(x, y, z, out)
-                dt = time.perf_counter() - t0
-                total += dt
-                n_batch = config.n_iters * config.n_samples
-                count += n_batch
-                result.seconds[kern] = total
-                result.evals[kern] = count
-                if OBS.enabled:
-                    OBS.kernel_eval(
-                        result.engine,
-                        kern,
-                        n_batch,
-                        dt,
-                        n_batch
-                        * kernel_bytes_moved(
-                            kern, "soa", config.n_splines, P.itemsize
-                        ),
-                    )
-                    OBS.complete(
-                        f"kernel:{kern}",
-                        t0,
-                        dt,
-                        cat="miniqmc",
-                        engine=result.engine,
-                        walker=walker,
-                        n_threads=n_threads,
-                    )
-                if checkpoint_every is not None and (walker + 1) % checkpoint_every == 0:
-                    _save_driver_checkpoint(
-                        checkpoint_path, fingerprint, result, ki, walker + 1, rng
-                    )
+        result = _run_in_process(
+            DriverResult(config=config, engine=name),
+            evaluator.evaluate if evaluator is not None else eng.evaluate_batch,
+            eng,
+            kernels,
+            checkpoint_every,
+            checkpoint_path,
+            resume,
+            n_threads=n_threads,
+        )
     finally:
         if nested is not None:
             nested.close()
     if isinstance(evaluator, ResilientEvaluator):
         result.retries = evaluator.retries
         result.fallbacks = evaluator.fallbacks
-    return _finalize(result)
+    return result

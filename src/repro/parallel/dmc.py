@@ -27,11 +27,12 @@ hangs mid-generation loses nothing — restart it, re-ship its tasks,
 and the generation replays bit-identically.
 
 The generation loop is :mod:`repro.qmc.dmc`'s own, run over a
-:class:`_ShardedExecutor` that ships walkers as tasks.  The plain
-executor splits them contiguously over a bare pool; the supervised,
-elastic, rebalancing executor in :mod:`repro.fleet.dmc` keeps walkers
-on sticky home shards.  Both start through
-:func:`repro.parallel.crowd._launch` and produce the same traces.
+:class:`_ShardedExecutor` that ships walkers as tasks, split
+contiguously (:func:`~repro.parallel.sharding.shard_slices`) over the
+live workers every generation.  The supervised, elastic executor in
+:mod:`repro.fleet.dmc` keeps that split and adds fault recovery and
+resizing.  Both start through :func:`repro.parallel.crowd._launch` and
+produce the same traces.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.obs import OBS
 from repro.parallel.crowd import CrowdSpec, _launch, _Shard, build_walker_range
 from repro.parallel.sharding import shard_slices, walker_rng
 from repro.qmc.batched_step import CrowdState, batched_sweep
-from repro.qmc.dmc import DmcResult, _run_generations
+from repro.qmc.dmc import DmcResult, _check_run_args, _run_generations
 from repro.qmc.estimators import CrowdLocalEnergy
 from repro.qmc.particleset import ParticleSet
 from repro.qmc.rng import WalkerRngPool
@@ -60,18 +61,14 @@ __all__ = ["run_dmc_sharded"]
 class _WalkerState:
     """The parent's authoritative view of one walker: arrays, no objects.
 
-    ``home`` is the walker's current shard assignment — pure scheduling
-    state used by the fleet executor's rebalancer.  It is deliberately
-    excluded from :meth:`task` and from checkpoints: the physics is a
-    function of the task triple only, which is what keeps traces
-    identical across worker counts, rebalances and restarts.
+    The physics is a function of the :meth:`task` triple only, which is
+    what keeps traces identical across worker counts and restarts.
     """
 
     positions: np.ndarray
     ion_positions: np.ndarray
     rng: np.random.Generator
     e_local: float = 0.0
-    home: int = -1
 
     def clone(self, rng: np.random.Generator) -> "_WalkerState":
         """Branching copy: same configuration, fresh stream (pool-drawn)."""
@@ -80,7 +77,6 @@ class _WalkerState:
             ion_positions=self.ion_positions.copy(),
             rng=rng,
             e_local=self.e_local,
-            home=self.home,
         )
 
     def task(self) -> dict:
@@ -190,11 +186,10 @@ class _DmcShard(_Shard):
 class _ShardedExecutor:
     """Walkers as parent-side arrays; measurement and propagation ship
     as tasks to ``workers`` (anything with the pool's ``n_workers`` /
-    ``call`` / ``merge_metrics`` surface).
-
-    This base splits the walkers contiguously.  Energies come back with
-    each propagation (and from one ``measure`` pass at the start), and
-    the loop reads them by index.
+    ``call`` / ``merge_metrics`` surface), split contiguously over the
+    workers live at each call.  Energies come back with each propagation
+    (and from one ``measure`` pass at the start), and the loop reads
+    them by index.
     """
 
     kind = "dmc-sharded"
@@ -319,9 +314,9 @@ def run_dmc_sharded(
 
     Passing a :class:`repro.fleet.FleetConfig` as ``fleet`` runs the
     same loop under a :class:`~repro.fleet.supervisor.FleetSupervisor`
-    (see :mod:`repro.fleet.dmc`): crash/hang recovery, optional elastic
-    scaling and shard rebalancing — still bit-identical, with the
-    outcome on ``DmcResult.fleet``.  ``injector`` (a
+    (see :mod:`repro.fleet.dmc`): crash/hang recovery and optional
+    elastic scaling — still bit-identical, with the outcome on
+    ``DmcResult.fleet``.  ``injector`` (a
     :class:`~repro.resilience.faults.FaultInjector` carrying process
     faults, armed at their target generations) requires ``fleet``.
 
@@ -330,9 +325,13 @@ def run_dmc_sharded(
     further to rebuild — it behaves like ``"drop"`` here.  ``"raise"``
     and ``"ignore"`` behave as in ``run_dmc``.
 
-    Returns the same :class:`~repro.qmc.dmc.DmcResult` shape as the
-    sequential driver.
+    The run arguments are checked before any table is solved or worker
+    started.  Returns the same :class:`~repro.qmc.dmc.DmcResult` shape
+    as the sequential driver.
     """
+    resume = _check_run_args(
+        n_generations, checkpoint_every, checkpoint_path, resume
+    )
     params = {
         "tau": tau,
         "target_population": target_population or spec.n_walkers,

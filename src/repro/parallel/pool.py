@@ -23,8 +23,9 @@ A crashed worker (SIGKILL, OOM-kill, segfault) surfaces as a
 or a hang in ``conn.recv()`` — and the pool can replace exactly that
 worker (:meth:`ProcessCrowdPool.restart_worker`) or grow/shrink
 (:meth:`add_worker` / :meth:`remove_worker`).  The recovery *policy*
-(replay, rebalance, elastic scaling) lives one layer up in
-:mod:`repro.fleet`; the pool only provides the mechanisms.
+(replay, elastic scaling) lives one layer up in :mod:`repro.fleet`; the
+pool only provides the mechanisms, and which worker runs which walker
+is :mod:`repro.parallel.sharding`'s contiguous split either way.
 
 Start method: ``fork`` where the platform offers it (cheap, inherits
 the built problem), else ``spawn`` — overridable per pool or globally

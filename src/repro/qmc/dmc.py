@@ -124,8 +124,9 @@ class DmcResult:
         Walkers discarded by the non-finite-energy ``"drop"`` policy.
     fleet:
         Execution report of :func:`repro.parallel.run_dmc_sharded`: the
-        supervision outcome under ``fleet=`` (restart/rebalance/scale
-        counts, MTTR samples, final worker count); ``None`` otherwise.
+        supervision outcome under ``fleet=`` (restart and scale counts,
+        MTTR samples, final worker count, event list); ``None``
+        otherwise.
     """
 
     energy_trace: np.ndarray
@@ -341,6 +342,32 @@ def _branch(walkers: list, weights: list, cap: int, pool: WalkerRngPool) -> list
     return new_walkers
 
 
+def _check_run_args(
+    n_generations: int, checkpoint_every: int | None, checkpoint_path, resume
+):
+    """Validate the generation loop's run arguments; returns ``resume``
+    with ``"auto"`` resolved (to ``checkpoint_path`` when a complete
+    checkpoint exists there, else ``None``).
+
+    :func:`_run_generations` calls this, and so does every driver that
+    must reject bad input before it pays for a table or a pool.
+    """
+    if n_generations <= 0:
+        raise ValueError(f"n_generations must be positive, got {n_generations}")
+    if checkpoint_every is not None:
+        if checkpoint_every <= 0:
+            raise ValueError(
+                f"checkpoint_every must be positive, got {checkpoint_every}"
+            )
+        if checkpoint_path is None:
+            raise ValueError("checkpoint_every requires checkpoint_path")
+    if isinstance(resume, str) and resume == "auto":
+        if checkpoint_path is None:
+            raise ValueError("resume='auto' requires checkpoint_path")
+        resume = checkpoint_path if has_checkpoint(checkpoint_path) else None
+    return resume
+
+
 def _run_generations(
     executor,
     walkers: list,
@@ -380,19 +407,9 @@ def _run_generations(
     ``resume="auto"`` resumes from ``checkpoint_path`` when a complete
     checkpoint exists there and starts fresh otherwise.
     """
-    if n_generations <= 0:
-        raise ValueError(f"n_generations must be positive, got {n_generations}")
-    if checkpoint_every is not None:
-        if checkpoint_every <= 0:
-            raise ValueError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        if checkpoint_path is None:
-            raise ValueError("checkpoint_every requires checkpoint_path")
-    if isinstance(resume, str) and resume == "auto":
-        if checkpoint_path is None:
-            raise ValueError("resume='auto' requires checkpoint_path")
-        resume = checkpoint_path if has_checkpoint(checkpoint_path) else None
+    resume = _check_run_args(
+        n_generations, checkpoint_every, checkpoint_path, resume
+    )
     tau = params["tau"]
     target = params["target_population"]
     feedback = params["feedback"]
@@ -525,8 +542,8 @@ def _run_generations(
                     "e_trial_trace": np.asarray(et_trace, dtype=np.float64),
                 },
             )
-        # Scheduling (heartbeats, rebalance accounting, autoscale) runs
-        # after all trace-affecting work for the generation.
+        # Scheduling (heartbeats, autoscale) runs after all
+        # trace-affecting work for the generation.
         executor.generation_end(gen, walkers, dt)
         if on_generation is not None:
             on_generation(gen, walkers)

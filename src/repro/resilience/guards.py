@@ -196,9 +196,8 @@ class GuardedEngine:
     Notes
     -----
     The counters are updated under an internal lock, so one engine can
-    safely be shared by concurrent walker threads
-    (``WalkerEnsemble.run_batch(walker_threads > 1)``) — each walker
-    still needs its *own* output buffer, as with any engine.  The
+    safely be shared by concurrent walker threads — each walker still
+    needs its *own* output buffer, as with any engine.  The
     recompute repair path only writes into the caller's private output,
     so the lock covers exactly the shared mutable state.
     """

@@ -7,6 +7,7 @@ print, and the parent-side resolution contract the parallel drivers
 rely on.
 """
 
+import importlib
 import json
 import pickle
 import subprocess
@@ -213,6 +214,7 @@ def _knob_surfaces():
     """Every surface that lost its per-call knob kwargs: name ->
     (build(ensemble, **kwargs), deleted kwarg names)."""
     from repro.core import BsplineBatched, Grid3D
+    from repro.fleet import FleetConfig
     from repro.lattice import Cell, PlaneWaveOrbitalSet
     from repro.miniqmc.app import build_app
     from repro.miniqmc.config import MiniQmcConfig
@@ -300,6 +302,10 @@ def _knob_surfaces():
             ("processes", "orbital_shards"),
         ),
         "ServeConfig": (lambda ens, **kw: ServeConfig(**kw), ("orbital_shards",)),
+        "FleetConfig": (
+            lambda ens, **kw: FleetConfig(**kw),
+            ("rebalance", "rebalance_threshold"),
+        ),
         "BsplineBatched": (
             lambda ens, **kw: BsplineBatched(
                 Grid3D(4, 4, 4, (1.0, 1.0, 1.0)), np.zeros((4, 4, 4, 4)), **kw
@@ -319,6 +325,8 @@ _KNOB_VALUES = {
     "orbital_shards": 1,
     "processes": 1,
     "spline_range": (0, 2),
+    "rebalance": True,
+    "rebalance_threshold": 0.25,
 }
 
 _DELETED_KWARGS = [
@@ -331,8 +339,9 @@ _DELETED_KWARGS = [
 class TestOneKnobSpelling:
     """``config=RunConfig(...)`` is the only way to set chunk, tile and
     backend above the ``BsplineBatched`` primitive; the per-call kwargs
-    are gone, and so are ``SlaterDet``'s delayed-update knob and every
-    knob of the process-level orbital split."""
+    are gone, and so are ``SlaterDet``'s delayed-update knob, every knob
+    of the process-level orbital split and the fleet's rebalancer knobs
+    (``repro.parallel.sharding`` alone places walkers)."""
 
     @pytest.fixture(scope="class")
     def ensemble(self):
@@ -348,6 +357,22 @@ class TestOneKnobSpelling:
         build, _ = _knob_surfaces()[surface]
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{kwarg}'"):
             build(ensemble, **{kwarg: _KNOB_VALUES[kwarg]})
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.fleet", "plan_rebalance"),
+            ("repro.fleet.rebalance", None),
+            ("repro.miniqmc", "WalkerEnsemble"),
+            ("repro.miniqmc.ensemble", None),
+        ],
+    )
+    def test_deleted_names_do_not_import(self, module, name):
+        with pytest.raises(ImportError):
+            if name is None:
+                importlib.import_module(module)
+            else:
+                exec(f"from {module} import {name}", {})
 
     def test_miniqmc_tile_size_is_not_deprecated(self, recwarn):
         # tile_size is the physical AoSoA block width (the paper's Nb),

@@ -50,8 +50,6 @@ class TestConfig:
             FleetConfig(min_workers=3, max_workers=2)
         with pytest.raises(ValueError, match="latency_budget"):
             FleetConfig(latency_budget=-1.0)
-        with pytest.raises(ValueError, match="rebalance_threshold"):
-            FleetConfig(rebalance_threshold=-0.5)
         with pytest.raises(ValueError, match="heartbeat_every"):
             FleetConfig(heartbeat_every=-1)
 
@@ -205,7 +203,7 @@ class TestInjectorAndObservability:
             summary = sup.fleet_summary()
         assert summary["restarts"] == 1
         assert summary["scale_events"] == 0
-        assert summary["rebalances"] == 0
+        assert "rebalances" not in summary
         assert summary["final_workers"] == 1
         assert len(summary["mttr_seconds"]) == 1
         assert any(e["kind"] == "restart" for e in summary["events"])

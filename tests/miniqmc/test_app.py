@@ -141,3 +141,12 @@ class TestCli:
         )
         assert "RuntimeWarning" not in out.stderr
         assert "ran 1 sweeps" in out.stdout
+
+    def test_max_workers_flag_is_gone(self, capsys):
+        # Crowd shards never resize, so the flag bounded nothing.
+        from repro.miniqmc.app import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--walkers", "2", "--processes", "2", "--max-workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-workers" in capsys.readouterr().err

@@ -195,3 +195,179 @@ class TestBatchedEngine:
 
         run = replace(cfg, config=RunConfig(backend=get_backend("numpy")))
         assert _driver_fingerprint(run, "batched", ("v",))["backend"] == "numpy"
+
+
+# -- which positions each walker evaluates -------------------------------------
+
+
+class _Killed(Exception):
+    """Stands in for a kill mid-run."""
+
+
+def _spy_positions(monkeypatch, cls, method="evaluate_batch", kill_at=None):
+    """Record the positions of every ``cls.method(kind, positions, out)``
+    call; the call numbered ``kill_at`` raises :class:`_Killed` instead."""
+    seen = []
+    original = getattr(cls, method)
+
+    def spy(self, kind, positions, out):
+        if len(seen) == kill_at:
+            raise _Killed
+        seen.append(np.array(positions, copy=True))
+        return original(self, kind, positions, out)
+
+    monkeypatch.setattr(cls, method, spy)
+    return seen
+
+
+def _walker_positions(config, walkers):
+    """What walkers ``walkers`` evaluate, per call, in order."""
+    from repro.core import Grid3D
+    from repro.parallel import walker_rng
+
+    grid = Grid3D(*config.grid_shape)
+    return [
+        grid.random_positions(config.n_samples, walker_rng(config.seed, w))
+        for w in walkers
+        for _ in range(config.n_iters)
+    ]
+
+
+def _assert_positions_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+class TestWalkerStreams:
+    """Walker ``w`` evaluates ``grid.random_positions(n_samples,
+    walker_rng(seed, w))`` — in process, in a shard, and after a resume."""
+
+    KERNELS = ("v", "vgh")
+
+    @pytest.fixture
+    def wcfg(self, cfg):
+        return replace(cfg, n_walkers=3, n_iters=2)
+
+    @pytest.mark.parametrize("engine", ["aos", "soa", "fused", "batched"])
+    def test_kernel_driver_evaluates_walker_streams(
+        self, wcfg, table, monkeypatch, engine
+    ):
+        from repro.core import BsplineAoS, BsplineBatched, BsplineFused, BsplineSoA
+
+        cls = {
+            "aos": BsplineAoS,
+            "soa": BsplineSoA,
+            "fused": BsplineFused,
+            "batched": BsplineBatched,
+        }[engine]
+        seen = _spy_positions(monkeypatch, cls)
+        run_kernel_driver(wcfg, engine, kernels=self.KERNELS, coefficients=table)
+        walkers = range(wcfg.n_walkers)
+        _assert_positions_equal(seen, 2 * _walker_positions(wcfg, walkers))
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_tiled_driver_evaluates_walker_streams(
+        self, wcfg, table, monkeypatch, n_threads
+    ):
+        from repro.core import BsplineAoSoA, NestedEvaluator
+
+        if n_threads == 1:
+            seen = _spy_positions(monkeypatch, BsplineAoSoA)
+        else:
+            seen = _spy_positions(monkeypatch, NestedEvaluator, "evaluate")
+        run_tiled_driver(
+            replace(wcfg, tile_size=8),
+            n_threads=n_threads,
+            kernels=self.KERNELS,
+            coefficients=table,
+        )
+        walkers = range(wcfg.n_walkers)
+        _assert_positions_equal(seen, 2 * _walker_positions(wcfg, walkers))
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_process_shards_evaluate_the_same_positions(
+        self, wcfg, table, monkeypatch, n_workers
+    ):
+        # Each worker's shard, built in this process over a shared
+        # segment, evaluates its contiguous walkers' streams: together
+        # exactly what processes=None evaluates.
+        from repro.core import BsplineSoA
+        from repro.miniqmc.driver import _DriverShard
+        from repro.parallel import SharedTable
+
+        seen = _spy_positions(monkeypatch, BsplineSoA)
+        payload = {"config": wcfg, "engine": "soa", "run_config": None}
+        with SharedTable.create(table) as shared:
+            for worker in range(n_workers):
+                shard = _DriverShard(
+                    worker, dict(shared.spec, n_workers=n_workers), payload
+                )
+                try:
+                    assert shard.run("vgh") == (
+                        len(shard.walkers) * wcfg.n_iters * wcfg.n_samples
+                    )
+                finally:
+                    shard.close()
+        _assert_positions_equal(seen, _walker_positions(wcfg, range(3)))
+
+    def test_resumed_run_evaluates_the_remaining_walkers(
+        self, cfg, table, monkeypatch, tmp_path
+    ):
+        from repro.core import BsplineSoA
+
+        c = replace(cfg, n_walkers=4)
+        ref_seen = _spy_positions(monkeypatch, BsplineSoA)
+        ref = run_kernel_driver(c, "soa", kernels=self.KERNELS, coefficients=table)
+        ref_seen = list(ref_seen)
+        monkeypatch.undo()
+        # Killed while evaluating walker 2 of the first kernel: the last
+        # checkpoint says two walkers are done.
+        _spy_positions(monkeypatch, BsplineSoA, kill_at=2)
+        with pytest.raises(_Killed):
+            run_kernel_driver(
+                c,
+                "soa",
+                kernels=self.KERNELS,
+                coefficients=table,
+                checkpoint_every=1,
+                checkpoint_path=tmp_path / "ck",
+            )
+        monkeypatch.undo()
+        seen = _spy_positions(monkeypatch, BsplineSoA)
+        res = run_kernel_driver(
+            c, "soa", kernels=self.KERNELS, coefficients=table, resume=tmp_path / "ck"
+        )
+        assert res.evals == ref.evals
+        _assert_positions_equal(seen, ref_seen[2:])
+
+    def test_checkpoint_with_rng_state_still_resumes(
+        self, cfg, table, monkeypatch, tmp_path
+    ):
+        # Checkpoints once carried the single position stream's state;
+        # that key is ignored, and the run completes at walker streams.
+        from repro.core import BsplineSoA
+        from repro.miniqmc.driver import _driver_fingerprint
+        from repro.resilience.checkpoint import rng_state, save_checkpoint
+
+        c = replace(cfg, n_walkers=4)
+        ref = run_kernel_driver(c, "soa", kernels=self.KERNELS, coefficients=table)
+        n_batch = c.n_iters * c.n_samples
+        save_checkpoint(
+            tmp_path / "ck",
+            {
+                "kind": "kernel_driver",
+                "fingerprint": _driver_fingerprint(c, "soa", self.KERNELS),
+                "kernel_index": 1,
+                "walkers_done": 3,
+                "seconds": {"v": 0.25, "vgh": 0.5},
+                "evals": {"v": 4 * n_batch, "vgh": 3 * n_batch},
+                "rng_state": rng_state(np.random.default_rng(c.seed + 1)),
+            },
+        )
+        seen = _spy_positions(monkeypatch, BsplineSoA)
+        res = run_kernel_driver(
+            c, "soa", kernels=self.KERNELS, coefficients=table, resume=tmp_path / "ck"
+        )
+        assert res.evals == ref.evals
+        _assert_positions_equal(seen, _walker_positions(c, [3]))

@@ -135,20 +135,6 @@ class TestDmcChaos:
         _assert_traces_equal(shrunk, dmc_reference)
         assert shrunk.fleet["final_workers"] == 1
 
-    def test_aggressive_rebalancing_keeps_traces(
-        self, dmc_spec, dmc_reference, shm_sentinel
-    ):
-        # threshold=0 migrates on any skew — moving walkers between
-        # shards every generation must never touch the trajectories.
-        balanced = run_dmc_sharded(
-            dmc_spec,
-            n_workers=2,
-            n_generations=GENS,
-            tau=TAU_DMC,
-            fleet=FleetConfig(rebalance_threshold=0.0),
-        )
-        _assert_traces_equal(balanced, dmc_reference)
-
     def test_injector_requires_fleet(self, dmc_spec):
         injector = FaultInjector(seed=11)
         injector.sigkill_worker(worker=0, generation=0)
