@@ -11,19 +11,21 @@ before it may serve kernels.
 
 Built-in backends:
 
+* ``cc`` — the NumPy cores' arithmetic in C, compiled on first use with
+  the system C compiler and loaded through :mod:`ctypes`; exact tier,
+  and the default wherever a compiler is on PATH and the once-per-process
+  gate passes.
 * ``numpy`` — the PR5 padded-gather + tiled-einsum path; always
   available, exact tier, the floor every fallback lands on.
 * ``numba`` — Numba-JIT fused gather+contraction; optional dependency,
-  allclose tier.
-* ``cc`` — C kernels compiled on demand with the system C compiler and
-  loaded through :mod:`ctypes`; available wherever ``cc`` is on PATH,
   allclose tier.
 
 Selection: ``BsplineBatched(..., backend=...)`` /
 ``RunConfig(backend=...)`` (passed as ``config=`` to the QMC and
 miniQMC entry points) / ``--backend {auto,numpy,numba,cc}`` on both
 CLIs, with the ``REPRO_BACKEND`` environment variable as the default
-override.  See
+override; with neither, ``cc`` if it activates, else NumPy.  Both are
+exact tier, so the default's choice never changes an output bit.  See
 :func:`resolve_backend` for the exact policy and ``docs/API.md``
 ("Choose a kernel backend") for the user-facing story.
 """
@@ -82,7 +84,8 @@ __all__ = [
 # and re-proven by tests/backends/.  The compiled builtins register
 # lazily so importing this package never pays a JIT or C-compiler
 # warm-up (and never constructs engines mid-import); each is
-# harness-verified once per process on first activation.
+# harness-verified once per process on first activation, which for
+# ``cc`` is the first engine built with the default backend.
 register_backend(NumpyBackend(), verify="skip")
 register_backend(NumbaBackend(), verify="lazy")
 register_backend(CcBackend(), verify="lazy")

@@ -1,10 +1,10 @@
 """The Numba backend: the fused gather+contraction JIT-compiled per dtype.
 
-Same single-pass loop structure as the C backend
-(:mod:`repro.backends.cc_backend`): for every position the 4x4x4
-stencil neighbourhood is read straight out of the ghost-padded flat
-table — no gather temporary — and the z axis collapses in registers,
-the y axis into a ``6 x N`` scratch, the x axis into the output slabs.
+For every position the 4x4x4 stencil neighbourhood is read straight
+out of the ghost-padded flat table — no gather temporary — and the z
+axis collapses in registers, the y axis into a ``6 x N`` scratch, the x
+axis into the output slabs (the single-pass structure the exact-tier C
+backend, :mod:`repro.backends.cc_backend`, also uses).
 Numba specializes the machine code per (kind, dtype) pair on first call
 (``cache=True`` persists the compilation across processes, which is
 what keeps spawn-started fleet workers from each paying the JIT).

@@ -10,10 +10,12 @@ policy is chosen at registration time:
   for user-registered backends: a broken backend is rejected before it
   can be named anywhere).
 * ``"lazy"`` — verified on first *activation* (first time an engine or
-  resolver actually asks for it), once per process.  The builtins with
-  optional dependencies register lazily so that ``import
-  repro.backends`` never pays a JIT/compiler warm-up — and never
-  constructs engines mid-import.
+  resolver actually asks for it), once per process.  The compiled
+  builtins register lazily so that ``import repro.backends`` never pays
+  a JIT/compiler warm-up — and never constructs engines mid-import.
+  The verdict, pass or fail (a failed build included), is kept for the
+  process, and the harness's throwaway engines record nothing into
+  :data:`repro.obs.OBS`.
 * ``"skip"`` — trusted, never harness-verified at activation.  Reserved
   for the NumPy builtin, whose bitwise identity to the oracle is
   already pinned by ``tests/core/test_padded_gather.py`` and re-proven
@@ -24,8 +26,14 @@ shared by :class:`~repro.core.batched.BsplineBatched`, the CLIs, and
 fleet workers:
 
 * ``None`` — the :data:`REPRO_BACKEND <ENV_VAR>` environment variable
-  if set, else ``"numpy"``.  The default path never silently changes
-  numerics: it stays on the exact-tier backend unless the user opts in.
+  if set, else ``"cc"`` when it activates here, else ``"numpy"``.  The
+  default path never silently changes numerics: both candidates are
+  exact tier, and the compiled one serves only after the
+  once-per-process gate has found every output stream bit for bit
+  equal to the oracle's.  A default that falls back to NumPy
+  is counted as ``backend_fallback_total{requested="default"}``; it
+  warns too, unless the reason is only that no C compiler is on
+  ``PATH``.
 * ``"auto"`` — the first *available and conforming* backend in
   :data:`AUTO_ORDER` (compiled backends first).  Skipped candidates are
   reported with a warning and a ``backend_fallback_total`` count.
@@ -64,6 +72,10 @@ AUTO_ORDER = ("numba", "cc", "numpy")
 
 #: Environment override consulted when no backend is specified at all.
 ENV_VAR = "REPRO_BACKEND"
+
+# The exact-tier compiled backend an unspecified request prefers; NumPy
+# serves when it cannot activate.
+_DEFAULT = "cc"
 
 _VERIFY_POLICIES = ("eager", "lazy", "skip")
 
@@ -148,8 +160,9 @@ def _activate(backend: KernelBackend) -> KernelBackend:
         from repro.backends.conformance import check_backend
 
         try:
-            check_backend(backend)
-        except BackendConformanceError as exc:
+            with OBS.paused():
+                check_backend(backend)
+        except (BackendConformanceError, BackendUnavailable) as exc:
             _VERIFIED[name] = exc
             raise
         _VERIFIED[name] = None
@@ -158,14 +171,17 @@ def _activate(backend: KernelBackend) -> KernelBackend:
     return backend
 
 
-def _note_fallback(requested: str, skipped: str, reason: str) -> None:
+def _note_fallback(
+    requested: str, skipped: str, reason: str, *, warn: bool = True
+) -> None:
     """Record one degradation: a warning plus an OBS counter sample."""
-    warnings.warn(
-        f"backend {skipped!r} unavailable for request {requested!r}: "
-        f"{reason}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    if warn:
+        warnings.warn(
+            f"backend {skipped!r} unavailable for request {requested!r}: "
+            f"{reason}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     if OBS.enabled:
         OBS.count(
             "backend_fallback_total",
@@ -182,7 +198,8 @@ def resolve_backend(
     Parameters
     ----------
     spec:
-        ``None`` (env var or NumPy), ``"auto"`` (best available in
+        ``None`` (env var, else ``"cc"`` when it activates, else
+        NumPy), ``"auto"`` (best available in
         :data:`AUTO_ORDER`), a registered name, or an already-constructed
         :class:`KernelBackend` (activated as-is, useful in tests).
     fallback:
@@ -202,7 +219,9 @@ def resolve_backend(
     if isinstance(spec, KernelBackend):
         return _activate(spec)
     if spec is None:
-        spec = os.environ.get(ENV_VAR) or "numpy"
+        spec = os.environ.get(ENV_VAR)
+        if not spec:
+            return _resolve_default()
     if spec == "auto":
         last_error = "no backends registered"
         for name in AUTO_ORDER:
@@ -225,6 +244,21 @@ def resolve_backend(
             raise
         _note_fallback(spec, spec, str(exc))
         return _activate(get_backend("numpy"))
+
+
+def _resolve_default() -> KernelBackend:
+    """``cc`` if it activates, else NumPy (counted)."""
+    preferred = _REGISTRY.get(_DEFAULT)
+    if preferred is not None:
+        try:
+            return _activate(preferred)
+        except (BackendUnavailable, BackendConformanceError) as exc:
+            # No compiler is an ordinary host, not a fault worth a warning.
+            _note_fallback(
+                "default", _DEFAULT, str(exc),
+                warn=preferred.is_available(),
+            )
+    return _activate(get_backend("numpy"))
 
 
 def _reset_for_tests() -> None:

@@ -201,10 +201,12 @@ class RunConfig:
     def _min_tier(self) -> str:
         """The conformance tier this config's backend is entitled to.
 
-        The NumPy backend (and None, which resolves to it by default)
-        carries the bitwise contract, so only ``exact``-tier DB entries
-        may serve it; a named compiled backend or ``"auto"`` accepts
-        ``allclose`` winners at the backend's declared tolerances.
+        The NumPy backend, and None (which resolves to an exact-tier
+        backend: ``cc`` where it activates, else NumPy), carry the
+        bitwise contract, so only ``exact``-tier DB entries may serve
+        them; a named backend takes its declared tier, and ``"auto"``
+        accepts ``allclose`` winners at the backend's declared
+        tolerances.
         """
         from repro.backends import TIER_ALLCLOSE, TIER_EXACT
 

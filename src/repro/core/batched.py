@@ -172,7 +172,10 @@ class BsplineBatched:
         warning), a :class:`repro.backends.KernelBackend` instance
         (used as-is — the conformance harness's hook), or ``None`` —
         the ``REPRO_BACKEND`` environment variable if set, else the
-        exact-tier NumPy path.  See :func:`repro.backends.resolve_backend`.
+        compiled exact-tier ``cc`` cores when a C compiler is present
+        and their once-per-process bit-identity gate passes, else the
+        NumPy cores.  Both are exact tier, so ``None`` yields the same
+        bits on every host.  See :func:`repro.backends.resolve_backend`.
     config:
         A :class:`repro.config.RunConfig` supplying defaults for
         ``chunk_size``/``tile_size``/``backend``; an explicit kwarg
@@ -418,6 +421,13 @@ class BsplineBatched:
         one ``(axis, order, ns, 4)`` block, bitwise equal to the
         per-order :func:`~repro.core.basis.bspline_weights_batch` form.
         """
+        base, block = self._locate_block(positions)
+        return base, tuple((b[0], b[1], b[2]) for b in block)
+
+    def _locate_block(self, positions: np.ndarray):
+        """:meth:`_locate_weights` before the split: ``base`` and the one
+        C-contiguous ``(axis, order, ns, 4)`` weight block, for a backend
+        that reads all nine weight matrices through one pointer."""
         idx, frac = self.grid.locate_batch(positions)
         sy, sz = self._row_strides
         base = np.ascontiguousarray(
@@ -431,7 +441,7 @@ class BsplineBatched:
             w.transpose(2, 0, 3, 1), self._weight_scale,
             out=block, dtype=self.dtype, casting="same_kind",
         )
-        return base, tuple((b[0], b[1], b[2]) for b in block)
+        return base, block
 
     def _gather(self, positions: np.ndarray):
         """Blocks ``(ns, 4, 4, 4, N)`` + per-axis weight triples.

@@ -29,6 +29,8 @@ Both CLIs expose this as ``--metrics-out`` / ``--trace-out``.
 
 from __future__ import annotations
 
+import contextlib
+
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -137,6 +139,21 @@ class Observability:
 
     def __exit__(self, *exc) -> None:
         self.disable()
+
+    @contextlib.contextmanager
+    def paused(self):
+        """Record nothing inside the block; the flag is restored after.
+
+        For work a run does on its own account (the backend registry's
+        conformance gate), which no run's metrics should count.  The
+        flag is process-wide, so other threads record nothing meanwhile
+        either.
+        """
+        enabled, self.enabled = self.enabled, False
+        try:
+            yield
+        finally:
+            self.enabled = enabled
 
     # -- recording helpers (each is a no-op while disabled) ------------------
 

@@ -85,13 +85,18 @@ class WorkerTimeout(WorkerError):
     """A worker missed its reply deadline (hung, not provably dead)."""
 
 
-def _worker_main(conn, worker_id: int, initializer, init_args: tuple) -> None:
+def _worker_main(
+    conn, worker_id: int, initializer, init_args: tuple, record: bool
+) -> None:
     """The worker loop: build state once, then serve commands until stop."""
     from repro.obs import OBS
 
     # Under fork the child inherits the parent's registry contents;
-    # recording must start from zero or merging would double-count.
+    # recording must start from zero or merging would double-count.  A
+    # spawned child starts with recording off, so the parent says
+    # whether to record.
     OBS.reset()
+    OBS.enabled = record
     try:
         state = initializer(worker_id, *init_args)
         conn.send(("ready", None))
@@ -252,10 +257,15 @@ class ProcessCrowdPool:
         of earlier parent ends (benign: those are parent ends, not this
         worker's child end).
         """
+        from repro.obs import OBS
+
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, worker_id, self._initializer, self._init_args),
+            args=(
+                child_conn, worker_id, self._initializer, self._init_args,
+                OBS.enabled,
+            ),
             daemon=True,
             name=f"crowd-worker-{worker_id}",
         )

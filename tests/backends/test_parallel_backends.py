@@ -118,7 +118,7 @@ class TestDmcSharded:
                 "trajectory may legitimately diverge from numpy's"
             )
         baseline = run_dmc_sharded(
-            CrowdSpec(n_walkers=3, n_orbitals=2, seed=29),  # backend=None
+            _dmc_spec("numpy"),  # not None: the default may itself be cc
             n_workers=1,
             n_generations=GENS,
             tau=TAU_DMC,

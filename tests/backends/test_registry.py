@@ -25,6 +25,7 @@ from repro.backends import (
     registered_backends,
     resolve_backend,
     unregister_backend,
+    verify_backend,
 )
 from repro.core.batched import BsplineBatched
 from repro.core.grid import Grid3D
@@ -50,6 +51,30 @@ class _OffByOneBackend(KernelBackend):
         def vgh_core(positions, v, g, l, h):
             engine._numpy_vgh_core(positions, v, g, l, h)
             v += 1e-3
+
+        return BackendCores(v=v_core, vgh=vgh_core)
+
+
+class _NegativeZeroBackend(KernelBackend):
+    """Equal values to NumPy's, but every zero of V negative: an exact
+    claim that ``assert_array_equal`` alone would let through."""
+
+    capability = BackendCapability(
+        name="negative-zero",
+        tier="exact",
+        description="flips the sign of zeros (test double)",
+    )
+
+    def make_cores(self, engine) -> BackendCores:
+        self._check_engine(engine)
+
+        def v_core(positions, v):
+            engine._numpy_v_core(positions, v)
+            v[v == 0] = -0.0
+
+        def vgh_core(positions, v, g, l, h):
+            engine._numpy_vgh_core(positions, v, g, l, h)
+            v[v == 0] = -0.0
 
         return BackendCores(v=v_core, vgh=vgh_core)
 
@@ -128,6 +153,13 @@ class TestRegistration:
         with pytest.raises(ValueError, match="already registered"):
             register_backend(NumpyBackend())
 
+    def test_exact_gate_counts_the_sign_of_zero(self):
+        grid = Grid3D(5, 5, 5, lengths=(1.0, 1.0, 1.0))
+        zeros = np.zeros((5, 5, 5, 3))
+        assert verify_backend(get_backend("numpy"), grid, zeros).all_passed
+        report = verify_backend(_NegativeZeroBackend(), grid, zeros)
+        assert not report.all_passed
+
     def test_eager_registration_rejects_broken_backend(self):
         with pytest.raises(BackendConformanceError, match="off-by-one"):
             register_backend(_OffByOneBackend())
@@ -153,9 +185,12 @@ class TestRegistration:
 
 
 class TestResolution:
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_cc_when_a_compiler_is_present(self, monkeypatch):
+        """No spec, no env var: the exact-tier compiled backend wherever a
+        compiler is on PATH (its gate must pass there), else NumPy."""
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend(None).name == "numpy"
+        expected = "cc" if get_backend("cc").is_available() else "numpy"
+        assert resolve_backend(None).name == expected
 
     def test_env_var_override(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")

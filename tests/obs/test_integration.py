@@ -6,6 +6,7 @@ eval counts and latency histograms.
 """
 
 import json
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ class TestKernelDriver:
             assert h.sum > 0
             snap = h.snapshot()
             assert snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_process_workers_record_under_either_start_method(
+        self, obs, monkeypatch, start_method
+    ):
+        """A spawned worker does not inherit the parent's recording flag;
+        the pool passes it, so both start methods merge every count."""
+        if start_method not in mp.get_all_start_methods():
+            pytest.skip(f"{start_method} is not available here")
+        monkeypatch.setenv("REPRO_START_METHOD", start_method)
+        config = tiny_config()
+        run_kernel_driver(config, engine="soa", kernels=("vgh",), processes=2)
+        c = obs.registry.counter("kernel_evals_total", engine="soa", kernel="vgh")
+        assert c.value == config.n_walkers * config.n_iters * config.n_samples
 
     def test_bytes_moved_recorded(self, obs):
         config = tiny_config()
