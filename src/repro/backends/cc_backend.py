@@ -1,17 +1,24 @@
 """The ``cc`` backend: the NumPy cores' arithmetic, compiled from C.
 
 The NumPy cores (:meth:`BsplineBatched._numpy_v_core` /
-``_numpy_vgh_core``) gather a ``(chunk, 64, N)`` temporary and make ~10
-einsum passes over it.  This backend compiles (once, cached on disk) one
-C routine per kernel that walks the ghost-padded table directly: per
-position it reads the 16 stencil rows once (prefetching the next
-position's while it computes) and keeps every partial sum in an
-L1-sized ``9 x N`` scratch, with no gather temporary and no
-intermediate slabs.
+``_numpy_vgh_core``) locate the positions, build their weights, gather a
+``(chunk, 64, N)`` temporary and make ~10 einsum passes over it.  This
+backend compiles (once, cached on disk) one C routine per kernel that
+takes the positions themselves: it locates each one and builds its
+weights with :meth:`BsplineBatched._locate_weights`' operations, then
+walks the ghost-padded table directly, reading the 16 stencil rows once
+(prefetching the next position's while it computes) and keeping every
+partial sum in an L1-sized ``9 x N`` scratch, with no gather temporary
+and no intermediate slabs.
 
 It claims the **exact** tier because it performs the einsum cores'
 floating-point operations in their order, element for element:
 
+* locating is NumPy's float ``%`` (``fmod``, then ``+ n`` for a nonzero
+  negative result, ``+0.0`` for a zero one), ``u >= n`` set to 0, a
+  truncating cast and ``u - index``; the weights are
+  :func:`~repro.core.basis.bspline_fused_weights`' polynomial, cast to
+  the table dtype, then scaled in it;
 * each of the three contractions (z, then y, then x) is a sequential
   multiply-then-add from zero over the reduced index, which is what
   NumPy's einsum does for a spline axis of length >= 2 (its inner loop
@@ -29,11 +36,17 @@ Two cases are handed to the NumPy cores instead:
   contiguous length-4 axis with a different (pairwise, dtype-dependent)
   summation order, so for such tables :meth:`CcBackend.make_cores`
   returns NumPy's cores;
-* a chunk whose stencil base rows fall outside the padded table (a
-  non-finite position: ``locate_batch`` casts NaN to ``-2**63``).  The C
-  routines check every base row before reading any, and report the
-  chunk back; it then runs on the NumPy core, which raises exactly what
-  the NumPy backend raises (``IndexError``) or returns its bits.
+* a chunk with a non-finite coordinate or a stencil base row outside
+  the padded table.  The C routines locate every position before
+  reading any row, and report the chunk back; it then runs on the NumPy
+  core, which raises exactly what the NumPy backend raises
+  (``IndexError``: ``locate_batch`` casts NaN to ``-2**63``) or returns
+  its bits.
+
+The library also carries the crowd sweep's float64 row math
+(``repro_crowd_rows``, ``repro_crowd_commit``; see
+:mod:`repro.qmc.batched_step`), which shares this build, cache key and
+load but has its own gate there.
 
 The registry proves all of this once per process: the lazy conformance
 gate (:mod:`repro.backends.conformance`) compares every stream with the
@@ -42,8 +55,8 @@ backend serves a kernel, so a compiler or NumPy build that breaks the
 order is refused and the default falls back to NumPy.
 
 Toolchain: ``cc`` on ``PATH`` (override with ``REPRO_CC``), flags
-:data:`_CFLAGS`.  Shared objects are cached in ``$REPRO_CC_CACHE_DIR``,
-else ``$XDG_CACHE_HOME/repro/ccbackend``, else
+:data:`_CFLAGS`, linked with ``-lm``.  Shared objects are cached in
+``$REPRO_CC_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/ccbackend``, else
 ``~/.cache/repro/ccbackend``, keyed by a hash of the source, compiler,
 flags and the CPU ``-march=native`` targets, so every later process
 (spawned fleet workers included) loads the first one's build.  Any
@@ -71,24 +84,90 @@ from repro.backends.base import (
     BackendUnavailable,
     KernelBackend,
 )
+from repro.core.basis import _FUSED_C0, _FUSED_C1, _FUSED_C2, _FUSED_C3
 
 __all__ = ["CcBackend"]
+
+# Helpers every routine shares (not templated: all float64 arithmetic).
+_COMMON = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* NumPy's float `%` by a positive n (npy_divmod): fmod, then n added to a
+ * nonzero negative result; a zero result is +0.0 and NaN stays NaN. */
+static double grid_mod(double a, double n)
+{
+    double m = fmod(a, n);
+    if (m != 0.0) {
+        if (m < 0.0) m += n;
+    } else {
+        m = 0.0;
+    }
+    return m;
+}
+
+/* Grid3D.locate_batch plus BsplineBatched's base row, per position:
+ * u = (p * inv) % n per axis, u >= n becomes 0, the cell index is the
+ * truncated u and the fraction u - index (geom = inv[3], n[3]).  Returns
+ * 0 at the first non-finite coordinate or base row outside [0, last]. */
+static int locate(const double *restrict pos, int64_t ns,
+                  const double *restrict geom, int64_t sy, int64_t sz,
+                  int64_t last, int64_t *restrict base, double *restrict t)
+{
+    for (int64_t s = 0; s < ns; ++s) {
+        int64_t idx[3];
+        for (int a = 0; a < 3; ++a) {
+            const double n = geom[3 + a];
+            double u = grid_mod(pos[3 * s + a] * geom[a], n);
+            if (isnan(u)) return 0;
+            if (u >= n) u = 0.0;
+            idx[a] = (int64_t) u;
+            t[3 * s + a] = u - (double) idx[a];
+        }
+        base[s] = idx[0] * sy + idx[1] * sz + idx[2];
+        if (base[s] < 0 || base[s] > last) return 0;
+    }
+    return 1;
+}
+
+/* bspline_fused_weights' weight of (order o, tap q) at t, with t2 = t*t
+ * and t3 = t2*t: ((c3*t3 + c2*t2) + c1*t) + c0, where `wc` holds the
+ * (power, order, tap) coefficients c3, c2, c1, c0. */
+static inline double fused_weight(const double *restrict wc, int o, int q,
+                                  double t, double t2, double t3)
+{
+    const int k = 4 * o + q;
+    return ((wc[k] * t3 + wc[12 + k] * t2) + wc[24 + k] * t) + wc[36 + k];
+}
+"""
 
 # One routine per (kernel, dtype); {REAL}/{SUFFIX} are templated below.
 # Every accumulator starts at zero and adds one rounded product per
 # reduced index, in index order: tz over c (z), then u over b (y), then
-# the outputs over a (x) -- the einsum cores' order.  `w` is the engine's
-# (axis, order, ns, 4) weight block.  A base row that would put the
-# stencil outside the table's `rows` rows returns 2 before any read.
+# the outputs over a (x) -- the einsum cores' order.  Each routine first
+# locates every position (`locate` in _COMMON: base rows and fractions,
+# as BsplineBatched._locate_weights computes them); a non-finite
+# coordinate or a base row that would put the stencil outside the
+# table's `rows` rows returns 2 before any read.  Then, per position,
+# `weights_*` builds the (axis, order, tap) weights in the table dtype.
 _C_TEMPLATE = r"""
-#define W(axis, order) (w + ((int64_t)(3 * (axis) + (order)) * ns + s) * 4)
+#define W(axis, order) (wl + (3 * (axis) + (order)) * 4)
 
-static int in_table_{SUFFIX}(const int64_t *restrict base, int64_t ns,
-                             int64_t last)
+/* One position's weights: bspline_fused_weights' f64 values cast to the
+ * table dtype, then scaled in it by the engine's (1, 1/delta, 1/delta^2)
+ * per axis (`scale`, the engine's _weight_scale). */
+static void weights_{SUFFIX}(const double *restrict t, const double *restrict wc,
+                             const {REAL} *restrict scale, {REAL} *restrict wl)
 {{
-    for (int64_t s = 0; s < ns; ++s)
-        if (base[s] < 0 || base[s] > last) return 0;
-    return 1;
+    for (int a = 0; a < 3; ++a) {{
+        const double x = t[a], x2 = x * x, x3 = x2 * x;
+        for (int o = 0; o < 3; ++o)
+            for (int q = 0; q < 4; ++q)
+                wl[(3 * a + o) * 4 + q] =
+                    ({REAL}) fused_weight(wc, o, q, x, x2, x3) * scale[3 * a + o];
+    }}
 }}
 
 /* Ask for the next position's 16 stencil rows while this one computes:
@@ -204,15 +283,21 @@ static void laplacian_{SUFFIX}(
 }}
 
 int repro_v_{SUFFIX}(
-    const {REAL} *restrict table, int64_t rows, const int64_t *restrict base,
-    int64_t sy, int64_t sz, int64_t ns, int64_t N,
-    const {REAL} *restrict w, {REAL} *restrict v)
+    const {REAL} *restrict table, int64_t rows, const double *restrict pos,
+    const double *restrict geom, int64_t sy, int64_t sz, int64_t ns, int64_t N,
+    const double *restrict wc, const {REAL} *restrict scale, {REAL} *restrict v)
 {{
-    if (!in_table_{SUFFIX}(base, ns, rows - 1 - 3 * (sy + sz + 1))) return 2;
+    int64_t *base = (int64_t *) malloc((size_t)ns * (sizeof(int64_t) + 3 * sizeof(double)));
     {REAL} *restrict ty = ({REAL} *) malloc((size_t)N * sizeof({REAL}));
-    if (!ty) return 1;
+    if (!base || !ty) {{ free(base); free(ty); return 1; }}
+    double *t = (double *)(base + ns);
+    if (!locate(pos, ns, geom, sy, sz, rows - 1 - 3 * (sy + sz + 1), base, t)) {{
+        free(base); free(ty); return 2;
+    }}
+    {REAL} wl[36];
     for (int64_t s = 0; s < ns; ++s) {{
         if (s + 1 < ns) prefetch_{SUFFIX}(table, base[s + 1], sy, sz, N);
+        weights_{SUFFIX}(t + 3 * s, wc, scale, wl);
         const {REAL} *ax = W(0, 0), *ay = W(1, 0), *az = W(2, 0);
         {REAL} *restrict vs = v + s * N;
         memset(vs, 0, (size_t)N * sizeof({REAL}));
@@ -224,25 +309,32 @@ int repro_v_{SUFFIX}(
             v_fold_{SUFFIX}(N, ax[a], ty, vs);
         }}
     }}
+    free(base);
     free(ty);
     return 0;
 }}
 
 int repro_vgh_{SUFFIX}(
-    const {REAL} *restrict table, int64_t rows, const int64_t *restrict base,
-    int64_t sy, int64_t sz, int64_t ns, int64_t N,
-    const {REAL} *restrict w, {REAL} *restrict v, {REAL} *restrict g,
-    {REAL} *restrict l, {REAL} *restrict h)
+    const {REAL} *restrict table, int64_t rows, const double *restrict pos,
+    const double *restrict geom, int64_t sy, int64_t sz, int64_t ns, int64_t N,
+    const double *restrict wc, const {REAL} *restrict scale, {REAL} *restrict v,
+    {REAL} *restrict g, {REAL} *restrict l, {REAL} *restrict h)
 {{
-    if (!in_table_{SUFFIX}(base, ns, rows - 1 - 3 * (sy + sz + 1))) return 2;
+    int64_t *base = (int64_t *) malloc((size_t)ns * (sizeof(int64_t) + 3 * sizeof(double)));
     /* u00 u10 u20 u01 u11 u02 (y sums), then hxx hyy hzz when h is NULL */
     {REAL} *scratch = ({REAL} *) malloc((size_t)(9 * N) * sizeof({REAL}));
-    if (!scratch) return 1;
+    if (!base || !scratch) {{ free(base); free(scratch); return 1; }}
+    double *t = (double *)(base + ns);
+    if (!locate(pos, ns, geom, sy, sz, rows - 1 - 3 * (sy + sz + 1), base, t)) {{
+        free(base); free(scratch); return 2;
+    }}
     {REAL} *restrict u00 = scratch,         *restrict u10 = scratch + N,
            *restrict u20 = scratch + 2 * N, *restrict u01 = scratch + 3 * N,
            *restrict u11 = scratch + 4 * N, *restrict u02 = scratch + 5 * N;
+    {REAL} wl[36];
     for (int64_t s = 0; s < ns; ++s) {{
         if (s + 1 < ns) prefetch_{SUFFIX}(table, base[s + 1], sy, sz, N);
+        weights_{SUFFIX}(t + 3 * s, wc, scale, wl);
         const {REAL} *ax = W(0, 0), *dax = W(0, 1), *d2ax = W(0, 2);
         const {REAL} *ay = W(1, 0), *day = W(1, 1), *d2ay = W(1, 2);
         const {REAL} *az = W(2, 0), *daz = W(2, 1), *d2az = W(2, 2);
@@ -289,6 +381,7 @@ int repro_vgh_{SUFFIX}(
         }}
         laplacian_{SUFFIX}(N, hxx, hyy, hzz, ls);
     }}
+    free(base);
     free(scratch);
     return 0;
 }}
@@ -296,11 +389,254 @@ int repro_vgh_{SUFFIX}(
 #undef W
 """
 
+#: The crowd routines' operands, one address each in a table the crowd
+#: builds once (:class:`repro.qmc.batched_step.CrowdState`): per-crowd
+#: scratch and constants, then the resident blocks.  The C source names
+#: them ``SLOT_<NAME>``.
+CROWD_SLOTS = (
+    "el_frac", "ion_frac", "diag", "weights",
+    "trial_ee_dist", "trial_ee_disp", "trial_ei_dist", "trial_ei_disp",
+    "j1_coeffs", "j1_params", "j1_terms",
+    "j2_coeffs", "j2_params", "j2_terms",
+    "positions", "cache_g", "cache_lap", "A", "Ainv", "log_det", "sign",
+    "ee_dist", "ee_disp", "ei_dist", "ei_disp",
+    "j1_usum", "j1_radials", "j2_usum", "j2_radials",
+    "u_ainv", "column", "accepts",
+)
+
+# The float64 row math of one electron index of a crowd sweep (soa
+# tables, orthorhombic cell), each operation as the NumPy methods of
+# repro.qmc.batched_step do it.  Shapes: nw walkers, ne electrons, n
+# orbitals per spin, ni ions; a table row is (m,), a displacement row
+# (3, m); the trial radial terms of a factor are (3, nw, m) = (u, u', u'').
+_C_CROWD = r"""
+#define SLOT(name) ((double *) slots[SLOT_##name])
+
+/* CrowdState._minimal_image: from each walker's trial fractional
+ * position (nw, 3) to its (3, m) fractional sources. */
+static void image_rows(int64_t nw, int64_t m, const double *restrict frac,
+                       const double *restrict src, const double *restrict diag,
+                       double *restrict dist, double *restrict disp)
+{
+    for (int64_t w = 0; w < nw; ++w) {
+        const double *restrict s = src + 3 * m * w;
+        double *restrict d = disp + 3 * m * w, *restrict r = dist + m * w;
+        for (int a = 0; a < 3; ++a) {
+            const double f = frac[3 * w + a], len = diag[a];
+            for (int64_t j = 0; j < m; ++j) {
+                double x = f - s[a * m + j];
+                x = x - nearbyint(x);
+                d[a * m + j] = x * len;
+            }
+        }
+        for (int64_t j = 0; j < m; ++j) {
+            const double x = d[j], y = d[m + j], z = d[2 * m + j];
+            r[j] = sqrt((x * x + y * y) + z * z);
+        }
+    }
+}
+
+static int any_nan(const double *x, int64_t size)
+{
+    for (int64_t k = 0; k < size; ++k)
+        if (isnan(x[k])) return 1;
+    return 0;
+}
+
+/* _JastrowBase._row_terms of one shared CubicBspline1D over nw rows of m
+ * distances: evaluate_vgl's clip (a no-op on the rows it keeps),
+ * truncating cast, min(i, last) and fused weights, then the masks.
+ * Entries with r <= 0, r >= rcut or in column `exclude` are +0.0.
+ * p = (rcut, inv_delta, inv_delta**2) as Python computed them. */
+static void radial_rows(int64_t nw, int64_t m, int64_t exclude,
+                        const double *restrict dist, const double *restrict c,
+                        int64_t last, const double *restrict p,
+                        const double *restrict wc, double *restrict terms)
+{
+    const double rcut = p[0], inv = p[1], inv2 = p[2];
+    const int64_t size = nw * m;
+    for (int64_t w = 0; w < nw; ++w)
+        for (int64_t j = 0; j < m; ++j) {
+            const int64_t k = w * m + j;
+            const double r = dist[k];
+            double out[3] = {0.0, 0.0, 0.0};
+            if (r > 0.0 && r < rcut && j != exclude) {
+                const double x = r * inv;
+                int64_t i = (int64_t) x;
+                if (i > last) i = last;
+                const double t = x - (double) i, t2 = t * t, t3 = t2 * t;
+                for (int o = 0; o < 3; ++o)
+                    out[o] = ((fused_weight(wc, o, 0, t, t2, t3) * c[i]
+                               + fused_weight(wc, o, 1, t, t2, t3) * c[i + 1])
+                              + fused_weight(wc, o, 2, t, t2, t3) * c[i + 2])
+                             + fused_weight(wc, o, 3, t, t2, t3) * c[i + 3];
+                out[1] = out[1] * inv;
+                out[2] = out[2] * inv2;
+            }
+            terms[k] = out[0];
+            terms[size + k] = out[1];
+            terms[2 * size + k] = out[2];
+        }
+}
+
+/* Electron e's trial rows for every walker into the trial slots (the ee
+ * self entry zeroed), then each present factor's radial terms.  With
+ * frac NULL the distance rows already in the slots are used as given.
+ * A NaN distance a factor would read returns 2 (NumPy then raises). */
+int repro_crowd_rows(const uintptr_t *slots, int64_t nw, int64_t ne,
+                     int64_t ni, int64_t e, int64_t last1, int64_t last2,
+                     const double *frac)
+{
+    double *ee_dist = SLOT(TRIAL_EE_DIST), *ee_disp = SLOT(TRIAL_EE_DISP);
+    double *ei_dist = SLOT(TRIAL_EI_DIST), *ei_disp = SLOT(TRIAL_EI_DISP);
+    const double *c1 = SLOT(J1_COEFFS), *c2 = SLOT(J2_COEFFS);
+    if (frac) {
+        image_rows(nw, ne, frac, SLOT(EL_FRAC), SLOT(DIAG), ee_dist, ee_disp);
+        for (int64_t w = 0; w < nw; ++w) {
+            ee_dist[w * ne + e] = 0.0;
+            for (int a = 0; a < 3; ++a) ee_disp[(3 * w + a) * ne + e] = 0.0;
+        }
+        image_rows(nw, ni, frac, SLOT(ION_FRAC), SLOT(DIAG), ei_dist, ei_disp);
+    }
+    if ((c1 && any_nan(ei_dist, nw * ni)) || (c2 && any_nan(ee_dist, nw * ne)))
+        return 2;
+    if (c1)
+        radial_rows(nw, ni, -1, ei_dist, c1, last1, SLOT(J1_PARAMS),
+                    SLOT(WEIGHTS), SLOT(J1_TERMS));
+    if (c2)
+        radial_rows(nw, ne, e, ee_dist, c2, last2, SLOT(J2_PARAMS),
+                    SLOT(WEIGHTS), SLOT(J2_TERMS));
+    return 0;
+}
+
+/* _JastrowFactor.commit for walker w: a two-body factor's u-sums take
+ * usum + (u_new - u_old) before row e is written, then u-sum e is the
+ * trial's, and the trial terms become row e (and column e). */
+static void jastrow_commit(int64_t w, int64_t nw, int64_t ne, int64_t m,
+                           int64_t e, int two_body, double *restrict usum,
+                           double *restrict radials,
+                           const double *restrict terms,
+                           const double *restrict usum_new)
+{
+    double *restrict us = usum + w * ne;
+    if (two_body) {
+        const double *u_new = terms + w * m;
+        const double *u_old = radials + (3 * w * ne + e) * m;
+        for (int64_t j = 0; j < m; ++j) us[j] = us[j] + (u_new[j] - u_old[j]);
+    }
+    us[e] = usum_new[w];
+    for (int o = 0; o < 3; ++o) {
+        const double *t = terms + (o * nw + w) * m;
+        double *rad = radials + (3 * w + o) * ne * m;
+        memcpy(rad + e * m, t, (size_t) m * sizeof(double));
+        if (two_body)
+            for (int64_t j = 0; j < m; ++j) rad[j * ne + e] = t[j];
+    }
+}
+
+/* CrowdState._commit for the k accepted walkers ia (ascending): every
+ * write and elementwise update, the trial rows and terms read from the
+ * slots.  u_ainv (nw, n) = u @ Ainv and log_abs (k,) = log|r| come from
+ * NumPy; usum1_new/usum2_new are the factors' trial u-sums (NULL when
+ * the factor is absent). */
+int repro_crowd_commit(const uintptr_t *slots, int64_t nw, int64_t ne,
+                       int64_t n, int64_t ni, int64_t e, int64_t k,
+                       const int64_t *ia, const double *log_abs,
+                       const double *wrapped, const double *frac,
+                       const double *v, const double *g, const double *lap,
+                       const double *det_ratio, const double *usum1_new,
+                       const double *usum2_new)
+{
+    const int64_t spin = e / n, row = e % n;
+    double *R = SLOT(POSITIONS), *el_frac = SLOT(EL_FRAC);
+    double *cache_g = SLOT(CACHE_G), *cache_lap = SLOT(CACHE_LAP);
+    double *A = SLOT(A), *Ainv = SLOT(AINV);
+    double *log_det = SLOT(LOG_DET), *sign = SLOT(SIGN);
+    double *ee_dist = SLOT(EE_DIST), *ee_disp = SLOT(EE_DISP);
+    double *ei_dist = SLOT(EI_DIST), *ei_disp = SLOT(EI_DISP);
+    const double *tee_dist = SLOT(TRIAL_EE_DIST), *tee_disp = SLOT(TRIAL_EE_DISP);
+    const double *tei_dist = SLOT(TRIAL_EI_DIST), *tei_disp = SLOT(TRIAL_EI_DISP);
+    const double *u_ainv = SLOT(U_AINV);
+    double *c = SLOT(COLUMN), *x = c + n;
+    int64_t *accepts = (int64_t *) slots[SLOT_ACCEPTS];
+    const size_t dbl = sizeof(double);
+    for (int64_t q = 0; q < k; ++q) {
+        const int64_t w = ia[q];
+        for (int a = 0; a < 3; ++a) {
+            R[(3 * w + a) * ne + e] = wrapped[3 * w + a];
+            el_frac[(3 * w + a) * ne + e] = frac[3 * w + a];
+        }
+        if (cache_g) {
+            memcpy(cache_g + (w * ne + e) * 3 * n, g + w * 3 * n, 3 * n * dbl);
+            memcpy(cache_lap + (w * ne + e) * n, lap + w * n, n * dbl);
+        }
+        /* Sherman-Morrison, DiracDeterminant.accept_move's operations:
+         * column `row` is read before the update writes it. */
+        const double r = det_ratio[w];
+        const double *ua = u_ainv + w * n;
+        double *ainv = Ainv + (2 * w + spin) * n * n;
+        for (int64_t j = 0; j < n; ++j) x[j] = (j == row ? ua[j] - 1.0 : ua[j]) / r;
+        for (int64_t i = 0; i < n; ++i) c[i] = ainv[i * n + row];
+        for (int64_t i = 0; i < n; ++i) {
+            double *ai = ainv + i * n;
+            const double ci = c[i];
+            for (int64_t j = 0; j < n; ++j) ai[j] = ai[j] - ci * x[j];
+        }
+        memcpy(A + ((2 * w + spin) * n + row) * n, v + w * n, n * dbl);
+        log_det[2 * w + spin] = log_det[2 * w + spin] + log_abs[q];
+        if (r < 0.0) sign[2 * w + spin] = -sign[2 * w + spin];
+        /* Table rows; the symmetric table mirrors into column e after. */
+        memcpy(ee_dist + (w * ne + e) * ne, tee_dist + w * ne, ne * dbl);
+        for (int64_t j = 0; j < ne; ++j)
+            ee_dist[(w * ne + j) * ne + e] = tee_dist[w * ne + j];
+        memcpy(ee_disp + (w * ne + e) * 3 * ne, tee_disp + w * 3 * ne, 3 * ne * dbl);
+        for (int64_t j = 0; j < ne; ++j)
+            for (int a = 0; a < 3; ++a)
+                ee_disp[((w * ne + j) * 3 + a) * ne + e] = -tee_disp[(3 * w + a) * ne + j];
+        memcpy(ei_dist + (w * ne + e) * ni, tei_dist + w * ni, ni * dbl);
+        memcpy(ei_disp + (w * ne + e) * 3 * ni, tei_disp + w * 3 * ni, 3 * ni * dbl);
+        if (usum1_new)
+            jastrow_commit(w, nw, ne, ni, e, 0, SLOT(J1_USUM), SLOT(J1_RADIALS),
+                           SLOT(J1_TERMS), usum1_new);
+        if (usum2_new)
+            jastrow_commit(w, nw, ne, ne, e, 1, SLOT(J2_USUM), SLOT(J2_RADIALS),
+                           SLOT(J2_TERMS), usum2_new);
+        accepts[w] += 1;
+    }
+    return 0;
+}
+
+#undef SLOT
+"""
+
 #: No flag may let the compiler fuse or reassociate: the exact tier
 #: depends on each ``+`` and ``*`` rounding on its own.
 _CFLAGS = ("-O3", "-march=native", "-ffp-contract=off", "-fPIC", "-shared")
+_LIBS = ("-lm",)
 
 _LIB = None  # process-wide cache of the loaded shared object
+
+#: bspline_fused_weights' (power, order, tap) coefficients c3, c2, c1, c0,
+#: read by every routine through one pointer.
+WEIGHT_COEFFS = np.ascontiguousarray(
+    np.stack([_FUSED_C3, _FUSED_C2, _FUSED_C1, _FUSED_C0])
+)
+
+_BYTE = ctypes.c_char
+
+
+def address(a: np.ndarray) -> int:
+    """The data address of a C-contiguous array, for a hot-path call.
+
+    ``a.ctypes.data`` builds a helper object, about 3x the cost of this
+    buffer view; a read-only array still takes that road.
+    """
+    try:
+        return ctypes.addressof(_BYTE.from_buffer(a))
+    except TypeError:
+        if not a.flags.c_contiguous:
+            raise
+        return a.ctypes.data
 
 _SKIPPED = 2  # C return status: a base row outside the table, nothing read
 
@@ -359,10 +695,15 @@ def _cpu_tag(cpuinfo: str | None = None) -> str:
 
 
 def _source() -> str:
-    header = "#include <stdint.h>\n#include <stdlib.h>\n#include <string.h>\n"
-    return header + "".join(
-        _C_TEMPLATE.format(REAL=real, SUFFIX=suffix)
-        for real, suffix in (("double", "f64"), ("float", "f32"))
+    slots = ", ".join(f"SLOT_{name.upper()}" for name in CROWD_SLOTS)
+    return (
+        _COMMON
+        + "".join(
+            _C_TEMPLATE.format(REAL=real, SUFFIX=suffix)
+            for real, suffix in (("double", "f64"), ("float", "f32"))
+        )
+        + f"\nenum {{ {slots} }};\n"
+        + _C_CROWD
     )
 
 
@@ -377,7 +718,7 @@ def _build(cc: str, source: str, lib_path: Path) -> None:
         out_path = work / "kernels.so"
         src_path.write_text(source)
         proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", str(out_path), str(src_path)],
+            [cc, *_CFLAGS, "-o", str(out_path), str(src_path), *_LIBS],
             capture_output=True,
             text=True,
         )
@@ -405,7 +746,7 @@ def _load_library() -> ctypes.CDLL:
         raise BackendUnavailable(_no_compiler())
     source = _source()
     key = hashlib.sha256(
-        "\0".join((source, cc, " ".join(_CFLAGS), _cpu_tag())).encode()
+        "\0".join((source, cc, " ".join(_CFLAGS + _LIBS), _cpu_tag())).encode()
     ).hexdigest()[:16]
     lib_path = _cache_dir() / f"repro_kernels_{key}.so"
     try:
@@ -416,10 +757,14 @@ def _load_library() -> ctypes.CDLL:
         for suffix in ("f64", "f32"):
             fn_v = getattr(lib, f"repro_v_{suffix}")
             fn_v.restype = ctypes.c_int
-            fn_v.argtypes = [ptr, i64, ptr, i64, i64, i64, i64, ptr, ptr]
+            fn_v.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr]
             fn_vgh = getattr(lib, f"repro_vgh_{suffix}")
             fn_vgh.restype = ctypes.c_int
-            fn_vgh.argtypes = [ptr, i64, ptr, i64, i64, i64, i64] + [ptr] * 5
+            fn_vgh.argtypes = fn_v.argtypes + [ptr] * 3
+        lib.repro_crowd_rows.restype = ctypes.c_int
+        lib.repro_crowd_rows.argtypes = [ptr] + [i64] * 6 + [ptr]
+        lib.repro_crowd_commit.restype = ctypes.c_int
+        lib.repro_crowd_commit.argtypes = [ptr] + [i64] * 6 + [ptr] * 10
     except (OSError, AttributeError) as exc:
         raise BackendUnavailable(
             f"backend 'cc' could not build or load its kernel library "
@@ -458,26 +803,34 @@ class CcBackend(KernelBackend):
         fn_v = getattr(lib, f"repro_v_{suffix}")
         fn_vgh = getattr(lib, f"repro_vgh_{suffix}")
         flat = np.ascontiguousarray(engine._flat)
+        grid = engine.grid
+        geom = np.array([*grid.inv_deltas, *grid.shape], dtype=np.float64)
+        scale = np.ascontiguousarray(engine._weight_scale)
         rows, n = flat.shape
         sy, sz = engine._row_strides
+        # Read once: the table, the grid and the weight constants.  The
+        # cores hold the arrays (`keep`) so the addresses stay valid.
+        fixed = (flat.ctypes.data, rows)
+        shape = (geom.ctypes.data, sy, sz)
+        consts = (WEIGHT_COEFFS.ctypes.data, scale.ctypes.data)
+        keep = (flat, geom, scale)
 
-        def v_core(positions, v):
-            base, block = engine._locate_block(positions)
+        def v_core(positions, v, keep=keep):
+            pos = np.ascontiguousarray(positions)
             status = fn_v(
-                flat.ctypes.data, rows, base.ctypes.data, sy, sz, len(positions), n,
-                block.ctypes.data, v.ctypes.data,
+                *fixed, address(pos), *shape, len(pos), n, *consts, address(v)
             )
             if status == _SKIPPED:
                 engine._numpy_v_core(positions, v)
             elif status:
                 raise MemoryError("cc backend could not allocate its scratch")
 
-        def vgh_core(positions, v, g, l, h):
-            base, block = engine._locate_block(positions)
+        def vgh_core(positions, v, g, l, h, keep=keep):
+            pos = np.ascontiguousarray(positions)
             status = fn_vgh(
-                flat.ctypes.data, rows, base.ctypes.data, sy, sz, len(positions), n,
-                block.ctypes.data, v.ctypes.data, g.ctypes.data,
-                l.ctypes.data, None if h is None else h.ctypes.data,
+                *fixed, address(pos), *shape, len(pos), n, *consts,
+                address(v), address(g), address(l),
+                None if h is None else address(h),
             )
             if status == _SKIPPED:
                 engine._numpy_vgh_core(positions, v, g, l, h)

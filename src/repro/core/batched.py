@@ -415,19 +415,13 @@ class BsplineBatched:
         neighbourhood as rows ``base + a*sy + b*sz .. +3`` with plain
         addition — no modulo wrap.  The weight matrices are ``(ns, 4)``
         contiguous arrays in the table dtype, derivative weights
-        pre-scaled by the grid's inverse deltas — the shared front half
-        of every backend's chunk kernel.  All nine come from one
+        pre-scaled by the grid's inverse deltas — the front half of the
+        NumPy and numba chunk kernels (``cc`` repeats these operations
+        in C, per position).  All nine come from one
         :func:`~repro.core.basis.bspline_fused_weights` call as views of
         one ``(axis, order, ns, 4)`` block, bitwise equal to the
         per-order :func:`~repro.core.basis.bspline_weights_batch` form.
         """
-        base, block = self._locate_block(positions)
-        return base, tuple((b[0], b[1], b[2]) for b in block)
-
-    def _locate_block(self, positions: np.ndarray):
-        """:meth:`_locate_weights` before the split: ``base`` and the one
-        C-contiguous ``(axis, order, ns, 4)`` weight block, for a backend
-        that reads all nine weight matrices through one pointer."""
         idx, frac = self.grid.locate_batch(positions)
         sy, sz = self._row_strides
         base = np.ascontiguousarray(
@@ -441,7 +435,7 @@ class BsplineBatched:
             w.transpose(2, 0, 3, 1), self._weight_scale,
             out=block, dtype=self.dtype, casting="same_kind",
         )
-        return base, block
+        return base, tuple((b[0], b[1], b[2]) for b in block)
 
     def _gather(self, positions: np.ndarray):
         """Blocks ``(ns, 4, 4, 4, N)`` + per-axis weight triples.
@@ -450,9 +444,9 @@ class BsplineBatched:
         plus the 64-entry ``_cube`` offset pulls each position's whole
         neighbourhood — no modulo wrap, no broadcast triple-index.
         Ghost rows are exact copies, so the gathered bits equal the
-        modulo path's.  (The NumPy cores' front end; compiled backends
-        skip the gather temporary and read the stencil in-loop from
-        :meth:`_locate_weights`'s base rows.)
+        modulo path's.  (The NumPy cores' front end; the compiled
+        backends skip the gather temporary and read the stencil in-loop
+        from the base rows.)
         """
         base, weights = self._locate_weights(positions)
         blocks = self._flat[base[:, None] + self._cube[None, :]].reshape(

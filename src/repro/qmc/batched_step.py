@@ -59,15 +59,37 @@ order exactly.  ``tests/qmc/test_batched_step.py`` locks this down with
 ``assert_array_equal`` against :func:`repro.qmc.drift_diffusion.sweep`,
 which stays as the per-walker oracle: every stored array after each
 sweep and a full VMC energy trace.
+
+Step 2's rows and radials and step 4's commit have two implementations
+with the same bits.  The NumPy methods (:meth:`CrowdState._rows_ee`,
+:meth:`~CrowdState._rows_ei`, :meth:`_JastrowFactor.evaluate`,
+:meth:`CrowdState._commit`) serve every crowd; where the orbitals run
+the ``cc`` backend, a crowd on the fast path (soa tables, orthorhombic
+cell) whose Jastrow radials are shared runs :class:`_CompiledRows`
+instead: two float64 C routines doing the same operations in the same
+order, after a once-per-process byte-for-byte gate (:func:`_gate`).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from repro.backends import BackendUnavailable
+from repro.backends import cc_backend
+from repro.backends.cc_backend import address
+from repro.backends.registry import _note_fallback
+from repro.core.spline1d import CubicBspline1D
+from repro.lattice.cell import Cell
 from repro.obs import OBS
 from repro.qmc.drift_diffusion import limited_drift, log_greens_ratio
-from repro.qmc.jastrow import pair_grad, pair_weights
+from repro.qmc.jastrow import (
+    _JastrowBase,
+    make_polynomial_radial,
+    pair_grad,
+    pair_weights,
+)
 from repro.qmc.wavefunction import SlaterJastrow
 
 __all__ = ["CrowdState", "batched_sweep"]
@@ -177,7 +199,8 @@ class CrowdState:
     ``ee_dist`` / ``ee_disp`` and ``ei_dist`` / ``ei_disp`` in the
     tables' layout, and per Jastrow factor its u-sums and committed
     radial rows.  Alongside: last-move ratios, local energies and
-    per-walker accept counts.
+    per-walker accept counts.  Construction also picks the crowd's row
+    path: compiled (:func:`_compiled_rows`) or the NumPy methods.
 
     Parameters
     ----------
@@ -307,6 +330,13 @@ class CrowdState:
                 )
             )
         self._committed_vgl = committed_vgl
+        if self._fast:
+            # Every walker's electron and ion fractional coordinates
+            # (nw, 3, m), refilled each sweep (:meth:`_sources_frac`).
+            self._el_frac = np.empty((nw, 3, n_el))
+            self._ion_frac = np.empty((nw, 3, self.ei_dist.shape[-1]))
+        #: The compiled row path, or None where the NumPy methods serve.
+        self._cc = _compiled_rows(self)
 
     def __len__(self) -> int:
         return self.n_walkers
@@ -338,22 +368,22 @@ class CrowdState:
 
     # -- batched distance rows ------------------------------------------------
 
-    def _sources_frac(self):
-        """Fast row path: every walker's ion and electron fractional
-        coordinates ``(nw, 3, m)``, converted once per sweep.
+    def _sources_frac(self) -> None:
+        """Fast row path: refill every walker's ion and electron
+        fractional coordinates ``(nw, 3, m)``, once per sweep.
 
-        Ions stay put through a sweep; :func:`batched_sweep` rewrites an
-        accepted walker's electron column with its trial's coordinates.
-        The orthorhombic inverse lattice is diagonal, so a position's
+        Ions stay put through a sweep; each commit rewrites an accepted
+        walker's electron column with its trial's coordinates.  The
+        orthorhombic inverse lattice is diagonal, so a position's
         fractional bits do not depend on the batch it is converted in.
         """
         if not self._fast:
-            return None, None
-        ions = np.stack([wf.ei_table._src_frac for wf in self.wfs])
+            return
+        for w, wf in enumerate(self.wfs):
+            self._ion_frac[w] = wf.ei_table._src_frac
         nw, ne = self.n_walkers, self.n_electrons
         frac = self.cell.cart_to_frac(self.positions.reshape(-1, 3))
-        electrons = frac.reshape(nw, ne, 3).transpose(0, 2, 1)
-        return ions, np.ascontiguousarray(electrons)
+        self._el_frac[...] = frac.reshape(nw, ne, 3).transpose(0, 2, 1)
 
     def _minimal_image(self, frac: np.ndarray, src: np.ndarray):
         """Orthorhombic minimal-image ``(dist (nw, m), disp (nw, 3, m))``
@@ -365,20 +395,20 @@ class CrowdState:
         disp = dfrac * np.diag(self.cell.lattice)[np.newaxis, :, np.newaxis]
         return np.sqrt(disp[:, 0] ** 2 + disp[:, 1] ** 2 + disp[:, 2] ** 2), disp
 
-    def _rows_ei(self, wrapped: np.ndarray, frac, ion_frac):
+    def _rows_ei(self, wrapped: np.ndarray, frac):
         """Trial ion->electron rows ``(dist, disp)`` for the whole crowd:
         one vectorised minimal-image computation on the fast path, else
         each table's own ``_compute_row``."""
         if self._fast:
-            return self._minimal_image(frac, ion_frac)
+            return self._minimal_image(frac, self._ion_frac)
         rows = [wf.ei_table._compute_row(wrapped[w]) for w, wf in enumerate(self.wfs)]
         dist = np.stack([dist for _, dist in rows])
         return dist, np.stack([disp for disp, _ in rows])
 
-    def _rows_ee(self, wrapped: np.ndarray, e: int, frac, el_frac):
+    def _rows_ee(self, wrapped: np.ndarray, e: int, frac):
         """Trial electron-electron rows (self entry zeroed, as propose_row)."""
         if self._fast:
-            dist, disp = self._minimal_image(frac, el_frac)
+            dist, disp = self._minimal_image(frac, self._el_frac)
             dist[:, e] = 0.0
             disp[:, :, e] = 0.0
             return dist, disp
@@ -395,15 +425,19 @@ class CrowdState:
     # -- the masked commit ----------------------------------------------------
 
     def _commit(
-        self, ia, e, wrapped, trial_vgl, det_ratio, ee_rows, ei_rows, trials
+        self, ia, e, wrapped, frac, trial_vgl, det_ratio, ee_rows, ei_rows, trials
     ) -> None:
         """Electron ``e``'s trial state becomes committed for the accepted
         walkers ``ia``: every update the per-walker ``accept_move`` makes,
         as one masked row-wise write per array, plus the trial orbital
-        ``(g, lap)`` rows into the resident drift cache."""
+        ``(g, lap)`` rows into the resident drift cache, the trial's
+        fractional column (fast path) and the accept counts."""
         spin, row = divmod(e, self.spos.n_orbitals)
         v, g, lap = trial_vgl
         self._R[ia, :, e] = wrapped[ia]
+        if self._fast:
+            self._el_frac[ia, :, e] = frac[ia]
+        self.accepts[ia] += 1
         if self._committed_vgl is not None:
             cache_g, cache_lap = self._committed_vgl
             cache_g[ia, e] = g[ia]
@@ -437,6 +471,304 @@ class CrowdState:
             factor.commit(ia, e, trial, usum)
 
 
+def _resident_arrays(state: CrowdState) -> dict[str, np.ndarray]:
+    """Every block an accepted move writes, by name."""
+    arrays = {
+        "positions": state._R, "A": state.A, "Ainv": state.Ainv,
+        "log_det": state.log_det, "sign": state.sign,
+        "ee_dist": state.ee_dist, "ee_disp": state.ee_disp,
+        "ei_dist": state.ei_dist, "ei_disp": state.ei_disp,
+        "accepts": state.accepts,
+    }
+    if state._fast:
+        arrays["el_frac"] = state._el_frac
+    if state._committed_vgl is not None:
+        arrays["cache_g"], arrays["cache_lap"] = state._committed_vgl
+    for factor in state._jastrows:
+        j = "j2" if factor.two_body else "j1"
+        arrays[f"{j}_usum"], arrays[f"{j}_radials"] = factor.usum, factor.radials
+    return arrays
+
+
+class _CompiledRows:
+    """A crowd's trial rows, Jastrow radials and masked commit, compiled.
+
+    The float64 routines ``repro_crowd_rows`` and ``repro_crowd_commit``
+    of the ``cc`` library (:mod:`repro.backends.cc_backend`) repeat the
+    operations of :meth:`CrowdState._rows_ee` / :meth:`~CrowdState._rows_ei`,
+    :meth:`_JastrowFactor.evaluate` and :meth:`CrowdState._commit` in
+    their order, so they write the same bytes (proved once per process
+    by :func:`_gate`).  The BLAS row product ``u @ Ainv``, ``log|r|``
+    and every last-axis sum stay in NumPy.  Rows and radial terms land in
+    scratch reused for every electron index; the routines reach it and
+    the crowd's resident blocks through one address table
+    (:data:`~repro.backends.cc_backend.CROWD_SLOTS`), read once per
+    crowd and again only when the drift cache appears.
+    """
+
+    def __init__(self, state: CrowdState, lib):
+        # No reference to the crowd itself: a cycle would keep a DMC
+        # generation's crowd blocks alive until the cyclic collector ran.
+        self._rows_fn = lib.repro_crowd_rows
+        self._commit_fn = lib.repro_crowd_commit
+        nw, ne, n = state.n_walkers, state.n_electrons, state.spos.n_orbitals
+        ni = state.ei_dist.shape[-1]
+        self._dims = (nw, ne, n, ni)
+        self.ee_rows = (np.zeros((nw, ne)), np.zeros((nw, 3, ne)))
+        self.ei_rows = (np.zeros((nw, ni)), np.zeros((nw, 3, ni)))
+        self.u_ainv = np.zeros((nw, 1, n))
+        arrays = {
+            "ion_frac": state._ion_frac,
+            "diag": np.ascontiguousarray(np.diag(state.cell.lattice)),
+            "weights": cc_backend.WEIGHT_COEFFS,
+            "trial_ee_dist": self.ee_rows[0],
+            "trial_ee_disp": self.ee_rows[1],
+            "trial_ei_dist": self.ei_rows[0],
+            "trial_ei_disp": self.ei_rows[1],
+            "u_ainv": self.u_ainv,
+            "column": np.zeros(2 * n),
+        }
+        arrays.update(_resident_arrays(state))
+        # bind() reads the drift cache, which may appear later.
+        arrays.pop("cache_g", None)
+        arrays.pop("cache_lap", None)
+        #: Each factor's (u, u', u'') trial terms, ``(nw, 3, m)`` views of
+        #: ``(3, nw, m)`` scratch, in ``state._jastrows`` order.
+        self.terms = []
+        self._last = [0, 0]  # n_knots - 2 of the one- and two-body radial
+        for factor in state._jastrows:
+            j = "j2" if factor.two_body else "j1"
+            u = factor.jastrows[0].u
+            terms = np.zeros((3, nw, factor.radials.shape[-1]))
+            arrays[f"{j}_coeffs"] = np.ascontiguousarray(u.coeffs, dtype=np.float64)
+            arrays[f"{j}_params"] = np.array([u.rcut, u.inv_delta, u.inv_delta**2])
+            arrays[f"{j}_terms"] = terms
+            self.terms.append(np.moveaxis(terms, 0, 1))
+            self._last[factor.two_body] = u.n_knots - 2
+        slots = cc_backend.CROWD_SLOTS
+        self._slots = {name: i for i, name in enumerate(slots)}
+        self._table = np.zeros(len(slots), dtype=np.uintp)
+        for name, a in arrays.items():
+            self._table[self._slots[name]] = a.ctypes.data
+        self._arrays = arrays  # the table's addresses stay valid with these
+        self._table_address = self._table.ctypes.data
+        self._Ainv = state.Ainv
+        self._two_body = [factor.two_body for factor in state._jastrows]
+        self._vgl = None
+
+    def bind(self, vgl) -> "_CompiledRows | None":
+        """Read the addresses of the drift cache ``vgl`` (the crowd's
+        ``_committed_vgl``) once it exists; None, so the NumPy methods
+        serve the sweep, for a handed-over cache that is not one
+        C-contiguous float64 block."""
+        if vgl is not self._vgl:
+            if not all(a.dtype == np.float64 and a.flags.c_contiguous for a in vgl):
+                return None
+            self._table[self._slots["cache_g"]] = vgl[0].ctypes.data
+            self._table[self._slots["cache_lap"]] = vgl[1].ctypes.data
+            self._arrays["cache_g"], self._arrays["cache_lap"] = vgl
+            self._vgl = vgl
+        return self
+
+    def rows(self, frac: np.ndarray | None, e: int) -> bool:
+        """Electron ``e``'s trial rows into :attr:`ee_rows` /
+        :attr:`ei_rows` and the factors' terms into :attr:`terms`.  False
+        when a distance a factor reads is NaN (NumPy then raises).  With
+        ``frac`` None the distance rows already in the scratch are used
+        as given."""
+        nw, ne, _, ni = self._dims
+        return not self._rows_fn(
+            self._table_address, nw, ne, ni, e, *self._last,
+            None if frac is None else address(frac),
+        )
+
+    def commit(
+        self, ia, e, wrapped, frac, trial_vgl, det_ratio, ee_rows, ei_rows, trials
+    ) -> None:
+        """:meth:`CrowdState._commit` in C; the trial rows and terms are
+        this object's scratch, so only the u-sums are read from
+        ``trials``."""
+        nw, ne, n, ni = self._dims
+        v, g, lap = trial_vgl
+        # u @ Ainv for every walker, each the per-walker BLAS gemv; C
+        # reads the accepted walkers' rows.
+        np.matmul(v[:, np.newaxis, :], self._Ainv[:, e // n], out=self.u_ainv)
+        log_abs = np.log(np.abs(det_ratio[ia]))
+        usum = {two: address(s) for two, (_, s) in zip(self._two_body, trials)}
+        self._commit_fn(
+            self._table_address, nw, ne, n, ni, e, ia.size, address(ia),
+            address(log_abs), address(wrapped), address(frac), address(v),
+            address(g), address(lap), address(det_ratio),
+            usum.get(False), usum.get(True),
+        )
+
+
+#: The once-per-process verdict of :func:`_gate` (None: not run yet).
+_GATE: bool | None = None
+
+
+def _compiled_rows(state: CrowdState) -> _CompiledRows | None:
+    """The crowd's compiled row path where it applies, else None.
+
+    It applies when the orbital engine resolved to ``cc``, the crowd is
+    on the fast path (soa tables, orthorhombic cell), every Jastrow
+    factor is shared (one :class:`CubicBspline1D` for all walkers) and
+    the gate has passed.  Every other crowd runs the NumPy methods.
+    """
+    if not state._fast or state.spos._get_batched().backend.name != "cc":
+        return None
+    for factor in state._jastrows:
+        if not (factor.shared and type(factor.jastrows[0].u) is CubicBspline1D):
+            return None
+    try:
+        lib = cc_backend._load_library()
+    except BackendUnavailable:
+        return None
+    return _CompiledRows(state, lib) if _gate(lib) else None
+
+
+def _gate(lib) -> bool:
+    """Run both row paths once per process on one fixed input and
+    compare them byte for byte; a mismatch leaves every crowd on NumPy,
+    warned and counted as ``backend_fallback_total{requested="crowd",
+    skipped="cc"}`` (the kernels keep ``cc``)."""
+    global _GATE
+    if _GATE is None:
+        with OBS.paused():
+            differ = _compare_paths(lib, np.random.default_rng(0))
+        _GATE = not differ
+        if differ:
+            _note_fallback(
+                "crowd", "cc",
+                f"its crowd row math differs from NumPy's in {', '.join(differ)}",
+            )
+    return _GATE
+
+
+def _synthetic_crowd(rng, nw: int = 3, n: int = 3, ni: int = 4) -> CrowdState:
+    """A fast-path crowd of random resident blocks, without walkers, for
+    driving both row paths: two calls with equal generators build equal
+    crowds.  The cell is cubic with edge 4, a power of two, and both
+    radials have cutoff 1.5 with knots 0.3 apart."""
+    ne = 2 * n
+    state = CrowdState.__new__(CrowdState)
+    state.n_walkers, state.n_electrons = nw, ne
+    state.spos = SimpleNamespace(n_orbitals=n)
+    state.cell = Cell(np.diag([4.0, 4.0, 4.0]))
+    state.layout, state._fast = "soa", True
+    state.accepts = np.zeros(nw, dtype=np.int64)
+    state._R = 4.0 * rng.random((nw, 3, ne))
+    state.A = rng.standard_normal((nw, 2, n, n))
+    state.Ainv = rng.standard_normal((nw, 2, n, n))
+    state.log_det = rng.standard_normal((nw, 2))
+    state.sign = rng.choice([-1.0, 1.0], (nw, 2))
+    state.ee_dist = rng.random((nw, ne, ne))
+    state.ee_disp = rng.standard_normal((nw, ne, 3, ne))
+    state.ei_dist = rng.random((nw, ne, ni))
+    state.ei_disp = rng.standard_normal((nw, ne, 3, ni))
+    # Quarter steps: trial separations hit exact halves, where np.round
+    # ties to even.
+    state._el_frac = rng.integers(0, 4, (nw, 3, ne)) / 4.0
+    state._ion_frac = rng.integers(0, 4, (nw, 3, ni)) / 4.0
+    state._committed_vgl = (
+        rng.standard_normal((nw, ne, 3, n)), rng.standard_normal((nw, ne, n))
+    )
+    state._jastrows = []
+    for strength, two_body, m, dist, disp in (
+        (0.4, False, ni, state.ei_dist, state.ei_disp),
+        (0.6, True, ne, state.ee_dist, state.ee_disp),
+    ):
+        radial = make_polynomial_radial(strength, 1.5, n_knots=6)
+        jastrows = []
+        for _ in range(nw):
+            jastrow = _JastrowBase(radial, "soa")
+            jastrow._usum = rng.standard_normal(ne)
+            jastrow.radials = rng.standard_normal((3, ne, m))
+            jastrows.append(jastrow)
+        state._jastrows.append(_JastrowFactor(jastrows, True, dist, disp, two_body))
+    return state
+
+
+#: Distances where the radial's branches meet: zero, the smallest
+#: subnormal, every knot and the cutoff 1.5 from both sides, and beyond.
+_SEAM_DISTANCES = np.array(
+    [0.0, 5e-324, 0.3, 0.6, 0.9, 1.2, np.nextafter(1.5, 0.0), 1.5, 1.7, 3.0,
+     np.nextafter(0.3, 0.0), np.nextafter(0.9, 2.0)]
+)
+
+
+def _differ(a: dict, b: dict) -> list[str]:
+    return [k for k in a if a[k].tobytes() != b[k].tobytes()]
+
+
+def _compare_paths(lib, rng, **sizes) -> list[str]:
+    """Names of the arrays where the compiled row path and the NumPy one
+    disagree, over one synthetic crowd (of ``sizes``, see
+    :func:`_synthetic_crowd`) driven through both.
+
+    The input covers exact-half fractional separations, trial positions
+    a box or more away, the radial seams (:data:`_SEAM_DISTANCES`, fed
+    straight into the distance rows) with the self entry, and commits
+    of one, some and all walkers on both spins with negative ratios.
+    """
+    seed = int(rng.integers(2**32))
+    ref = _synthetic_crowd(np.random.default_rng(seed), **sizes)
+    crowd = _synthetic_crowd(np.random.default_rng(seed), **sizes)
+    cc = _CompiledRows(crowd, lib).bind(crowd._committed_vgl)
+    nw, ne, n = ref.n_walkers, ref.n_electrons, ref.spos.n_orbitals
+    walkers = np.arange(nw)
+    differ = []
+
+    def numpy_rows(e, frac):
+        ee = ref._rows_ee(None, e, frac)
+        ei = ref._rows_ei(None, frac)
+        return ee, ei, [
+            f.evaluate(ee[0] if f.two_body else ei[0], e) for f in ref._jastrows
+        ]
+
+    def compare(label, want, got):
+        differ.extend(f"{label}:{k}" for k in _differ(want, got))
+
+    # Radial seams: the same distances through both radial evaluations.
+    e = ne - 1
+    for dist in (cc.ee_rows[0], cc.ei_rows[0]):
+        dist[...] = np.resize(rng.permutation(_SEAM_DISTANCES), dist.shape)
+    cc.rows(None, e)
+    want = [
+        f.evaluate((cc.ee_rows if f.two_body else cc.ei_rows)[0].copy(), e)
+        for f in ref._jastrows
+    ]
+    compare("seams", dict(enumerate(want)), dict(enumerate(cc.terms)))
+
+    one, some = walkers[-1:], np.flatnonzero(walkers % 2 == 0)
+    for e, ia in ((n - 1, one), (n, some), (0, walkers), (ne - 1, walkers)):
+        frac = rng.integers(-4, 12, (nw, 3)) / 4.0
+        ee, ei, terms = numpy_rows(e, frac)
+        cc.rows(frac, e)
+        compare(
+            f"rows e={e}",
+            {"ee_dist": ee[0], "ee_disp": ee[1], "ei_dist": ei[0],
+             "ei_disp": ei[1], **dict(enumerate(terms))},
+            {"ee_dist": cc.ee_rows[0], "ee_disp": cc.ee_rows[1],
+             "ei_dist": cc.ei_rows[0], "ei_disp": cc.ei_rows[1],
+             **dict(enumerate(cc.terms))},
+        )
+        v = rng.standard_normal((nw, n))
+        trial_vgl = (v, rng.standard_normal((nw, 3, n)), rng.standard_normal((nw, n)))
+        det_ratio = rng.standard_normal(nw) + np.where(walkers % 2, -0.5, 0.5)
+        wrapped = 4.0 * frac
+        ref._commit(
+            ia, e, wrapped, frac, trial_vgl, det_ratio, ee, ei,
+            [(t, t[:, 0].sum(axis=-1)) for t in terms],
+        )
+        cc.commit(
+            ia, e, wrapped, frac, trial_vgl, det_ratio, cc.ee_rows, cc.ei_rows,
+            [(t, t[:, 0].sum(axis=-1)) for t in cc.terms],
+        )
+        compare(f"commit e={e}", _resident_arrays(ref), _resident_arrays(crowd))
+    return differ
+
+
 def batched_sweep(
     state: CrowdState, tau: float, use_drift: bool = True
 ) -> tuple[int, int]:
@@ -463,7 +795,8 @@ def batched_sweep(
         # call on a crowd's first sweep).  Electron e's row changes only
         # when e itself moves, after its drift has been read.
         cache_g, _ = state.committed_vgl()
-    ion_frac, el_frac = state._sources_frac()
+    state._sources_frac()
+    cc = state._cc.bind(state._committed_vgl) if state._cc is not None else None
 
     for e in range(ne):
         spin, row = divmod(e, n)
@@ -486,14 +819,25 @@ def batched_sweep(
         r_new = r_old + tau * drift_old + chi * sqrt_tau
 
         # 2. one batched orbital call, batched rows, one radial
-        # evaluation per Jastrow factor at the trials.
+        # evaluation per Jastrow factor at the trials: compiled where
+        # the crowd has the row path, else (or at a NaN distance, which
+        # then raises) the NumPy methods.
         wrapped = state.cell.wrap_cart(r_new)
         trial_vgl = state.spos.vgl_batch(wrapped)
         v, g, _ = trial_vgl
         state.n_batched_calls += 1
         frac = state.cell.cart_to_frac(wrapped) if state._fast else None
-        ee_rows = state._rows_ee(wrapped, e, frac, el_frac)
-        ei_rows = state._rows_ei(wrapped, frac, ion_frac)
+        if cc is not None and cc.rows(frac, e):
+            ee_rows, ei_rows, terms = cc.ee_rows, cc.ei_rows, cc.terms
+            commit = cc.commit
+        else:
+            ee_rows = state._rows_ee(wrapped, e, frac)
+            ei_rows = state._rows_ei(wrapped, frac)
+            terms = [
+                factor.evaluate((ee_rows if factor.two_body else ei_rows)[0], e)
+                for factor in state._jastrows
+            ]
+            commit = state._commit
 
         # 3. stacked ratios and trial gradients in the per-walker order:
         # ratio = (det * j1) * j2, grad = (det + j1) + j2.
@@ -505,9 +849,8 @@ def batched_sweep(
         )
         ratios = det_ratio
         trials = []
-        for factor in state._jastrows:
+        for factor, trial in zip(state._jastrows, terms):
             dist, disp = ee_rows if factor.two_body else ei_rows
-            trial = factor.evaluate(dist, e)
             usum = trial[:, 0].sum(axis=-1)
             ratios = ratios * np.exp(-(usum - factor.usum[:, e]))
             grads_new = grads_new + factor.grad(dist, disp, trial[:, 1])
@@ -533,16 +876,15 @@ def batched_sweep(
 
         # 4. one masked commit of every accepted walker.
         if ia.size:
-            state._commit(
-                ia, e, wrapped, trial_vgl, det_ratio, ee_rows, ei_rows, trials
+            commit(
+                ia, e, wrapped, frac, trial_vgl, det_ratio, ee_rows, ei_rows, trials
             )
-            if el_frac is not None:
-                el_frac[ia, :, e] = frac[ia]
-            state.accepts[ia] += 1
             accepted += ia.size
 
     if OBS.enabled:
-        OBS.count("crowd_batched_sweeps_total")
+        OBS.count(
+            "crowd_batched_sweeps_total", rows="numpy" if cc is None else "cc"
+        )
         OBS.count("crowd_batched_moves_total", nw * ne)
         OBS.count("crowd_batched_accepts_total", accepted)
     return accepted, nw * ne

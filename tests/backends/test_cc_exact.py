@@ -121,6 +121,38 @@ class TestBitIdentity:
         _against_oracle(grid, table, positions, tuple(Kind), chunk_size=chunk)
 
 
+class TestLocateInC:
+    """The C routines locate each position themselves (NumPy's float
+    ``%``, the ``u >= n`` guard, the truncating cast) and build its
+    weights: every stream matches the NumPy backend's, sign bits
+    included, on the coordinates where ``%`` and the cast have edges."""
+
+    @pytest.mark.parametrize(
+        "grid_shape, lengths, n_random",
+        [
+            pytest.param((24, 24, 24), (1.0, 1.0, 1.0), 2000, id="24^3"),
+            pytest.param((6, 7, 5), (1.7, 2.3, 1.1), 2000, id="6x7x5"),
+            pytest.param((48, 48, 60), (1.0, 1.0, 1.0), 10000, id="48x48x60"),
+        ],
+    )
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_numpy(self, cc, grid_shape, lengths, n_random, dtype):
+        rng = np.random.default_rng(5)
+        grid = Grid3D(*grid_shape, lengths=lengths)
+        table = rng.standard_normal(grid_shape + (2,)).astype(dtype)
+        box = np.array([lengths])
+        edges = np.array([[-0.0, 1e-17, -1e-17], [-5e-324, 5e-324, -0.0]])
+        positions = np.concatenate([
+            conformance_positions(grid, rng, n_random),
+            edges, -edges, 3.0 * box, -3.0 * box,
+            (rng.random((64, 3)) - 0.5) * 6.0 * box,
+        ])
+        engines = [BsplineBatched(grid, table, backend=b) for b in ("numpy", "cc")]
+        want, got = (_outcome(e, Kind.VGH, positions) for e in engines)
+        for stream in Kind.VGH.streams:
+            _assert_bits(got[stream], want[stream], stream)
+
+
 def _outcome(engine, kind, positions):
     out = engine.new_output(kind, n=len(positions))
     try:

@@ -136,6 +136,35 @@ class TestBatchedSweepIdentity:
                 sweep(wf, 0.25, rng)
         assert_walkers_bitwise_equal(wfs_b, wfs_s)
 
+    @pytest.mark.parametrize("rows", ["cc", "numpy"])
+    @pytest.mark.parametrize(
+        "case, use_drift",
+        [
+            pytest.param({"n_orb": 16}, True, id="blas-size"),
+            pytest.param({}, False, id="no-drift"),
+            pytest.param({"with_jastrow": False}, True, id="bare-slater"),
+        ],
+    )
+    def test_soa_matches_on_either_row_path(self, rows, case, use_drift):
+        """The soa crowd on each row path: the compiled rows, radials and
+        commit (the default where the orbitals run ``cc``), and the
+        NumPy methods every other crowd runs."""
+        wfs_b, rngs_b = build_population(4, **case)
+        wfs_s, rngs_s = build_population(4, **case)
+        state = CrowdState(wfs_b, rngs_b)
+        if rows == "numpy":
+            state._cc = None
+        elif state._cc is None:
+            pytest.skip("the compiled row path needs the cc backend")
+        for _ in range(3):
+            batched_sweep(state, 0.25, use_drift=use_drift)
+        for wf, rng in zip(wfs_s, rngs_s):
+            for _ in range(3):
+                sweep(wf, 0.25, rng, use_drift=use_drift)
+        assert_walkers_bitwise_equal(wfs_b, wfs_s)
+        for rb, rs in zip(rngs_b, rngs_s):
+            assert rb.random() == rs.random()
+
     def test_no_drift_mode_matches(self):
         wfs_b, rngs_b = build_population(2)
         wfs_s, rngs_s = build_population(2)
