@@ -143,7 +143,7 @@ class BackendCapability:
 
 @dataclass
 class BackendCores:
-    """The two chunk-level kernels a backend hands the engine.
+    """The chunk-level kernels a backend hands the engine.
 
     ``v(positions, v)`` fills one chunk's value slab; ``vgh(positions,
     v, g, l, h)`` fills value/gradient/Laplacian and — when ``h`` is not
@@ -152,10 +152,18 @@ class BackendCores:
     C-contiguous row views of the :class:`~repro.core.batched
     .BatchedOutput` streams in the engine's dtype.  The engine drives
     VGL through ``vgh`` with ``h=None``.
+
+    ``cart(positions, chain, v, g, l)``, optional, is the Cartesian VGL
+    kernel: float64 values, Cartesian gradients and Laplacians through
+    a :class:`~repro.core.batched.ChainRule`, bit for bit what ``vgh``
+    and :meth:`~repro.core.batched.ChainRule.apply` write.  Without it
+    the engine runs exactly that, chunk by chunk
+    (:meth:`~repro.core.batched.BsplineBatched._chain_rule_core`).
     """
 
     v: "object"
     vgh: "object"
+    cart: "object" = None
 
 
 class KernelBackend(abc.ABC):

@@ -25,6 +25,16 @@ floating-point operations in their order, element for element:
   runs over the spline axis, so every output element accumulates the
   reduced index in order);
 * the Laplacian is ``(hxx + hyy) + hzz`` of the finished x sums;
+* the Cartesian VGL entry (``repro_vgl_cart_*``, the ``cart`` core that
+  :meth:`BsplineBatched.vgl_batch` runs with a
+  :class:`~repro.core.batched.ChainRule`) runs ``repro_vgh_*`` on
+  blocks of 16 positions, then casts each stream to float64 as
+  ``astype`` does and
+  applies the QMC adapter's chain rule: ``g_a = ((0.0 + B[a,0] g0) +
+  B[a,1] g1) + B[a,2] g2``, einsum's order for ``"af,sfn->san"``, and
+  the Laplacian ``((M00 hxx + M11 hyy) + M22 hzz) + 2 ((M01 hxy + M02
+  hxz) + M12 hyz)`` with the zero terms of a diagonal ``M`` kept, since
+  they decide the sign of a zero;
 * the build flags keep each ``+`` and ``*`` a separately rounded IEEE
   operation (``-ffp-contract=off``: no fused multiply-add; nothing like
   ``-ffast-math`` that would reassociate).  Vectorising the spline axis
@@ -34,8 +44,9 @@ Two cases are handed to the NumPy cores instead:
 
 * a single-spline table (``N == 1``): einsum then reduces over a
   contiguous length-4 axis with a different (pairwise, dtype-dependent)
-  summation order, so for such tables :meth:`CcBackend.make_cores`
-  returns NumPy's cores;
+  summation order, and sums the chain rule in another order too, so for
+  such tables :meth:`CcBackend.make_cores` returns NumPy's cores and no
+  Cartesian one;
 * a chunk with a non-finite coordinate or a stencil base row outside
   the padded table.  The C routines locate every position before
   reading any row, and report the chunk back; it then runs on the NumPy
@@ -43,10 +54,18 @@ Two cases are handed to the NumPy cores instead:
   (``IndexError``: ``locate_batch`` casts NaN to ``-2**63``) or returns
   its bits.
 
-The library also carries the crowd sweep's float64 row math
-(``repro_crowd_rows``, ``repro_crowd_commit``; see
-:mod:`repro.qmc.batched_step`), which shares this build, cache key and
-load but has its own gate there.
+The library also carries the crowd sweep's float64 per-electron math
+(see :mod:`repro.qmc.batched_step`): the proposal with its committed
+Jastrow gradients and limited drift (``repro_crowd_propose``), the trial
+rows and radials (``repro_crowd_rows``), the trial glue up to the
+``exp``/``log`` of the acceptance (``repro_crowd_trial``: where-divide,
+u-sums, Jastrow gradients, drift, Green's ratio) and the masked commit
+(``repro_crowd_commit``).  Its last-axis sums repeat NumPy's pairwise
+summation (``pairwise``: a running sum below 8 terms, eight accumulators
+up to 128, halves above; ``np.add.reduce`` returns ``0.0 +`` that).  It
+shares this build, cache key and load but has its own gate there, which
+also holds ``repro_row_sums`` to ``np.add.reduce`` at every length from
+1 to 300.
 
 The registry proves all of this once per process: the lazy conformance
 gate (:mod:`repro.backends.conformance`) compares every stream with the
@@ -94,6 +113,10 @@ _COMMON = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Positions per repro_vgh_* call inside repro_vgl_cart_*: a crowd's
+ * trial batch in one call, and a block whose VGH streams stay in L2. */
+#define CART_BLOCK 16
 
 /* NumPy's float `%` by a positive n (npy_divmod): fmod, then n added to a
  * nonzero negative result; a zero result is +0.0 and NaN stays NaN. */
@@ -282,6 +305,40 @@ static void laplacian_{SUFFIX}(
     for (int64_t n = 0; n < N; ++n) ls[n] = (hxx[n] + hyy[n]) + hzz[n];
 }}
 
+/* SplineOrbitalSet's chain rule on one position's streams (v, g rows
+ * x y z, h rows xx xy xz yy yz zz), each cast to double first as
+ * `astype` does.  `chain` is B row-major, then M00 M11 M22 M01 M02 M12
+ * of M = B @ B.T.  g_a = ((0.0 + B[a][0]*g0) + B[a][1]*g1) + B[a][2]*g2,
+ * einsum "af,sfn->san"'s order; the Laplacian keeps the zero terms of a
+ * diagonal M, which decide the sign of a zero. */
+static void cart_{SUFFIX}(
+    int64_t N, const double *restrict chain, const {REAL} *restrict vs,
+    const {REAL} *restrict gs, const {REAL} *restrict hs,
+    double *restrict v, double *restrict g, double *restrict l)
+{{
+    const double *M = chain + 9;
+    for (int64_t n = 0; n < N; ++n) v[n] = (double) vs[n];
+    for (int a = 0; a < 3; ++a) {{
+        const double b0 = chain[3 * a], b1 = chain[3 * a + 1],
+                     b2 = chain[3 * a + 2];
+        double *restrict ga = g + a * N;
+        for (int64_t n = 0; n < N; ++n) {{
+            double x = 0.0;
+            x += b0 * (double) gs[n];
+            x += b1 * (double) gs[N + n];
+            x += b2 * (double) gs[2 * N + n];
+            ga[n] = x;
+        }}
+    }}
+    for (int64_t n = 0; n < N; ++n) {{
+        const double h0 = hs[n], h1 = hs[N + n], h2 = hs[2 * N + n],
+                     h3 = hs[3 * N + n], h4 = hs[4 * N + n],
+                     h5 = hs[5 * N + n];
+        l[n] = ((M[0] * h0 + M[1] * h3) + M[2] * h5)
+               + 2.0 * ((M[3] * h1 + M[4] * h2) + M[5] * h4);
+    }}
+}}
+
 int repro_v_{SUFFIX}(
     const {REAL} *restrict table, int64_t rows, const double *restrict pos,
     const double *restrict geom, int64_t sy, int64_t sz, int64_t ns, int64_t N,
@@ -386,6 +443,39 @@ int repro_vgh_{SUFFIX}(
     return 0;
 }}
 
+/* The Cartesian VGL kernel: repro_vgh_* over blocks of up to CART_BLOCK
+ * positions into table-dtype scratch, then cart_* per position writes
+ * float64 v (ns, N), Cartesian g (ns, 3, N) and the Cartesian Laplacian
+ * l (ns, N).  A block repro_vgh_* skips returns its 2: the caller then
+ * computes the whole chunk again on the NumPy core. */
+int repro_vgl_cart_{SUFFIX}(
+    const {REAL} *restrict table, int64_t rows, const double *restrict pos,
+    const double *restrict geom, int64_t sy, int64_t sz, int64_t ns, int64_t N,
+    const double *restrict wc, const {REAL} *restrict scale,
+    const double *restrict chain, double *restrict v, double *restrict g,
+    double *restrict l)
+{{
+    const int64_t nb = ns < CART_BLOCK ? ns : CART_BLOCK;
+    /* v (nb N), g (3 nb N), l (nb N), h (6 nb N) */
+    {REAL} *buf = ({REAL} *) malloc((size_t)(11 * nb * N) * sizeof({REAL}));
+    if (!buf) return 1;
+    {REAL} *bv = buf, *bg = buf + nb * N, *bl = buf + 4 * nb * N,
+           *bh = buf + 5 * nb * N;
+    for (int64_t s0 = 0; s0 < ns; s0 += nb) {{
+        const int64_t k = ns - s0 < nb ? ns - s0 : nb;
+        const int status = repro_vgh_{SUFFIX}(
+            table, rows, pos + 3 * s0, geom, sy, sz, k, N, wc, scale,
+            bv, bg, bl, bh);
+        if (status) {{ free(buf); return status; }}
+        for (int64_t s = 0; s < k; ++s)
+            cart_{SUFFIX}(N, chain, bv + s * N, bg + 3 * s * N, bh + 6 * s * N,
+                          v + (s0 + s) * N, g + 3 * (s0 + s) * N,
+                          l + (s0 + s) * N);
+    }}
+    free(buf);
+    return 0;
+}}
+
 #undef W
 """
 
@@ -398,6 +488,8 @@ CROWD_SLOTS = (
     "trial_ee_dist", "trial_ee_disp", "trial_ei_dist", "trial_ei_disp",
     "j1_coeffs", "j1_params", "j1_terms",
     "j2_coeffs", "j2_params", "j2_terms",
+    "chi", "grad_old", "drift_old", "r_new", "det_ratio", "grad_new",
+    "usum_new", "expo", "greens", "work",
     "positions", "cache_g", "cache_lap", "A", "Ainv", "log_det", "sign",
     "ee_dist", "ee_disp", "ei_dist", "ei_disp",
     "j1_usum", "j1_radials", "j2_usum", "j2_radials",
@@ -509,6 +601,180 @@ int repro_crowd_rows(const uintptr_t *slots, int64_t nw, int64_t ne,
     return 0;
 }
 
+/* NumPy's pairwise summation of a[0..n) (pairwise_sum in its umath
+ * loops): below 8 terms a running sum; up to 128, eight accumulators
+ * combined ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by
+ * one; above, the halves split at n/2 - (n/2)%8.  np.add.reduce along a
+ * contiguous last axis returns 0.0 + this, which `row_sum` gives. */
+static double pairwise(const double *restrict a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; ++i) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; ++j) r[j] = a[j];
+        int64_t i;
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; ++j) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+static double row_sum(const double *restrict a, int64_t n)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* out[(m - 1) * rows + k] = row_sum of the first m terms of row k (rows
+ * `stride` apart) for every m in 1..n: the sums the crowd gate holds to
+ * np.add.reduce. */
+int repro_row_sums(const double *a, int64_t rows, int64_t stride, int64_t n,
+                   double *out)
+{
+    for (int64_t m = 1; m <= n; ++m)
+        for (int64_t k = 0; k < rows; ++k)
+            out[(m - 1) * rows + k] = row_sum(a + k * stride, m);
+    return 0;
+}
+
+/* grad J of one walker over one table row of m pairs (soa): pair_weights
+ * du / (dist > 0 ? dist : 1) into work[0..m), then pair_grad's
+ * -(sum_j w_j * disp[a][j]) with the products in work[m..2m). */
+static void pair_grad(int64_t m, const double *restrict dist,
+                      const double *restrict disp, const double *restrict du,
+                      double *restrict work, double *restrict out)
+{
+    double *restrict w = work, *restrict prod = work + m;
+    for (int64_t j = 0; j < m; ++j) w[j] = du[j] / (dist[j] > 0.0 ? dist[j] : 1.0);
+    for (int a = 0; a < 3; ++a) {
+        for (int64_t j = 0; j < m; ++j) prod[j] = w[j] * disp[a * m + j];
+        out[a] = -row_sum(prod, m);
+    }
+}
+
+/* limited_drift of one gradient: v2 the 3-term sum of squares, scale
+ * 2 / (1 + sqrt(1 + (2 tau) v2)), or 1 where v2 < 1e-300. */
+static void limited_drift(const double *restrict g, double two_tau,
+                          double *restrict out)
+{
+    const double sq[3] = {g[0] * g[0], g[1] * g[1], g[2] * g[2]};
+    const double v2 = row_sum(sq, 3);
+    double scale = 2.0 / (1.0 + sqrt(1.0 + two_tau * v2));
+    if (v2 < 1e-300) scale = 1.0;
+    for (int a = 0; a < 3; ++a) out[a] = scale * g[a];
+}
+
+/* Walker w's gradient g plus each present factor's pair_grad over one
+ * row per factor (j1 first, as SlaterJastrow.grad adds them): rows of
+ * the trial slots when `trial`, else row e of the resident tables. */
+static void add_jastrow_grads(const uintptr_t *slots, int64_t w, int64_t nw,
+                              int64_t ne, int64_t ni, int64_t e, int trial,
+                              double *restrict g)
+{
+    double pg[3];
+    double *work = SLOT(WORK);
+    if (slots[SLOT_J1_RADIALS]) {
+        if (trial)
+            pair_grad(ni, SLOT(TRIAL_EI_DIST) + w * ni, SLOT(TRIAL_EI_DISP) + 3 * w * ni,
+                      SLOT(J1_TERMS) + (nw + w) * ni, work, pg);
+        else
+            pair_grad(ni, SLOT(EI_DIST) + (w * ne + e) * ni,
+                      SLOT(EI_DISP) + (w * ne + e) * 3 * ni,
+                      SLOT(J1_RADIALS) + ((3 * w + 1) * ne + e) * ni, work, pg);
+        for (int a = 0; a < 3; ++a) g[a] = g[a] + pg[a];
+    }
+    if (slots[SLOT_J2_RADIALS]) {
+        if (trial)
+            pair_grad(ne, SLOT(TRIAL_EE_DIST) + w * ne, SLOT(TRIAL_EE_DISP) + 3 * w * ne,
+                      SLOT(J2_TERMS) + (nw + w) * ne, work, pg);
+        else
+            pair_grad(ne, SLOT(EE_DIST) + (w * ne + e) * ne,
+                      SLOT(EE_DISP) + (w * ne + e) * 3 * ne,
+                      SLOT(J2_RADIALS) + ((3 * w + 1) * ne + e) * ne, work, pg);
+        for (int a = 0; a < 3; ++a) g[a] = g[a] + pg[a];
+    }
+}
+
+/* batched_sweep's proposal of electron e.  With use_drift, each
+ * walker's gradient at its committed position (GRAD_OLD holds the
+ * determinant's, from NumPy's BLAS product; the factors' are added
+ * here) and its limited drift into DRIFT_OLD; else a zero drift.  Then
+ * R_NEW = (r_old + tau * drift) + chi * sqrt_tau, chi from CHI. */
+int repro_crowd_propose(const uintptr_t *slots, int64_t nw, int64_t ne,
+                        int64_t ni, int64_t e, int64_t use_drift, double tau,
+                        double two_tau, double sqrt_tau)
+{
+    const double *R = SLOT(POSITIONS), *chi = SLOT(CHI);
+    double *grad = SLOT(GRAD_OLD), *drift = SLOT(DRIFT_OLD), *r_new = SLOT(R_NEW);
+    for (int64_t w = 0; w < nw; ++w) {
+        double *d = drift + 3 * w;
+        if (use_drift) {
+            add_jastrow_grads(slots, w, nw, ne, ni, e, 0, grad + 3 * w);
+            limited_drift(grad + 3 * w, two_tau, d);
+        } else {
+            d[0] = d[1] = d[2] = 0.0;
+        }
+        for (int a = 0; a < 3; ++a)
+            r_new[3 * w + a] = (R[(3 * w + a) * ne + e] + tau * d[a])
+                               + chi[3 * w + a] * sqrt_tau;
+    }
+    return 0;
+}
+
+/* batched_sweep between the trial's BLAS products and its exp/log: per
+ * walker, GRAD_NEW divided by DET_RATIO where that is nonzero; per
+ * factor (row 0 j1, row 1 j2 of USUM_NEW and EXPO) the trial u-sum and
+ * the exponent -(usum - usum[e]), and its pair_grad over the trial rows
+ * added to GRAD_NEW; with use_drift, the trial's limited drift and the
+ * log Green's ratio ((fwd.fwd) - (rev.rev)) / (2 tau) into GREENS. */
+int repro_crowd_trial(const uintptr_t *slots, int64_t nw, int64_t ne,
+                      int64_t ni, int64_t e, int64_t use_drift, double tau,
+                      double two_tau)
+{
+    const double *R = SLOT(POSITIONS), *det_ratio = SLOT(DET_RATIO);
+    const double *r_new = SLOT(R_NEW), *drift_old = SLOT(DRIFT_OLD);
+    double *grad = SLOT(GRAD_NEW), *usum_new = SLOT(USUM_NEW), *expo = SLOT(EXPO);
+    double *greens = SLOT(GREENS);
+    const int64_t present[2] = {slots[SLOT_J1_RADIALS] != 0, slots[SLOT_J2_RADIALS] != 0};
+    const int64_t m[2] = {ni, ne};
+    const double *terms[2] = {SLOT(J1_TERMS), SLOT(J2_TERMS)};
+    const double *usum[2] = {SLOT(J1_USUM), SLOT(J2_USUM)};
+    for (int64_t w = 0; w < nw; ++w) {
+        double *g = grad + 3 * w;
+        const double r = det_ratio[w];
+        if (r != 0.0)
+            for (int a = 0; a < 3; ++a) g[a] = g[a] / r;
+        for (int f = 0; f < 2; ++f)
+            if (present[f]) {
+                const double s = row_sum(terms[f] + w * m[f], m[f]);
+                usum_new[f * nw + w] = s;
+                expo[f * nw + w] = -(s - usum[f][w * ne + e]);
+            }
+        add_jastrow_grads(slots, w, nw, ne, ni, e, 1, g);
+        if (use_drift) {
+            double d[3], fwd[3], rev[3];
+            limited_drift(g, two_tau, d);
+            for (int a = 0; a < 3; ++a) {
+                const double r_old = R[(3 * w + a) * ne + e], rn = r_new[3 * w + a];
+                fwd[a] = (rn - r_old) - tau * drift_old[3 * w + a];
+                rev[a] = (r_old - rn) - tau * d[a];
+                fwd[a] = fwd[a] * fwd[a];
+                rev[a] = rev[a] * rev[a];
+            }
+            greens[w] = (row_sum(fwd, 3) - row_sum(rev, 3)) / two_tau;
+        }
+    }
+    return 0;
+}
+
 /* _JastrowFactor.commit for walker w: a two-body factor's u-sums take
  * usum + (u_new - u_old) before row e is written, then u-sum e is the
  * trial's, and the trial terms become row e (and column e). */
@@ -535,18 +801,16 @@ static void jastrow_commit(int64_t w, int64_t nw, int64_t ne, int64_t m,
 }
 
 /* CrowdState._commit for the k accepted walkers ia (ascending): every
- * write and elementwise update, the trial rows and terms read from the
- * slots.  u_ainv (nw, n) = u @ Ainv and log_abs (k,) = log|r| come from
- * NumPy; usum1_new/usum2_new are the factors' trial u-sums (NULL when
- * the factor is absent). */
+ * write and elementwise update, the trial rows, terms, ratios (DET_RATIO)
+ * and u-sums (USUM_NEW) read from the slots.  u_ainv (nw, n) = u @ Ainv
+ * and log_abs (k,) = log|r| come from NumPy. */
 int repro_crowd_commit(const uintptr_t *slots, int64_t nw, int64_t ne,
                        int64_t n, int64_t ni, int64_t e, int64_t k,
                        const int64_t *ia, const double *log_abs,
                        const double *wrapped, const double *frac,
-                       const double *v, const double *g, const double *lap,
-                       const double *det_ratio, const double *usum1_new,
-                       const double *usum2_new)
+                       const double *v, const double *g, const double *lap)
 {
+    const double *det_ratio = SLOT(DET_RATIO), *usum_new = SLOT(USUM_NEW);
     const int64_t spin = e / n, row = e % n;
     double *R = SLOT(POSITIONS), *el_frac = SLOT(EL_FRAC);
     double *cache_g = SLOT(CACHE_G), *cache_lap = SLOT(CACHE_LAP);
@@ -595,12 +859,12 @@ int repro_crowd_commit(const uintptr_t *slots, int64_t nw, int64_t ne,
                 ee_disp[((w * ne + j) * 3 + a) * ne + e] = -tee_disp[(3 * w + a) * ne + j];
         memcpy(ei_dist + (w * ne + e) * ni, tei_dist + w * ni, ni * dbl);
         memcpy(ei_disp + (w * ne + e) * 3 * ni, tei_disp + w * 3 * ni, 3 * ni * dbl);
-        if (usum1_new)
+        if (slots[SLOT_J1_RADIALS])
             jastrow_commit(w, nw, ne, ni, e, 0, SLOT(J1_USUM), SLOT(J1_RADIALS),
-                           SLOT(J1_TERMS), usum1_new);
-        if (usum2_new)
+                           SLOT(J1_TERMS), usum_new);
+        if (slots[SLOT_J2_RADIALS])
             jastrow_commit(w, nw, ne, ne, e, 1, SLOT(J2_USUM), SLOT(J2_RADIALS),
-                           SLOT(J2_TERMS), usum2_new);
+                           SLOT(J2_TERMS), usum_new + nw);
         accepts[w] += 1;
     }
     return 0;
@@ -753,18 +1017,17 @@ def _load_library() -> ctypes.CDLL:
         if not lib_path.exists():
             _build(cc, source, lib_path)
         lib = ctypes.CDLL(str(lib_path))
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
         for suffix in ("f64", "f32"):
             fn_v = getattr(lib, f"repro_v_{suffix}")
-            fn_v.restype = ctypes.c_int
             fn_v.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, i64, ptr, ptr, ptr]
-            fn_vgh = getattr(lib, f"repro_vgh_{suffix}")
-            fn_vgh.restype = ctypes.c_int
-            fn_vgh.argtypes = fn_v.argtypes + [ptr] * 3
-        lib.repro_crowd_rows.restype = ctypes.c_int
+            getattr(lib, f"repro_vgh_{suffix}").argtypes = fn_v.argtypes + [ptr] * 3
+            getattr(lib, f"repro_vgl_cart_{suffix}").argtypes = fn_v.argtypes + [ptr] * 3
         lib.repro_crowd_rows.argtypes = [ptr] + [i64] * 6 + [ptr]
-        lib.repro_crowd_commit.restype = ctypes.c_int
-        lib.repro_crowd_commit.argtypes = [ptr] + [i64] * 6 + [ptr] * 10
+        lib.repro_crowd_commit.argtypes = [ptr] + [i64] * 6 + [ptr] * 7
+        lib.repro_crowd_propose.argtypes = [ptr] + [i64] * 5 + [f64] * 3
+        lib.repro_crowd_trial.argtypes = [ptr] + [i64] * 5 + [f64] * 2
+        lib.repro_row_sums.argtypes = [ptr, i64, i64, i64, ptr]
     except (OSError, AttributeError) as exc:
         raise BackendUnavailable(
             f"backend 'cc' could not build or load its kernel library "
@@ -802,6 +1065,7 @@ class CcBackend(KernelBackend):
         suffix = "f64" if engine.dtype == np.float64 else "f32"
         fn_v = getattr(lib, f"repro_v_{suffix}")
         fn_vgh = getattr(lib, f"repro_vgh_{suffix}")
+        fn_cart = getattr(lib, f"repro_vgl_cart_{suffix}")
         flat = np.ascontiguousarray(engine._flat)
         grid = engine.grid
         geom = np.array([*grid.inv_deltas, *grid.shape], dtype=np.float64)
@@ -814,6 +1078,7 @@ class CcBackend(KernelBackend):
         shape = (geom.ctypes.data, sy, sz)
         consts = (WEIGHT_COEFFS.ctypes.data, scale.ctypes.data)
         keep = (flat, geom, scale)
+        numpy_cart = engine._chain_rule_core(engine._numpy_vgh_core)
 
         def v_core(positions, v, keep=keep):
             pos = np.ascontiguousarray(positions)
@@ -837,4 +1102,15 @@ class CcBackend(KernelBackend):
             elif status:
                 raise MemoryError("cc backend could not allocate its scratch")
 
-        return BackendCores(v=v_core, vgh=vgh_core)
+        def cart_core(positions, chain, v, g, l, keep=keep):
+            pos = np.ascontiguousarray(positions)
+            status = fn_cart(
+                *fixed, address(pos), *shape, len(pos), n, *consts,
+                address(chain.packed), address(v), address(g), address(l),
+            )
+            if status == _SKIPPED:
+                numpy_cart(positions, chain, v, g, l)
+            elif status:
+                raise MemoryError("cc backend could not allocate its scratch")
+
+        return BackendCores(v=v_core, vgh=vgh_core, cart=cart_core)

@@ -18,6 +18,16 @@ is held to its **declared** tier:
   per-dtype ``(rtol, atol)``; the reported ``max_error`` is the worst
   *normalized* error (1.0 = exactly at the declared bound).
 
+A backend with a Cartesian VGL core (``cc``) is also held, inside its
+``vgl`` check, to the oracle's VGH put through the NumPy chain rule
+(:meth:`~repro.core.batched.ChainRule.apply`) for a diagonal and two
+full lattice Jacobians (:func:`conformance_chains`); the default table
+has one identically zero interior spline (the last, orphan-column one
+stays random), so the chain rule's products of exact zeros, and the
+signs of their sums, are covered too.  Every output a backend fills
+starts as NaN, so an element it never writes cannot match the
+reference.
+
 :func:`verify_backend` returns the same :class:`~repro.core.verify
 .VerifyReport` the engine-family self-check uses, so one summary table
 covers both; :func:`check_backend` raises
@@ -31,13 +41,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends.base import BackendConformanceError, KernelBackend, TIER_EXACT
-from repro.core.batched import _KERNEL_STREAMS, BsplineBatched
+from repro.core.batched import _KERNEL_STREAMS, BsplineBatched, ChainRule
 from repro.core.batched_reference import ReferenceBatched
 from repro.core.grid import Grid3D
+from repro.core.kinds import Kind
 from repro.core.verify import EngineCheck, VerifyReport
 
 __all__ = [
     "check_backend",
+    "conformance_chains",
     "conformance_configs",
     "conformance_positions",
     "verify_backend",
@@ -63,6 +75,21 @@ def conformance_configs(n_splines: int) -> tuple[tuple[int | None, int | None], 
         (2, None),
         (3, max(n_splines - 1, 2)),
         (2, 2),
+    )
+
+
+def conformance_chains() -> tuple[ChainRule, ...]:
+    """Chain rules the Cartesian VGL is checked with: an orthorhombic
+    cell's diagonal ``B`` (its zero entries make signed-zero products),
+    the graphite cell's full one, and a full ``B`` with a negative row,
+    whose products with an exact-zero gradient are all -0.0 (the sum
+    from 0.0 makes them +0.0)."""
+    from repro.lattice.graphite import graphite_unit_cell
+
+    return (
+        ChainRule(np.linalg.inv(np.diag([12.0, 7.0, 3.0]))),
+        ChainRule(np.linalg.inv(graphite_unit_cell().lattice)),
+        ChainRule(np.array([[-0.2, -0.05, -0.01], [0.0, -0.2, 0.0], [0.0, 0.1, 0.3]])),
     )
 
 
@@ -99,6 +126,8 @@ def _stream_error(
             # Equal values; a zero of the other sign is still a miss.
             same_signs = np.array_equal(np.signbit(new), np.signbit(ref))
             return 0.0 if same_signs else np.inf
+        if (np.isnan(new) != np.isnan(ref)).any():
+            return np.inf  # a NaN against a number, e.g. an unwritten element
         diff = np.abs(new - ref)
         return float(np.nanmax(diff)) if np.isfinite(diff).any() else np.inf
     denom = atol + rtol * np.abs(ref)
@@ -153,6 +182,7 @@ def verify_backend(
         grid = grid or Grid3D(*DEFAULT_GRID_SHAPE, lengths=DEFAULT_LENGTHS)
         wanted = tuple(dtypes) if dtypes is not None else cap.dtypes
         base_table = rng.standard_normal(grid.shape + (DEFAULT_N_SPLINES,))
+        base_table[..., 1] = 0.0  # exact zeros in every stream
         problems = [
             (grid, base_table.astype(dtype))
             for dtype in wanted
@@ -175,9 +205,10 @@ def verify_backend(
             reference[kind] = oracle.new_output(kind, n=len(positions))
             oracle.evaluate_batch(kind, positions, reference[kind])
         worst = dict.fromkeys(cap.kinds, 0.0)
+        cartesian = None  # the oracle's Cartesian VGL, once it is needed
         # One engine per configuration serves every kind (a fresh output
         # each, so no kind reads another's streams).
-        for chunk, tile in pair_configs:
+        for config, (chunk, tile) in enumerate(pair_configs):
             eng = BsplineBatched(
                 grid_,
                 table,
@@ -187,6 +218,10 @@ def verify_backend(
             )
             for kind in cap.kinds:
                 out = eng.new_output(kind, n=len(positions))
+                # NaN first: an element the backend never writes cannot
+                # match the reference.
+                for stream in _KERNEL_STREAMS[kind.value]:
+                    getattr(out, stream).fill(np.nan)
                 eng.evaluate_batch(kind, positions, out)
                 for stream in _KERNEL_STREAMS[kind.value]:
                     worst[kind] = max(
@@ -199,6 +234,20 @@ def verify_backend(
                             atol,
                         ),
                     )
+            if Kind.VGL in cap.kinds and eng._cores.cart is not None:
+                if cartesian is None:
+                    cartesian = _oracle_cartesian(
+                        oracle, positions, reference.get(Kind.VGH)
+                    )
+                # The chains take turns over the configurations.
+                chain, want = cartesian[config % len(cartesian)]
+                got = tuple(np.full_like(a, np.nan) for a in want)
+                eng.vgl_batch(positions, got, chain=chain)
+                for new, ref in zip(got, want):
+                    worst[Kind.VGL] = max(
+                        worst[Kind.VGL],
+                        _stream_error(new, ref, cap.tier, rtol, atol),
+                    )
         for kind in cap.kinds:
             report.checks.append(
                 EngineCheck(
@@ -209,6 +258,21 @@ def verify_backend(
                 )
             )
     return report
+
+
+def _oracle_cartesian(oracle: ReferenceBatched, positions: np.ndarray, vgh=None):
+    """``(chain, (v, g, l))`` per :func:`conformance_chains`: the oracle's
+    VGH (``vgh`` when already evaluated) through :meth:`ChainRule.apply`."""
+    if vgh is None:
+        vgh = oracle.new_output(Kind.VGH, n=len(positions))
+        oracle.evaluate_batch(Kind.VGH, positions, vgh)
+    ns, n = vgh.v.shape
+    out = []
+    for chain in conformance_chains():
+        want = (np.empty((ns, n)), np.empty((ns, 3, n)), np.empty((ns, n)))
+        chain.apply(vgh, *want)
+        out.append((chain, want))
+    return out
 
 
 def check_backend(backend: KernelBackend, **kwargs) -> VerifyReport:

@@ -60,7 +60,7 @@ from repro.tune.planner import TilePlan, plan_tiles
 from repro.core.walker import HESS_COMPONENTS
 from repro.obs import OBS
 
-__all__ = ["BatchedOutput", "BsplineBatched"]
+__all__ = ["BatchedOutput", "BsplineBatched", "ChainRule"]
 
 #: Output streams written by each batched kernel.
 _KERNEL_STREAMS = {
@@ -138,6 +138,43 @@ class BatchedOutput:
         if i is None:
             return full
         return {key: val[i] for key, val in full.items()}
+
+
+class ChainRule:
+    """A cell's chain rule from fractional to Cartesian derivatives.
+
+    ``B`` is the cart -> frac Jacobian (``frac = cart @ B``, so ``B =
+    inv(lattice)``) and ``M = B @ B.T`` the Laplacian metric:
+    ``g_cart = B @ g_frac`` and ``lap_cart = sum_fg M[f, g] H_frac[f, g]``
+    over the symmetric fractional Hessian.  :meth:`apply` is the NumPy
+    form; :attr:`packed` is what a compiled Cartesian core reads.
+    """
+
+    def __init__(self, B: np.ndarray):
+        self.B = np.array(B, dtype=np.float64)
+        self.M = self.B @ self.B.T
+        M = self.M
+        #: ``B`` row-major, then ``M00 M11 M22 M01 M02 M12``.
+        self.packed = np.concatenate(
+            [self.B.ravel(), M[(0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)]]
+        )
+
+    def apply(self, out: BatchedOutput, v, g, l) -> None:
+        """A VGH ``out`` in any table dtype into float64 values ``v``,
+        Cartesian gradients ``g`` and Laplacians ``l``: every stream cast
+        to float64, then an einsum for ``g`` and six Hessian rows for
+        ``l`` (the zero terms of a diagonal ``M`` kept, since they decide
+        the sign of a zero)."""
+        v[...] = out.v
+        g[...] = np.einsum("af,sfn->san", self.B, out.g.astype(np.float64))
+        h = out.h.astype(np.float64)  # (ns, 6, N): xx, xy, xz, yy, yz, zz
+        M = self.M
+        l[...] = (
+            M[0, 0] * h[:, 0]
+            + M[1, 1] * h[:, 3]
+            + M[2, 2] * h[:, 5]
+            + 2.0 * (M[0, 1] * h[:, 1] + M[0, 2] * h[:, 2] + M[1, 2] * h[:, 4])
+        )
 
 
 class BsplineBatched:
@@ -308,6 +345,9 @@ class BsplineBatched:
         #: The active :class:`repro.backends.KernelBackend`.
         self.backend = backend
         self._cores = backend.make_cores(self)
+        #: The Cartesian VGL core: the backend's own, else its VGH core
+        #: and the NumPy chain rule, chunk by chunk.
+        self._cart = self._cores.cart or self._chain_rule_core(self._cores.vgh)
         if OBS.enabled:
             OBS.count("batched_engine_builds_total", backend=backend.name)
             OBS.gauge(
@@ -456,14 +496,19 @@ class BsplineBatched:
 
     # -- kernels -------------------------------------------------------------
 
-    def _run(self, kern: str, positions: np.ndarray, out: BatchedOutput) -> None:
+    def _run(
+        self, kern: str, positions: np.ndarray, out, chain: ChainRule | None = None
+    ) -> None:
         """Shared kernel loop: poison once, then stream cache-sized chunks.
 
         The chunk-level arithmetic is served by the active backend's
         cores (:class:`repro.backends.BackendCores`): ``v`` for the V
-        kernel, ``vgh`` for both VGL (``h=None``) and VGH.  A backend
-        whose capability record omits the requested kind is refused
-        here with an actionable error rather than producing NaNs.
+        kernel, ``vgh`` for both VGL (``h=None``) and VGH, ``cart`` (or
+        ``vgh`` and the chain rule, :meth:`_chain_rule_core`) for the
+        Cartesian VGL (``chain`` given, ``out`` a float64 ``(v, g, l)``
+        triple, nothing to poison).  A backend whose capability
+        record omits the requested kind is refused here with an
+        actionable error rather than producing NaNs.
         """
         kind = Kind(kern)
         if kind not in self.backend.capability.kinds:
@@ -474,11 +519,15 @@ class BsplineBatched:
                 f"{kind.value!r}; it declares "
                 f"{tuple(k.value for k in self.backend.capability.kinds)}"
             )
-        self._begin(out, _KERNEL_STREAMS[kern])
+        if chain is None:
+            self._begin(out, _KERNEL_STREAMS[kern])
         observe = OBS.enabled
         for sl in self._chunks(len(positions)):
             t0 = time.perf_counter() if observe else 0.0
-            if kern == "v":
+            if chain is not None:
+                v, g, l = out
+                self._cart(positions[sl], chain, v[sl], g[sl], l[sl])
+            elif kern == "v":
                 self._cores.v(positions[sl], out.v[sl])
             elif kern == "vgl":
                 self._cores.vgh(
@@ -495,15 +544,42 @@ class BsplineBatched:
                     kernel=kern,
                     backend=self.backend.name,
                 )
-        out.valid = frozenset(_KERNEL_STREAMS[kern])
+        if chain is None:
+            out.valid = frozenset(_KERNEL_STREAMS[kern])
 
     def v_batch(self, positions: np.ndarray, out: BatchedOutput) -> None:
         """Kernel ``V`` for the whole batch into ``out.v``."""
         self._run("v", self._check(positions, out), out)
 
-    def vgl_batch(self, positions: np.ndarray, out: BatchedOutput) -> None:
-        """Kernel ``VGL`` for the whole batch."""
-        self._run("vgl", self._check(positions, out), out)
+    def vgl_batch(
+        self, positions: np.ndarray, out, chain: ChainRule | None = None
+    ) -> None:
+        """Kernel ``VGL`` for the whole batch.
+
+        With ``chain``, ``positions`` are a cell's fractional coordinates
+        and ``out`` is a ``(v, g, l)`` triple of C-contiguous float64
+        blocks ``(ns, N)``, ``(ns, 3, N)``, ``(ns, N)``, which receive the
+        values, the Cartesian gradients and the Cartesian Laplacians (the
+        QMC adapter's call, :meth:`repro.qmc.SplineOrbitalSet.vgl_batch`).
+        A backend with a ``cart`` core (``cc``) writes each chunk in one
+        pass; any other runs its VGH core into a table-dtype buffer and
+        :meth:`ChainRule.apply`, chunk by chunk.
+        """
+        if chain is None:
+            self._run("vgl", self._check(positions, out), out)
+            return
+        positions = np.asarray(positions, dtype=np.float64)
+        ns, n = len(positions), self.n_splines
+        shapes = ((ns, n), (ns, 3, n), (ns, n))
+        if positions.ndim != 2 or positions.shape[1] != 3 or any(
+            a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous
+            for a, shape in zip(out, shapes)
+        ):
+            raise ValueError(
+                f"expected (ns, 3) positions and C-contiguous float64 "
+                f"outputs {shapes}"
+            )
+        self._run("vgl", positions, out, chain)
 
     def vgh_batch(self, positions: np.ndarray, out: BatchedOutput) -> None:
         """Kernel ``VGH`` for the whole batch (fills ``l`` too, for free)."""
@@ -520,6 +596,17 @@ class BsplineBatched:
             tz = np.einsum("sabcn,sc->sabn", b, az)
             ty = np.einsum("sabn,sb->san", tz, ay)
             np.einsum("san,sa->sn", ty, ax, out=v[:, ts])
+
+    def _chain_rule_core(self, vgh_core):
+        """A Cartesian VGL core made of a VGH core: one chunk's VGH into
+        a table-dtype buffer, then :meth:`ChainRule.apply`."""
+
+        def cart(positions, chain: ChainRule, v, g, l) -> None:
+            buf = BatchedOutput(len(positions), self.n_splines, self.dtype)
+            vgh_core(positions, buf.v, buf.g, buf.l, buf.h)
+            chain.apply(buf, v, g, l)
+
+        return cart
 
     def _numpy_vgh_core(
         self,

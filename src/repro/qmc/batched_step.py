@@ -32,8 +32,8 @@ for each sweep:
     for each electron index e:
         1. drift for all walkers: stacked determinant gradients over the
            cache plus Jastrow gradients from the resident radial rows;
-           per-walker Gaussian diffusion from each walker's private
-           stream;
+           per-walker Gaussian diffusion drawn in place from each
+           walker's private stream;
         2. ONE ``vgl_batch`` at all trial positions; batched
            minimal-image distance rows; ONE radial evaluation per
            Jastrow factor, whose (u, u', u'') serve the ratio, the trial
@@ -60,14 +60,16 @@ order exactly.  ``tests/qmc/test_batched_step.py`` locks this down with
 which stays as the per-walker oracle: every stored array after each
 sweep and a full VMC energy trace.
 
-Step 2's rows and radials and step 4's commit have two implementations
-with the same bits.  The NumPy methods (:meth:`CrowdState._rows_ee`,
+Everything per electron but the BLAS products, ``exp``/``log``, the
+draws and the Metropolis loop has two implementations with the same
+bits.  The NumPy ones (:func:`_numpy_propose`, :meth:`CrowdState._rows_ee`,
 :meth:`~CrowdState._rows_ei`, :meth:`_JastrowFactor.evaluate`,
-:meth:`CrowdState._commit`) serve every crowd; where the orbitals run
-the ``cc`` backend, a crowd on the fast path (soa tables, orthorhombic
-cell) whose Jastrow radials are shared runs :class:`_CompiledRows`
-instead: two float64 C routines doing the same operations in the same
-order, after a once-per-process byte-for-byte gate (:func:`_gate`).
+:func:`_numpy_trial`, :meth:`CrowdState._commit`) serve every crowd;
+where the orbitals run the ``cc`` backend, a crowd on the fast path (soa
+tables, orthorhombic cell) whose Jastrow radials are shared runs
+:class:`_CompiledRows` instead: float64 C routines doing the same
+operations in the same order, NumPy's pairwise summation included,
+after a once-per-process byte-for-byte gate (:func:`_gate`).
 """
 
 from __future__ import annotations
@@ -330,6 +332,10 @@ class CrowdState:
                 )
             )
         self._committed_vgl = committed_vgl
+        #: Each walker's diffusion draw of the current electron index,
+        #: drawn in place row by row.
+        self._chi = np.empty((nw, 3))
+        self._chi_rows = list(self._chi)
         if self._fast:
             # Every walker's electron and ion fractional coordinates
             # (nw, 3, m), refilled each sweep (:meth:`_sources_frac`).
@@ -490,20 +496,74 @@ def _resident_arrays(state: CrowdState) -> dict[str, np.ndarray]:
     return arrays
 
 
-class _CompiledRows:
-    """A crowd's trial rows, Jastrow radials and masked commit, compiled.
+def _numpy_propose(
+    state: CrowdState, cache_g, col, e: int, use_drift: bool, tau, sqrt_tau
+):
+    """Step 1 on NumPy: ``(r_new, drift_old)`` of electron ``e`` from the
+    drift cache ``cache_g``, the inverses' columns ``col`` and the
+    crowd's drawn ``chi``."""
+    r_old = state._R[:, :, e]
+    if use_drift:
+        # Same accumulation order as SlaterJastrow.grad: det, j1, j2.
+        grads_old = np.matmul(cache_g[:, e], col)[..., 0]
+        for factor in state._jastrows:
+            grads_old = grads_old + factor.committed_grad(e)
+        drift_old = limited_drift(grads_old, tau)
+    else:
+        drift_old = np.zeros((state.n_walkers, 3))
+    return r_old + tau * drift_old + state._chi * sqrt_tau, drift_old
 
-    The float64 routines ``repro_crowd_rows`` and ``repro_crowd_commit``
-    of the ``cc`` library (:mod:`repro.backends.cc_backend`) repeat the
-    operations of :meth:`CrowdState._rows_ee` / :meth:`~CrowdState._rows_ei`,
-    :meth:`_JastrowFactor.evaluate` and :meth:`CrowdState._commit` in
-    their order, so they write the same bytes (proved once per process
-    by :func:`_gate`).  The BLAS row product ``u @ Ainv``, ``log|r|``
-    and every last-axis sum stay in NumPy.  Rows and radial terms land in
-    scratch reused for every electron index; the routines reach it and
-    the crowd's resident blocks through one address table
-    (:data:`~repro.backends.cc_backend.CROWD_SLOTS`), read once per
-    crowd and again only when the drift cache appears.
+
+def _numpy_trial(
+    state: CrowdState, v, g, col, e: int, ee_rows, ei_rows, terms,
+    r_new, drift_old, use_drift: bool, tau,
+):
+    """Step 3 on NumPy: stacked ratios and trial gradients in the
+    per-walker order, ratio = (det * j1) * j2 and grad = (det + j1) + j2,
+    then the log-acceptance.  Returns ``(ratios, log_acc, det_ratio,
+    trials)``, ``trials`` each factor's ``(terms, usum)``."""
+    det_ratio = np.matmul(v[:, np.newaxis, :], col)[:, 0, 0]
+    grads_new = np.matmul(g, col)[..., 0]
+    np.divide(
+        grads_new, det_ratio[:, np.newaxis], out=grads_new,
+        where=det_ratio[:, np.newaxis] != 0.0,
+    )
+    ratios = det_ratio
+    trials = []
+    for factor, trial in zip(state._jastrows, terms):
+        dist, disp = ee_rows if factor.two_body else ei_rows
+        usum = trial[:, 0].sum(axis=-1)
+        ratios = ratios * np.exp(-(usum - factor.usum[:, e]))
+        grads_new = grads_new + factor.grad(dist, disp, trial[:, 1])
+        trials.append((trial, usum))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_acc = 2.0 * np.log(np.abs(ratios))
+        if use_drift:
+            drift_new = limited_drift(grads_new, tau)
+            log_acc = log_acc + log_greens_ratio(
+                state._R[:, :, e], r_new, drift_old, drift_new, tau
+            )
+    return ratios, log_acc, det_ratio, trials
+
+
+class _CompiledRows:
+    """A crowd's per-electron row math and glue, compiled.
+
+    The float64 routines of the ``cc`` library
+    (:mod:`repro.backends.cc_backend`) repeat, in their order, the
+    operations of :func:`_numpy_propose` (``repro_crowd_propose``: the
+    committed Jastrow gradients, the limited drift and the proposal),
+    :meth:`CrowdState._rows_ee` / :meth:`~CrowdState._rows_ei` and
+    :meth:`_JastrowFactor.evaluate` (``repro_crowd_rows``),
+    :func:`_numpy_trial` (``repro_crowd_trial``: the where-divide, the
+    trial u-sums and Jastrow gradients, the second limited drift and the
+    Green's ratio) and :meth:`CrowdState._commit` (``repro_crowd_commit``),
+    so they write the same bytes (proved once per process by
+    :func:`_gate`).  Every BLAS product, ``exp`` and ``log`` stays in
+    NumPy.  Per-electron operands live in per-crowd scratch; the
+    routines reach it and the crowd's resident blocks through one
+    address table (:data:`~repro.backends.cc_backend.CROWD_SLOTS`), read
+    once per crowd and again only when the drift cache appears.
     """
 
     def __init__(self, state: CrowdState, lib):
@@ -511,12 +571,22 @@ class _CompiledRows:
         # generation's crowd blocks alive until the cyclic collector ran.
         self._rows_fn = lib.repro_crowd_rows
         self._commit_fn = lib.repro_crowd_commit
+        self._propose_fn = lib.repro_crowd_propose
+        self._trial_fn = lib.repro_crowd_trial
         nw, ne, n = state.n_walkers, state.n_electrons, state.spos.n_orbitals
         ni = state.ei_dist.shape[-1]
         self._dims = (nw, ne, n, ni)
         self.ee_rows = (np.zeros((nw, ne)), np.zeros((nw, 3, ne)))
         self.ei_rows = (np.zeros((nw, ni)), np.zeros((nw, 3, ni)))
         self.u_ainv = np.zeros((nw, 1, n))
+        # The BLAS products' outputs (np.matmul's out=), and the glue's.
+        self.grad_old = np.zeros((nw, 3, 1))
+        self.det_ratio = np.zeros((nw, 1, 1))
+        self.grad_new = np.zeros((nw, 3, 1))
+        self.drift_old = np.zeros((nw, 3))
+        self.r_new = np.zeros((nw, 3))
+        self.greens = np.zeros(nw)
+        usum_new, expo = np.zeros((2, nw)), np.zeros((2, nw))  # j1, j2 rows
         arrays = {
             "ion_frac": state._ion_frac,
             "diag": np.ascontiguousarray(np.diag(state.cell.lattice)),
@@ -525,6 +595,16 @@ class _CompiledRows:
             "trial_ee_disp": self.ee_rows[1],
             "trial_ei_dist": self.ei_rows[0],
             "trial_ei_disp": self.ei_rows[1],
+            "chi": state._chi,
+            "grad_old": self.grad_old,
+            "drift_old": self.drift_old,
+            "r_new": self.r_new,
+            "det_ratio": self.det_ratio,
+            "grad_new": self.grad_new,
+            "usum_new": usum_new,
+            "expo": expo,
+            "greens": self.greens,
+            "work": np.zeros(2 * max(ne, ni)),
             "u_ainv": self.u_ainv,
             "column": np.zeros(2 * n),
         }
@@ -533,8 +613,9 @@ class _CompiledRows:
         arrays.pop("cache_g", None)
         arrays.pop("cache_lap", None)
         #: Each factor's (u, u', u'') trial terms, ``(nw, 3, m)`` views of
-        #: ``(3, nw, m)`` scratch, in ``state._jastrows`` order.
-        self.terms = []
+        #: ``(3, nw, m)`` scratch, its trial u-sums and its exponents
+        #: ``-(usum - usum[e])``, in ``state._jastrows`` order.
+        self.terms, self.usum_new, self.expo = [], [], []
         self._last = [0, 0]  # n_knots - 2 of the one- and two-body radial
         for factor in state._jastrows:
             j = "j2" if factor.two_body else "j1"
@@ -544,6 +625,8 @@ class _CompiledRows:
             arrays[f"{j}_params"] = np.array([u.rcut, u.inv_delta, u.inv_delta**2])
             arrays[f"{j}_terms"] = terms
             self.terms.append(np.moveaxis(terms, 0, 1))
+            self.usum_new.append(usum_new[int(factor.two_body)])
+            self.expo.append(expo[int(factor.two_body)])
             self._last[factor.two_body] = u.n_knots - 2
         slots = cc_backend.CROWD_SLOTS
         self._slots = {name: i for i, name in enumerate(slots)}
@@ -553,7 +636,6 @@ class _CompiledRows:
         self._arrays = arrays  # the table's addresses stay valid with these
         self._table_address = self._table.ctypes.data
         self._Ainv = state.Ainv
-        self._two_body = [factor.two_body for factor in state._jastrows]
         self._vgl = None
 
     def bind(self, vgl) -> "_CompiledRows | None":
@@ -570,6 +652,17 @@ class _CompiledRows:
             self._vgl = vgl
         return self
 
+    def propose(self, cache_g, col, e: int, use_drift: bool, tau, sqrt_tau):
+        """:func:`_numpy_propose` in C: ``(r_new, drift_old)``, scratch
+        the next call overwrites."""
+        nw, ne, _, ni = self._dims
+        if use_drift:
+            np.matmul(cache_g[:, e], col, out=self.grad_old)
+        self._propose_fn(
+            self._table_address, nw, ne, ni, e, use_drift, tau, 2.0 * tau, sqrt_tau
+        )
+        return self.r_new, self.drift_old
+
     def rows(self, frac: np.ndarray | None, e: int) -> bool:
         """Electron ``e``'s trial rows into :attr:`ee_rows` /
         :attr:`ei_rows` and the factors' terms into :attr:`terms`.  False
@@ -582,24 +675,37 @@ class _CompiledRows:
             None if frac is None else address(frac),
         )
 
-    def commit(
-        self, ia, e, wrapped, frac, trial_vgl, det_ratio, ee_rows, ei_rows, trials
-    ) -> None:
-        """:meth:`CrowdState._commit` in C; the trial rows and terms are
-        this object's scratch, so only the u-sums are read from
-        ``trials``."""
+    def trial(self, v, g, col, e: int, use_drift: bool, tau):
+        """:func:`_numpy_trial` over this object's rows and terms:
+        ``(ratios, log_acc)``; the u-sums stay in :attr:`usum_new` for
+        :meth:`commit`."""
+        nw, ne, _, ni = self._dims
+        np.matmul(v[:, np.newaxis, :], col, out=self.det_ratio)
+        np.matmul(g, col, out=self.grad_new)
+        self._trial_fn(self._table_address, nw, ne, ni, e, use_drift, tau, 2.0 * tau)
+        ratios = self.det_ratio[:, 0, 0]
+        for expo in self.expo:
+            ratios = ratios * np.exp(expo)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_acc = 2.0 * np.log(np.abs(ratios))
+            if use_drift:
+                log_acc = log_acc + self.greens
+        return ratios, log_acc
+
+    def commit(self, ia, e, wrapped, frac, trial_vgl) -> None:
+        """:meth:`CrowdState._commit` in C, after :meth:`rows` and
+        :meth:`trial`: the trial rows, terms, ratios and u-sums are read
+        from this object's scratch."""
         nw, ne, n, ni = self._dims
         v, g, lap = trial_vgl
         # u @ Ainv for every walker, each the per-walker BLAS gemv; C
         # reads the accepted walkers' rows.
         np.matmul(v[:, np.newaxis, :], self._Ainv[:, e // n], out=self.u_ainv)
-        log_abs = np.log(np.abs(det_ratio[ia]))
-        usum = {two: address(s) for two, (_, s) in zip(self._two_body, trials)}
+        log_abs = np.log(np.abs(self.det_ratio[ia, 0, 0]))
         self._commit_fn(
             self._table_address, nw, ne, n, ni, e, ia.size, address(ia),
             address(log_abs), address(wrapped), address(frac), address(v),
-            address(g), address(lap), address(det_ratio),
-            usum.get(False), usum.get(True),
+            address(g), address(lap),
         )
 
 
@@ -613,7 +719,8 @@ def _compiled_rows(state: CrowdState) -> _CompiledRows | None:
     It applies when the orbital engine resolved to ``cc``, the crowd is
     on the fast path (soa tables, orthorhombic cell), every Jastrow
     factor is shared (one :class:`CubicBspline1D` for all walkers) and
-    the gate has passed.  Every other crowd runs the NumPy methods.
+    the gate has passed.  Every other crowd runs the NumPy methods and
+    glue.
     """
     if not state._fast or state.spos._get_batched().backend.name != "cc":
         return None
@@ -628,8 +735,9 @@ def _compiled_rows(state: CrowdState) -> _CompiledRows | None:
 
 
 def _gate(lib) -> bool:
-    """Run both row paths once per process on one fixed input and
-    compare them byte for byte; a mismatch leaves every crowd on NumPy,
+    """Run both row paths once per process on one fixed input, and the
+    library's pairwise sum against ``np.add.reduce``, and compare them
+    byte for byte; a mismatch leaves every crowd on NumPy,
     warned and counted as ``backend_fallback_total{requested="crowd",
     skipped="cc"}`` (the kernels keep ``cc``)."""
     global _GATE
@@ -645,11 +753,13 @@ def _gate(lib) -> bool:
     return _GATE
 
 
-def _synthetic_crowd(rng, nw: int = 3, n: int = 3, ni: int = 4) -> CrowdState:
+def _synthetic_crowd(rng, nw: int = 3, n: int = 5, ni: int = 9) -> CrowdState:
     """A fast-path crowd of random resident blocks, without walkers, for
     driving both row paths: two calls with equal generators build equal
     crowds.  The cell is cubic with edge 4, a power of two, and both
-    radials have cutoff 1.5 with knots 0.3 apart."""
+    radials have cutoff 1.5 with knots 0.3 apart.  The default rows (10
+    electrons, 9 ions) reach the eight-accumulator branch of NumPy's
+    pairwise sums, each with a remainder."""
     ne = 2 * n
     state = CrowdState.__new__(CrowdState)
     state.n_walkers, state.n_electrons = nw, ne
@@ -657,6 +767,7 @@ def _synthetic_crowd(rng, nw: int = 3, n: int = 3, ni: int = 4) -> CrowdState:
     state.cell = Cell(np.diag([4.0, 4.0, 4.0]))
     state.layout, state._fast = "soa", True
     state.accepts = np.zeros(nw, dtype=np.int64)
+    state._chi = np.zeros((nw, 3))
     state._R = 4.0 * rng.random((nw, 3, ne))
     state.A = rng.standard_normal((nw, 2, n, n))
     state.Ainv = rng.standard_normal((nw, 2, n, n))
@@ -701,15 +812,33 @@ def _differ(a: dict, b: dict) -> list[str]:
     return [k for k in a if a[k].tobytes() != b[k].tobytes()]
 
 
+def _row_sum_lengths(lib, rng, n: int = 300) -> list[str]:
+    """The lengths in 1..n at which the library's pairwise sum differs
+    from ``np.add.reduce`` over a row of mixed signs and magnitudes or a
+    row of -0.0: below 8 terms, from 8 to 128 with every remainder, and
+    the halving above 128."""
+    rows = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-6, 7, (2, n))
+    rows[1] = -0.0
+    got = np.empty((n, 2))
+    lib.repro_row_sums(rows.ctypes.data, 2, n, n, got.ctypes.data)
+    want = np.array([np.add.reduce(rows[:, :m], axis=-1) for m in range(1, n + 1)])
+    differ = (got.view(np.uint64) != want.view(np.uint64)).any(axis=1)
+    return [f"row_sum:{m + 1}" for m in np.flatnonzero(differ)]
+
+
 def _compare_paths(lib, rng, **sizes) -> list[str]:
     """Names of the arrays where the compiled row path and the NumPy one
     disagree, over one synthetic crowd (of ``sizes``, see
-    :func:`_synthetic_crowd`) driven through both.
+    :func:`_synthetic_crowd`) driven through both, plus the lengths where
+    the pairwise sum does (:func:`_row_sum_lengths`).
 
     The input covers exact-half fractional separations, trial positions
     a box or more away, the radial seams (:data:`_SEAM_DISTANCES`, fed
-    straight into the distance rows) with the self entry, and commits
-    of one, some and all walkers on both spins with negative ratios.
+    straight into the distance rows) with the self entry, proposals and
+    trials with and without drift, a walker whose gradients are -0.0
+    rows (``v2 = 0``) and one whose are ~1e-160 (``v2`` subnormal), a
+    zero determinant ratio, and commits of one, some and all walkers on
+    both spins with negative ratios.
     """
     seed = int(rng.integers(2**32))
     ref = _synthetic_crowd(np.random.default_rng(seed), **sizes)
@@ -717,7 +846,7 @@ def _compare_paths(lib, rng, **sizes) -> list[str]:
     cc = _CompiledRows(crowd, lib).bind(crowd._committed_vgl)
     nw, ne, n = ref.n_walkers, ref.n_electrons, ref.spos.n_orbitals
     walkers = np.arange(nw)
-    differ = []
+    differ = _row_sum_lengths(lib, rng)
 
     def numpy_rows(e, frac):
         ee = ref._rows_ee(None, e, frac)
@@ -741,7 +870,30 @@ def _compare_paths(lib, rng, **sizes) -> list[str]:
     compare("seams", dict(enumerate(want)), dict(enumerate(cc.terms)))
 
     one, some = walkers[-1:], np.flatnonzero(walkers % 2 == 0)
-    for e, ia in ((n - 1, one), (n, some), (0, walkers), (ne - 1, walkers)):
+    quiet, tiny = 0, min(1, nw - 1)  # -0.0 and ~1e-160 gradients
+    cases = (
+        (n - 1, one, True, 0.3), (n, some, True, 0.02),
+        (0, walkers, False, 0.6), (ne - 1, walkers, True, 0.6),
+    )
+    for e, ia, use_drift, tau in cases:
+        spin, row = divmod(e, n)
+        chi = rng.standard_normal((nw, 3))
+        for state in (ref, crowd):
+            state._chi[...] = chi
+            state._committed_vgl[0][quiet, e] = -0.0
+            state._committed_vgl[0][tiny, e] *= 1e-160
+            for factor in state._jastrows:
+                factor.radials[quiet, 1, e] = -0.0
+                factor.radials[tiny, 1, e] = 0.0
+        cols = [s.Ainv[:, spin, :, row, np.newaxis] for s in (ref, crowd)]
+        args = (e, use_drift, tau, np.sqrt(tau))
+        proposal = _numpy_propose(ref, ref._committed_vgl[0], cols[0], *args)
+        got = cc.propose(crowd._committed_vgl[0], cols[1], *args)
+        compare(
+            f"propose e={e}", dict(zip(("r_new", "drift_old"), proposal)),
+            dict(zip(("r_new", "drift_old"), got)),
+        )
+
         frac = rng.integers(-4, 12, (nw, 3)) / 4.0
         ee, ei, terms = numpy_rows(e, frac)
         cc.rows(frac, e)
@@ -754,17 +906,34 @@ def _compare_paths(lib, rng, **sizes) -> list[str]:
              **dict(enumerate(cc.terms))},
         )
         v = rng.standard_normal((nw, n))
-        trial_vgl = (v, rng.standard_normal((nw, 3, n)), rng.standard_normal((nw, n)))
-        det_ratio = rng.standard_normal(nw) + np.where(walkers % 2, -0.5, 0.5)
+        # Odd walkers' determinant ratios negative, even ones' positive.
+        sign = np.sign(np.matmul(v[:, np.newaxis, :], cols[0])[:, 0, 0])
+        v *= (sign * np.where(walkers % 2, -1.0, 1.0))[:, np.newaxis]
+        g = rng.standard_normal((nw, 3, n))
+        g[quiet] = -0.0
+        g[tiny] *= 1e-160
+        for t in terms + cc.terms:
+            t[quiet] = -0.0
+            t[tiny, 1] = 0.0
+        idle = np.ones(nw, dtype=bool)
+        idle[ia] = False
+        if idle.any():
+            v[np.argmax(idle)] = 0.0  # a zero ratio, never committed
+        ratios, log_acc, det_ratio, trials = _numpy_trial(
+            ref, v, g, cols[0], e, ee, ei, terms, *proposal, use_drift, tau
+        )
+        got = cc.trial(v, g, cols[1], e, use_drift, tau)
+        compare(
+            f"trial e={e}",
+            {"ratios": ratios, "log_acc": log_acc,
+             **{f"usum{k}": usum for k, (_, usum) in enumerate(trials)}},
+            {"ratios": got[0], "log_acc": got[1],
+             **{f"usum{k}": usum for k, usum in enumerate(cc.usum_new)}},
+        )
+        trial_vgl = (v, g, rng.standard_normal((nw, n)))
         wrapped = 4.0 * frac
-        ref._commit(
-            ia, e, wrapped, frac, trial_vgl, det_ratio, ee, ei,
-            [(t, t[:, 0].sum(axis=-1)) for t in terms],
-        )
-        cc.commit(
-            ia, e, wrapped, frac, trial_vgl, det_ratio, cc.ee_rows, cc.ei_rows,
-            [(t, t[:, 0].sum(axis=-1)) for t in cc.terms],
-        )
+        ref._commit(ia, e, wrapped, frac, trial_vgl, det_ratio, ee, ei, trials)
+        cc.commit(ia, e, wrapped, frac, trial_vgl)
         compare(f"commit e={e}", _resident_arrays(ref), _resident_arrays(crowd))
     return differ
 
@@ -790,6 +959,7 @@ def batched_sweep(
     state.accepts[:] = 0
     sqrt_tau = np.sqrt(tau)
 
+    cache_g = None
     if use_drift:
         # Drift cache: the resident committed-position VGL (one batched
         # call on a crowd's first sweep).  Electron e's row changes only
@@ -805,18 +975,16 @@ def batched_sweep(
         # that the per-walker `@` calls.
         col = state.Ainv[:, spin, :, row, np.newaxis]
 
-        # 1. proposals: stacked drift, per-walker diffusion.
-        r_old = state._R[:, :, e]
-        if use_drift:
-            # Same accumulation order as SlaterJastrow.grad: det, j1, j2.
-            grads_old = np.matmul(cache_g[:, e], col)[..., 0]
-            for factor in state._jastrows:
-                grads_old = grads_old + factor.committed_grad(e)
-            drift_old = limited_drift(grads_old, tau)
+        # 1. proposals: per-walker diffusion drawn in place from each
+        # walker's stream, stacked drift.
+        for rng, chi in zip(rngs, state._chi_rows):
+            rng.standard_normal(out=chi)
+        if cc is None:
+            r_new, drift_old = _numpy_propose(
+                state, cache_g, col, e, use_drift, tau, sqrt_tau
+            )
         else:
-            drift_old = np.zeros((nw, 3))
-        chi = np.stack([rng.standard_normal(3) for rng in rngs])
-        r_new = r_old + tau * drift_old + chi * sqrt_tau
+            r_new, drift_old = cc.propose(cache_g, col, e, use_drift, tau, sqrt_tau)
 
         # 2. one batched orbital call, batched rows, one radial
         # evaluation per Jastrow factor at the trials: compiled where
@@ -827,9 +995,10 @@ def batched_sweep(
         v, g, _ = trial_vgl
         state.n_batched_calls += 1
         frac = state.cell.cart_to_frac(wrapped) if state._fast else None
-        if cc is not None and cc.rows(frac, e):
-            ee_rows, ei_rows, terms = cc.ee_rows, cc.ei_rows, cc.terms
-            commit = cc.commit
+        compiled = cc is not None and cc.rows(frac, e)
+        # 3. stacked ratios, trial gradients and log-acceptances.
+        if compiled:
+            ratios, log_acc = cc.trial(v, g, col, e, use_drift, tau)
         else:
             ee_rows = state._rows_ee(wrapped, e, frac)
             ei_rows = state._rows_ei(wrapped, frac)
@@ -837,36 +1006,16 @@ def batched_sweep(
                 factor.evaluate((ee_rows if factor.two_body else ei_rows)[0], e)
                 for factor in state._jastrows
             ]
-            commit = state._commit
-
-        # 3. stacked ratios and trial gradients in the per-walker order:
-        # ratio = (det * j1) * j2, grad = (det + j1) + j2.
-        det_ratio = np.matmul(v[:, np.newaxis, :], col)[:, 0, 0]
-        grads_new = np.matmul(g, col)[..., 0]
-        np.divide(
-            grads_new, det_ratio[:, np.newaxis], out=grads_new,
-            where=det_ratio[:, np.newaxis] != 0.0,
-        )
-        ratios = det_ratio
-        trials = []
-        for factor, trial in zip(state._jastrows, terms):
-            dist, disp = ee_rows if factor.two_body else ei_rows
-            usum = trial[:, 0].sum(axis=-1)
-            ratios = ratios * np.exp(-(usum - factor.usum[:, e]))
-            grads_new = grads_new + factor.grad(dist, disp, trial[:, 1])
-            trials.append((trial, usum))
+            ratios, log_acc, det_ratio, trials = _numpy_trial(
+                state, v, g, col, e, ee_rows, ei_rows, terms,
+                r_new, drift_old, use_drift, tau,
+            )
         state.ratios[...] = ratios
 
         # Independent Metropolis decisions (same per-stream RNG order as
         # the per-walker path: a uniform is drawn only when the ratio is
         # nonzero and the log-acceptance negative).
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_acc = 2.0 * np.log(np.abs(ratios))
-            if use_drift:
-                drift_new = limited_drift(grads_new, tau)
-                log_acc = log_acc + log_greens_ratio(
-                    r_old, r_new, drift_old, drift_new, tau
-                )
             acc_prob = np.exp(np.minimum(log_acc, 0.0))
         accept = np.zeros(nw, dtype=bool)
         for w in range(nw):
@@ -876,9 +1025,13 @@ def batched_sweep(
 
         # 4. one masked commit of every accepted walker.
         if ia.size:
-            commit(
-                ia, e, wrapped, frac, trial_vgl, det_ratio, ee_rows, ei_rows, trials
-            )
+            if compiled:
+                cc.commit(ia, e, wrapped, frac, trial_vgl)
+            else:
+                state._commit(
+                    ia, e, wrapped, frac, trial_vgl, det_ratio, ee_rows,
+                    ei_rows, trials,
+                )
             accepted += ia.size
 
     if OBS.enabled:

@@ -23,6 +23,7 @@ the production drivers use.  Its result is bitwise equal to
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -57,11 +58,19 @@ def kinetic_energy(wf: SlaterJastrow) -> float:
     return -0.5 * total
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per size and read-only."""
+    iu = np.triu_indices(n, k=1)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def coulomb_ee(table: DistanceTableAA) -> float:
     """Electron-electron repulsion sum_{i<j} 1 / r_ij (minimal image)."""
     d = table.distances
-    iu = np.triu_indices(d.shape[0], k=1)
-    r = d[iu]
+    r = d[_upper_triangle(d.shape[0])]
     return float(np.sum(1.0 / r))
 
 
@@ -82,7 +91,7 @@ def coulomb_ii(
     from repro.lattice.pbc import minimal_image_distances
 
     d = minimal_image_distances(cell, ion_positions, ion_positions)
-    iu = np.triu_indices(d.shape[0], k=1)
+    iu = _upper_triangle(d.shape[0])
     return ion_charge * ion_charge * float(np.sum(1.0 / d[iu]))
 
 
@@ -90,7 +99,32 @@ def _ion_ion(wf: SlaterJastrow, ion_charge: float) -> float:
     """The walker's ion-ion constant (zero for a single ion)."""
     if len(wf.ions) < 2:
         return 0.0
-    return coulomb_ii(wf.ions.positions, wf.ions.cell, ion_charge)
+    positions = wf.ions.positions
+    return _ion_ion_of(
+        positions.shape,
+        positions.tobytes(),
+        wf.ions.cell.lattice.tobytes(),
+        ion_charge,
+    )
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _ion_ion_of(shape, positions: bytes, lattice: bytes, ion_charge) -> float:
+    """:func:`coulomb_ii` per ion geometry and charge, from the bytes of
+    the float64 positions and lattice: every walker on one geometry, and
+    every generation's estimator, reads one sum.
+
+    Bounded because a long-lived process (a server worker runs a fresh
+    population, each walker with ions of its own, per request) would
+    otherwise keep every geometry it ever measured.  A run has as many
+    geometries as starting walkers (clones copy their parent's ions);
+    past 1024 the sum is recomputed, with the same bits.
+    """
+    from repro.lattice.cell import Cell
+
+    ions = np.frombuffer(positions).reshape(shape).copy()
+    cell = Cell(np.frombuffer(lattice).reshape(3, 3))
+    return coulomb_ii(ions, cell, ion_charge)
 
 
 def _dot3(g: np.ndarray) -> np.ndarray:

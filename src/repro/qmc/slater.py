@@ -5,10 +5,15 @@
 and the QMC layer (which works in Cartesian coordinates): it wraps any
 engine layout, converts positions to fractional coordinates, and applies
 the lattice chain rule to gradients and Laplacians.  For non-orthorhombic
-cells the Cartesian Laplacian mixes all six Hessian components, so the
-adapter always drives the ``VGH`` kernel — matching the paper's note that
-"for the graphite systems, VGH is used during the drift-diffusion phase"
-(Sec. IV).
+cells the Cartesian Laplacian mixes all six Hessian components — the
+paper's note that "for the graphite systems, VGH is used during the
+drift-diffusion phase" (Sec. IV) — so :meth:`SplineOrbitalSet.vgl_batch`
+asks the batched engine for the VGL kernel in Cartesian form: one call
+with the cell's :class:`~repro.core.batched.ChainRule`, which on ``cc``
+runs the compiled VGH kernel, then the chain rule per position, in C
+and returns the paper's five streams (v, three gradients, Laplacian) in
+float64, and on NumPy runs the VGH kernel and the chain rule in NumPy,
+with the same bits.
 
 :class:`SlaterDet` stacks the two spin determinants D(up), D(down) of the
 Slater-Jastrow form (paper Eq. 1) over one shared orbital set, assuming
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.batched import ChainRule
 from repro.core.coeffs import solve_coefficients_3d
 from repro.core.grid import Grid3D
 from repro.core.kinds import Kind
@@ -69,13 +75,13 @@ class SplineOrbitalSet:
     Notes
     -----
     Chain rule used throughout, with ``B = inv(lattice)`` (so that
-    ``frac = cart @ B``):
+    ``frac = cart @ B``), held as a :class:`~repro.core.batched.ChainRule`:
 
     * ``grad_cart = B @ grad_frac``
     * ``H_cart = B @ H_frac @ B.T``
-    * ``lap_cart = sum_{fg} M[f,g] H_frac[f,g]`` with ``M = B.T? `` —
-      concretely ``M = B @ B.T`` contracted against the symmetric
-      fractional Hessian (see :meth:`vgl`).
+    * ``lap_cart = sum_{fg} M[f,g] H_frac[f,g]`` with ``M = B @ B.T``,
+      contracted against the symmetric fractional Hessian's six
+      components (see :meth:`vgl_batch`).
     """
 
     def __init__(
@@ -109,8 +115,7 @@ class SplineOrbitalSet:
         #: The resolved-or-resolving :class:`repro.config.RunConfig`.
         self.config = config
         self._padded_table = padded_table
-        self._B = np.linalg.inv(cell.lattice)  # cart -> frac Jacobian (rows a)
-        self._M = self._B @ self._B.T  # Laplacian metric
+        self._chain = ChainRule(np.linalg.inv(cell.lattice))
 
     def _get_batched(self):
         """The lazily-built batched engine over the same table.
@@ -212,7 +217,11 @@ class SplineOrbitalSet:
         """Batched :meth:`vgl`: many positions in one engine call.
 
         Returns ``(v (ns, N), g (ns, 3, N), lap (ns, N))`` — float64,
-        Cartesian derivatives via the same lattice chain rule.  This is
+        Cartesian derivatives via the lattice chain rule, in three fresh
+        arrays per call.  One VGL kernel call with the cell's
+        :class:`~repro.core.batched.ChainRule` computes them: on ``cc``
+        the compiled kernel writes them directly, elsewhere the VGH
+        kernel and the NumPy chain rule do, with the same bits.  This is
         the evaluation path of the batched population step
         (:mod:`repro.qmc.batched_step`), which advances many walkers'
         same-index electrons through one batched kernel call.
@@ -220,19 +229,10 @@ class SplineOrbitalSet:
         batched = self._get_batched()
         cart_positions = np.atleast_2d(np.asarray(cart_positions, dtype=np.float64))
         frac = self.cell.wrap_frac(self.cell.cart_to_frac(cart_positions))
-        out = batched.new_output(Kind.VGH, n=len(frac))
-        batched.vgh_batch(frac, out)
-        v = out.v.astype(np.float64)
-        g_cart = np.einsum("af,sfn->san", self._B, out.g.astype(np.float64))
-        h = out.h.astype(np.float64)  # (ns, 6, N): xx, xy, xz, yy, yz, zz
-        M = self._M
-        lap = (
-            M[0, 0] * h[:, 0]
-            + M[1, 1] * h[:, 3]
-            + M[2, 2] * h[:, 5]
-            + 2.0 * (M[0, 1] * h[:, 1] + M[0, 2] * h[:, 2] + M[1, 2] * h[:, 4])
-        )
-        return v, g_cart, lap
+        ns, n = len(frac), self.n_orbitals
+        out = (np.empty((ns, n)), np.empty((ns, 3, n)), np.empty((ns, n)))
+        batched.vgl_batch(frac, out, chain=self._chain)
+        return out
 
     def vgl(
         self, cart_pos: np.ndarray
@@ -263,8 +263,9 @@ class SplineOrbitalSet:
         out = batched.new_output(Kind.VGH, n=len(frac))
         batched.vgh_batch(frac, out)
         c = out.as_canonical(0)
-        g_cart = self._B @ c["g"]
-        h_cart = np.einsum("af,fgn,bg->abn", self._B, c["h"], self._B)
+        B = self._chain.B
+        g_cart = B @ c["g"]
+        h_cart = np.einsum("af,fgn,bg->abn", B, c["h"], B)
         return c["v"], g_cart, h_cart
 
 

@@ -25,10 +25,12 @@ from repro.backends import (
 from repro.backends import cc_backend
 from repro.backends.conformance import conformance_positions
 from repro.backends.registry import _reset_for_tests
-from repro.core.batched import BsplineBatched
+from repro.core.batched import BsplineBatched, ChainRule
 from repro.core.batched_reference import ReferenceBatched
 from repro.core.grid import Grid3D
 from repro.core.kinds import Kind
+from repro.lattice.cell import Cell
+from repro.lattice.graphite import graphite_unit_cell
 from repro.obs import OBS
 
 
@@ -196,6 +198,180 @@ class TestNonFinitePositions:
         table = np.ones((24, 24, 24, 4))
         engine = BsplineBatched(grid, table, backend="cc")
         assert _outcome(engine, Kind.VGH, np.array([[1.0, np.nan, 2.0]])) is IndexError
+
+
+def _numpy_chain_rule(engine, frac, B):
+    """The Cartesian VGL as the QMC adapter computed it before the
+    kernel applied the chain rule: a VGH call, every stream cast to
+    float64, an einsum for g and six Hessian rows for the Laplacian."""
+    out = engine.new_output(Kind.VGH, n=len(frac))
+    engine.vgh_batch(frac, out)
+    v = out.v.astype(np.float64)
+    g = np.einsum("af,sfn->san", B, out.g.astype(np.float64))
+    h = out.h.astype(np.float64)
+    M = B @ B.T
+    lap = (
+        M[0, 0] * h[:, 0]
+        + M[1, 1] * h[:, 3]
+        + M[2, 2] * h[:, 5]
+        + 2.0 * (M[0, 1] * h[:, 1] + M[0, 2] * h[:, 2] + M[1, 2] * h[:, 4])
+    )
+    return v, g, lap
+
+
+def _cartesian(engine, frac, chain):
+    ns, n = len(frac), engine.n_splines
+    out = (np.empty((ns, n)), np.empty((ns, 3, n)), np.empty((ns, n)))
+    engine.vgl_batch(frac, out, chain=chain)
+    return out
+
+
+_CELLS = {
+    "cubic": Cell.cubic(6.0),
+    "orthorhombic": Cell.orthorhombic(5.0, 7.5, 3.25),
+    "graphite": graphite_unit_cell(),
+    # Negative entries in B and M, which graphite's do not have.
+    "triclinic": Cell(np.array([[5.0, 0.0, 0.0], [1.5, 6.0, 0.0], [0.5, -0.7, 4.0]])),
+    # A B row of negatives: its products with a zero gradient are -0.0.
+    "negative-row": Cell(np.linalg.inv(
+        np.array([[-0.2, -0.05, -0.01], [0.0, -0.2, 0.0], [0.0, 0.1, 0.3]])
+    )),
+}
+
+
+class TestCartesianVGL:
+    """``vgl_batch`` with a :class:`ChainRule` on ``cc`` writes, in one
+    kernel call, the bytes the NumPy chain rule made of a VGH call."""
+
+    @pytest.mark.parametrize("n_positions", [1, 16, 1024])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cell", sorted(_CELLS))
+    def test_matches_the_numpy_chain_rule(self, cc, cell, dtype, n_positions):
+        rng = np.random.default_rng(n_positions)
+        grid = Grid3D(12, 12, 12, (1.0, 1.0, 1.0))
+        table = rng.standard_normal((12, 12, 12, 8)).astype(dtype)
+        table[..., 3] = 0.0  # exact +0.0 gradient and Hessian rows
+        B = np.linalg.inv(_CELLS[cell].lattice)
+        frac = rng.random((n_positions, 3))
+        frac[0] = 0.0
+        engine = BsplineBatched(grid, table, backend="cc")
+        assert engine._cores.cart is not None
+        got = _cartesian(engine, frac, ChainRule(B))
+        want = _numpy_chain_rule(BsplineBatched(grid, table, backend="numpy"), frac, B)
+        for name, a, b in zip("vgl", got, want):
+            assert a.tobytes() == b.tobytes(), name
+        # The zero spline's products of zeros, of either sign, sum to +0.0.
+        assert not got[1][:, :, 3].any() and not np.signbit(got[1][:, :, 3]).any()
+
+    def test_signed_zero_streams_through_the_epilogue(self, cc):
+        """Zero rows of both signs reach the chain rule: every B and M
+        term is kept, so each output zero has NumPy's sign."""
+        rng = np.random.default_rng(3)
+        grid = Grid3D(6, 6, 6, (1.0, 1.0, 1.0))
+        table = np.zeros((6, 6, 6, 4))
+        table[..., 1] = -0.0
+        table[..., 2] = rng.standard_normal((6, 6, 6))
+        frac = rng.random((16, 3))
+        for cell in _CELLS.values():
+            B = np.linalg.inv(cell.lattice)
+            got = _cartesian(BsplineBatched(grid, table, backend="cc"), frac, ChainRule(B))
+            want = _numpy_chain_rule(BsplineBatched(grid, table, backend="numpy"), frac, B)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("chunk", [None, 3])
+    def test_every_chunk_and_the_numpy_backend_agree(self, cc, chunk):
+        rng = np.random.default_rng(chunk or 0)
+        grid = Grid3D(8, 9, 7, (1.0, 1.0, 1.0))
+        table = rng.standard_normal((8, 9, 7, 5))
+        chain = ChainRule(np.linalg.inv(graphite_unit_cell().lattice))
+        frac = rng.random((20, 3))
+        got, want = (
+            _cartesian(BsplineBatched(grid, table, backend=b, chunk_size=chunk), frac, chain)
+            for b in ("cc", "numpy")
+        )
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_a_single_spline_table_takes_the_numpy_chain_rule(self, cc):
+        """einsum sums a length-1 spline axis in another order, so N=1
+        runs the NumPy VGH core and the chain rule, chunk by chunk."""
+        rng = np.random.default_rng(1)
+        grid = Grid3D(6, 6, 6, (1.0, 1.0, 1.0))
+        table = rng.standard_normal((6, 6, 6, 1))
+        engine = BsplineBatched(grid, table, backend="cc", chunk_size=2)
+        assert engine._cores.cart is None
+        B = np.linalg.inv(graphite_unit_cell().lattice)
+        frac = rng.random((7, 3))
+        got = _cartesian(engine, frac, ChainRule(B))
+        want = _numpy_chain_rule(BsplineBatched(grid, table, backend="numpy"), frac, B)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("row", [2, 25])
+    @pytest.mark.parametrize("grid_shape", [(24, 24, 24), (6, 5, 7)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_positions_behave_as_on_numpy(self, cc, grid_shape, bad, row):
+        """A chunk the C code skips runs the NumPy core and chain rule:
+        the same exception, or the same bits (NaNs included), also when
+        the bad position sits past the kernel's first block of 16."""
+        rng = np.random.default_rng(2)
+        grid = Grid3D(*grid_shape, lengths=(1.0, 1.0, 1.0))
+        table = rng.standard_normal(grid_shape + (4,))
+        frac = rng.random((40, 3))
+        frac[row, 1] = bad
+        chain = ChainRule(np.linalg.inv(graphite_unit_cell().lattice))
+        outcomes = []
+        for backend in ("numpy", "cc"):
+            engine = BsplineBatched(grid, table, backend=backend)
+            try:
+                with np.errstate(invalid="ignore"):
+                    outcomes.append(_cartesian(engine, frac, chain))
+            except Exception as exc:  # noqa: BLE001 - the type is the result
+                outcomes.append(type(exc))
+        want, got = outcomes
+        if isinstance(want, type) or isinstance(got, type):
+            assert got is want
+        else:
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("fault", ["sign", "unwritten last spline"])
+    def test_a_mismatching_cartesian_core_is_refused(
+        self, fresh_gate, monkeypatch, fault
+    ):
+        """The registry's conformance gate checks the Cartesian core in
+        its ``vgl`` check: a core that drops a sign fails it, and so does
+        one that never writes the last spline's gradients."""
+        backend = get_backend("cc")
+        if not backend.is_available():
+            pytest.skip(backend.availability_error())
+        real = cc_backend.CcBackend.make_cores
+
+        def broken(self, engine):
+            cores = real(self, engine)
+            inner = cores.cart
+
+            def cart(positions, chain, v, g, l):
+                if fault == "sign":
+                    inner(positions, chain, v, g, l)
+                    np.abs(g, out=g)
+                else:
+                    full = np.empty_like(g)
+                    inner(positions, chain, v, full, l)
+                    g[..., :-1] = full[..., :-1]
+
+            cores.cart = cart
+            return cores
+
+        monkeypatch.setattr(cc_backend.CcBackend, "make_cores", broken)
+        from repro.backends.conformance import verify_backend
+
+        report = verify_backend(backend)
+        failed = {c.kernel for c in report.checks if not c.passed}
+        assert failed == {"vgl"}
+        with pytest.warns(RuntimeWarning, match="cc"):
+            assert resolve_backend(None).name == "numpy"
 
 
 def _fallbacks(obs) -> float:

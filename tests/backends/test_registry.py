@@ -79,6 +79,35 @@ class _NegativeZeroBackend(KernelBackend):
         return BackendCores(v=v_core, vgh=vgh_core)
 
 
+class _UnwrittenLastSplineBackend(KernelBackend):
+    """NumPy's bits everywhere but the last spline, which it never
+    writes: the gate must see that whatever the output held before."""
+
+    capability = BackendCapability(
+        name="unwritten-last-spline",
+        tier="exact",
+        description="leaves the last spline unwritten (test double)",
+    )
+
+    def make_cores(self, engine) -> BackendCores:
+        self._check_engine(engine)
+
+        def v_core(positions, v):
+            full = np.empty_like(v)
+            engine._numpy_v_core(positions, full)
+            v[:, :-1] = full[:, :-1]
+
+        def vgh_core(positions, v, g, l, h):
+            outs = (v, g, l, h)
+            full = [None if a is None else np.empty_like(a) for a in outs]
+            engine._numpy_vgh_core(positions, *full)
+            for a, b in zip(outs, full):
+                if a is not None:
+                    a[..., :-1] = b[..., :-1]
+
+        return BackendCores(v=v_core, vgh=vgh_core)
+
+
 class _VOnlyBackend(KernelBackend):
     """A legal partial backend: serves V, refuses VGL/VGH."""
 
@@ -159,6 +188,17 @@ class TestRegistration:
         assert verify_backend(get_backend("numpy"), grid, zeros).all_passed
         report = verify_backend(_NegativeZeroBackend(), grid, zeros)
         assert not report.all_passed
+
+    def test_exact_gate_sees_an_unwritten_spline(self):
+        """Outputs start as NaN in the gate, so a spline no core writes
+        fails every kernel's check, zero or not in the reference."""
+        report = verify_backend(_UnwrittenLastSplineBackend())
+        assert {c.kernel for c in report.checks if not c.passed} == {
+            "v", "vgl", "vgh"
+        }
+        grid = Grid3D(5, 5, 5, lengths=(1.0, 1.0, 1.0))
+        zeros = np.zeros((5, 5, 5, 3))
+        assert not verify_backend(_UnwrittenLastSplineBackend(), grid, zeros).all_passed
 
     def test_eager_registration_rejects_broken_backend(self):
         with pytest.raises(BackendConformanceError, match="off-by-one"):

@@ -1,13 +1,16 @@
 """The crowd's compiled row path against its NumPy methods, byte for byte.
 
 Where the orbital engine runs ``cc``, a fast-path crowd (soa tables,
-orthorhombic cell, shared Jastrow radials) computes its trial distance
-rows, Jastrow radials and masked commit in the ``cc`` library instead of
+orthorhombic cell, shared Jastrow radials) computes its proposals, trial
+distance rows, Jastrow radials, trial glue and masked commit in the
+``cc`` library instead of :func:`_numpy_propose`,
 :meth:`CrowdState._rows_ee` / ``_rows_ei``,
-:meth:`_JastrowFactor.evaluate` and :meth:`CrowdState._commit`.  Every
-byte must match, sign of zero included; every other crowd keeps NumPy.
+:meth:`_JastrowFactor.evaluate`, :func:`_numpy_trial` and
+:meth:`CrowdState._commit`.  Every byte must match, sign of zero
+included; every other crowd keeps NumPy.
 """
 
+import ctypes
 import gc
 import warnings
 import weakref
@@ -25,6 +28,8 @@ from repro.qmc.batched_step import (
     _SEAM_DISTANCES,
     _CompiledRows,
     _compare_paths,
+    _resident_arrays,
+    _row_sum_lengths,
     _synthetic_crowd,
     batched_sweep,
 )
@@ -118,6 +123,101 @@ class TestAgainstNumpy:
         assert any(entry.name == "evaluate_vgl" for entry in raised.traceback)
 
 
+def _doubles(address: int, size: int) -> np.ndarray:
+    return np.ctypeslib.as_array((ctypes.c_double * size).from_address(address))
+
+
+def _sequential_row_sums(a, rows, stride, n, out):
+    """``repro_row_sums`` as a left-to-right running sum would do it."""
+    data = _doubles(a, rows * stride).reshape(rows, stride)[:, :n]
+    _doubles(out, rows * n).reshape(n, rows)[...] = (0.0 + np.cumsum(data, axis=1)).T
+    return 0
+
+
+class TestPairwiseSum:
+    """The glue's sums repeat ``np.add.reduce`` along a contiguous last
+    axis: NumPy's pairwise summation, then ``0.0 +``."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_length_to_300_matches_add_reduce(self, lib, seed):
+        assert _row_sum_lengths(lib, np.random.default_rng(seed)) == []
+
+    def test_rows_of_negative_zero_sum_to_positive_zero(self, lib):
+        rows = np.full((2, 300), -0.0)
+        rows[1, ::7] = 0.0
+        out = np.empty((300, 2))
+        lib.repro_row_sums(rows.ctypes.data, 2, 300, 300, out.ctypes.data)
+        want = np.array([np.add.reduce(rows[:, :m], axis=-1) for m in range(1, 301)])
+        assert out.tobytes() == want.tobytes()
+        assert not np.signbit(out).any()
+
+    def test_a_sequential_sum_fails_the_gate(self, cc_crowds, monkeypatch, obs):
+        """A running sum agrees below eight terms and nowhere the
+        pairwise blocks begin: the gate refuses it."""
+        monkeypatch.setattr(cc_crowds, "repro_row_sums", _sequential_row_sums)
+        lengths = [
+            int(k.split(":")[1]) for k in _row_sum_lengths(cc_crowds, np.random.default_rng(0))
+        ]
+        assert lengths and min(lengths) >= 8 and len(lengths) > 100
+        monkeypatch.setattr(batched_step, "_GATE", None)
+        with pytest.warns(RuntimeWarning, match="row_sum:"):
+            assert _crowd()._cc is None
+
+
+def _twins(**case):
+    """Two equal crowds with equal streams: the first on the compiled
+    path, the second held to the NumPy methods and glue."""
+    compiled, plain = _crowd(**case), _crowd(**case)
+    plain._cc = None
+    return compiled, plain
+
+
+def _assert_crowds_equal(a: CrowdState, b: CrowdState) -> None:
+    want = _resident_arrays(b)
+    for name, got in _resident_arrays(a).items():
+        assert got.tobytes() == want[name].tobytes(), name
+    assert a.ratios.tobytes() == b.ratios.tobytes()
+    for rng_a, rng_b in zip(a.rngs, b.rngs):
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def _zero_ratio(state):
+    """Walker 0's last move sees a zero determinant ratio (so a zero
+    total ratio): its inverse column for the last electron is zero."""
+    n = state.spos.n_orbitals
+    state.Ainv[0, 1, :, n - 1] = 0.0
+
+
+def _zero_drift(state):
+    """Walker 0's first electron has a zero committed gradient: v2 = 0."""
+    state.committed_vgl()[0][0, 0] = -0.0
+    for factor in state._jastrows:
+        factor.radials[0, 1, 0] = 0.0
+
+
+class TestGlueEdgeCases:
+    @pytest.mark.parametrize(
+        "edit, use_drift",
+        [
+            pytest.param(None, True, id="drift"),
+            pytest.param(None, False, id="no-drift"),
+            pytest.param(_zero_ratio, True, id="zero-ratio"),
+            pytest.param(_zero_drift, True, id="v2-zero"),
+        ],
+    )
+    def test_sweeps_match_the_numpy_glue(self, cc_crowds, edit, use_drift):
+        compiled, plain = _twins()
+        assert compiled._cc is not None
+        for state in (compiled, plain):
+            if edit is not None:
+                edit(state)
+            for tau in (0.3, 0.02):
+                batched_sweep(state, tau, use_drift=use_drift)
+        _assert_crowds_equal(compiled, plain)
+        if edit is _zero_ratio:
+            assert compiled.ratios[0] == 0.0
+
+
 class TestWhichPathRuns:
     def test_a_dmc_ensemble_crowd_runs_cc(self, cc_crowds):
         walkers = build_dmc_ensemble(
@@ -137,6 +237,38 @@ class TestWhichPathRuns:
     def test_other_crowds_run_numpy(self, case):
         assert _crowd(**case)._cc is None
 
+    def test_the_compiled_glue_runs_with_the_compiled_rows(
+        self, cc_crowds, monkeypatch
+    ):
+        walkers = build_dmc_ensemble(
+            WalkerRngPool(3), 2, n_orbitals=2, grid_shape=(8, 8, 8)
+        )
+        state = CrowdState([w.wf for w in walkers], [w.rng for w in walkers])
+        calls = _spy_glue(monkeypatch, state._cc)
+        batched_sweep(state, 0.1)
+        ne = state.n_electrons
+        assert calls == {"propose": ne, "trial": ne}
+
+    @pytest.mark.parametrize(
+        "case, env",
+        [
+            pytest.param({"layout": "aos"}, None, id="aos"),
+            pytest.param({"graphite": True, "n_orb": 4}, None, id="graphite"),
+            pytest.param({"vary_radials": True}, None, id="vary-radials"),
+            pytest.param({}, (ENV_VAR, "numpy"), id="numpy-backend"),
+            pytest.param({}, ("REPRO_CC", "/nonexistent"), id="no-compiler"),
+        ],
+    )
+    def test_every_other_crowd_runs_the_numpy_glue(self, case, env, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv(*env)
+        state = _crowd(**case)
+        assert state._cc is None
+        calls = _spy_glue(monkeypatch, None)
+        batched_sweep(state, 0.1)
+        ne = state.n_electrons
+        assert calls == {"propose": ne, "trial": ne}
+
     @pytest.mark.parametrize(
         "env", [(ENV_VAR, "numpy"), ("REPRO_CC", "/nonexistent")]
     )
@@ -154,6 +286,34 @@ class TestWhichPathRuns:
         counter = obs.registry.counter
         assert counter("crowd_batched_sweeps_total", rows="cc").value == 2
         assert counter("crowd_batched_sweeps_total", rows="numpy").value == 1
+
+
+def _spy_glue(monkeypatch, cc) -> dict:
+    """Count the glue calls of a sweep: the compiled routines of ``cc``,
+    or (``cc`` None) the NumPy functions; the other kind raises."""
+    calls = {"propose": 0, "trial": 0}
+
+    def counted(fn, name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the other glue ran")
+
+    numpy_glue = {"propose": "_numpy_propose", "trial": "_numpy_trial"}
+    for name, attr in numpy_glue.items():
+        fn = getattr(batched_step, attr)
+        monkeypatch.setattr(
+            batched_step, attr, refused if cc is not None else counted(fn, name)
+        )
+    if cc is not None:
+        for name in calls:
+            attr = f"_{name}_fn"
+            monkeypatch.setattr(cc, attr, counted(getattr(cc, attr), name))
+    return calls
 
 
 class TestDriftCacheHandover:
@@ -212,6 +372,25 @@ class TestGate:
         )
         assert fallbacks.value == 1
         # The verdict holds for the process: no second gate, no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _crowd()._cc is None
+        assert fallbacks.value == 1
+
+    @pytest.mark.parametrize("routine", ["repro_crowd_propose", "repro_crowd_trial"])
+    def test_a_glue_mismatch_falls_back_counts_and_warns_once(
+        self, cc_crowds, monkeypatch, obs, routine
+    ):
+        monkeypatch.setattr(batched_step, "_GATE", None)
+        # Glue that writes nothing: its outputs keep stale scratch.
+        monkeypatch.setattr(cc_crowds, routine, lambda *args: 0)
+        with pytest.warns(RuntimeWarning, match="crowd row math differs"):
+            state = _crowd()
+        assert state._cc is None
+        fallbacks = obs.registry.counter(
+            "backend_fallback_total", requested="crowd", skipped="cc"
+        )
+        assert fallbacks.value == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _crowd()._cc is None
