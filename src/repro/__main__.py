@@ -18,6 +18,7 @@ between generations — all without disturbing the trace.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from repro.reproduce import ALL_TARGETS
@@ -59,12 +60,11 @@ def _dmc_main(argv: list[str]) -> int:
         "--backend",
         default=None,
         metavar="NAME",
-        help="kernel backend for the batched B-spline cores: 'auto' "
-        "(best available compiled backend, falling back to numpy), a "
-        "registered name (numpy, numba, cc), or unset for the "
-        "REPRO_BACKEND env var / exact-tier numpy default; validated "
-        "up front — an unavailable explicit backend is a clean error, "
-        "not a mid-run crash",
+        help="kernel backend for the batched B-spline cores: cc or numpy "
+        "(bit-identical); unset or 'auto' for REPRO_BACKEND, else cc "
+        "when a C compiler is present, else numpy.  The choice from "
+        "this flag, --config or REPRO_BACKEND is checked up front: an "
+        "unavailable backend is a clean error, not a mid-run crash",
     )
     parser.add_argument(
         "--processes",
@@ -172,21 +172,6 @@ def _dmc_main(argv: list[str]) -> int:
             parser.error(
                 f"--{flag.replace('_', '-')} must be at least 1, got {value}"
             )
-    backend = args.backend
-    if backend is not None:
-        # Strict parent-side validation: resolve (and conformance-gate)
-        # the request here so a typo or missing toolchain surfaces as
-        # one actionable line.  'auto' resolves to a concrete name so
-        # every worker lands on the same backend instead of each
-        # re-running auto selection.  Workers still resolve the name
-        # themselves with the degrade-to-numpy fallback policy.
-        from repro.backends import BackendConformanceError, BackendUnavailable
-        from repro.backends import resolve_backend
-
-        try:
-            backend = resolve_backend(backend).name
-        except (BackendUnavailable, BackendConformanceError) as exc:
-            parser.error(str(exc))
     from repro.config import TUNE_OFF, RunConfig, load_run_config
 
     try:
@@ -200,7 +185,7 @@ def _dmc_main(argv: list[str]) -> int:
         for k, v in (
             ("tile_size", args.tile_size),
             ("chunk_size", args.chunk),
-            ("backend", backend),
+            ("backend", args.backend),
         )
         if v is not None
     }
@@ -208,6 +193,12 @@ def _dmc_main(argv: list[str]) -> int:
         overrides["tune"] = TUNE_OFF
     if overrides:
         run_config = run_config.replace(**overrides)
+    # Resolve the merged choice (flag, file or REPRO_BACKEND) once.
+    from repro.backends import resolve_backend_name
+
+    run_config = dataclasses.replace(
+        run_config, backend=resolve_backend_name(run_config.backend, parser.error)
+    )
     observe = args.metrics_out is not None or args.trace_out is not None
     if observe:
         OBS.reset()

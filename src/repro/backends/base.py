@@ -9,27 +9,19 @@ backend only replaces the arithmetic inner loop, which is exactly the
 part an accelerator or JIT can win on.
 
 Every backend declares a :class:`BackendCapability` — which kernel
-:class:`~repro.core.kinds.Kind`\\ s and dtypes it serves, and at which
-**conformance tier** it promises to match the frozen oracle
-(:class:`repro.core.batched_reference.ReferenceBatched`):
-
-* ``"exact"`` — bit-for-bit: every output stream equals the oracle's
-  under ``np.testing.assert_array_equal``.  Only backends that preserve
-  NumPy's exact accumulation order can claim this tier.
-* ``"allclose"`` — elementwise close at an explicit, *labelled*
-  per-dtype ``(rtol, atol)``.  JIT/compiled backends that reassociate
-  the stencil sums (or use FMA contraction) live here; the tolerance is
-  part of the capability record, never an unstated test constant.
-
-The declared tier is enforced by the differential-conformance harness
-(:mod:`repro.backends.conformance`) before a backend may serve kernels
-— see :func:`repro.backends.registry.resolve_backend`.
+:class:`~repro.core.kinds.Kind`\\ s and dtypes it serves — and is held
+to one **conformance tier**, ``"exact"``: every output stream equals
+the frozen oracle's (:class:`repro.core.batched_reference
+.ReferenceBatched`) under ``np.testing.assert_array_equal``, with the
+same sign on every zero.  Only a backend that keeps NumPy's operations
+in NumPy's order can pass.  The differential-conformance harness
+(:mod:`repro.backends.conformance`) enforces it before a backend may
+serve kernels — see :func:`repro.backends.registry.resolve_backend`.
 """
 
 from __future__ import annotations
 
 import abc
-import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,18 +33,15 @@ __all__ = [
     "BackendConformanceError",
     "BackendUnavailable",
     "KernelBackend",
-    "TIER_ALLCLOSE",
     "TIER_EXACT",
 ]
 
-#: The two conformance tiers a backend may declare.
+#: The one conformance tier: bit for bit equal to the oracle.
 TIER_EXACT = "exact"
-TIER_ALLCLOSE = "allclose"
-_TIERS = (TIER_EXACT, TIER_ALLCLOSE)
 
 
 class BackendUnavailable(RuntimeError):
-    """The requested backend cannot run here (missing import / toolchain).
+    """The requested backend cannot run here (unknown name, no toolchain).
 
     The message always names what is missing and how to get it (the
     capability's ``install_hint``), so a CLI can surface it verbatim as
@@ -61,17 +50,17 @@ class BackendUnavailable(RuntimeError):
 
 
 class BackendConformanceError(RuntimeError):
-    """A backend failed its declared conformance tier against the oracle."""
+    """A backend's output differs from the oracle's in some bit."""
 
 
 @dataclass(frozen=True)
 class BackendCapability:
-    """What a backend can do, and how closely it matches the oracle.
+    """What a backend can do.
 
     Attributes
     ----------
     name:
-        Registry key (``"numpy"``, ``"numba"``, ``"cc"``, ...).
+        Registry key (``"numpy"``, ``"cc"``, ...).
     kinds:
         Kernel kinds the backend serves.  All current backends serve all
         three; a partial backend (e.g. V-only on a device) is legal —
@@ -79,16 +68,6 @@ class BackendCapability:
     dtypes:
         Supported coefficient-table dtype names (``"float32"``,
         ``"float64"``).
-    tier:
-        ``"exact"`` or ``"allclose"`` (module docstring).
-    tolerances:
-        Per-dtype ``(dtype_name, rtol, atol)`` triples — required (and
-        only meaningful) for the ``allclose`` tier.  These are the
-        *declared* tolerances the conformance harness enforces and the
-        benchmarks gate on; they are part of the public record.
-    requires:
-        Importable module names the backend needs (``("numba",)``).
-        :meth:`KernelBackend.availability_error` checks them.
     install_hint:
         One actionable sentence for the unavailable-backend error.
     description:
@@ -98,47 +77,16 @@ class BackendCapability:
     name: str
     kinds: tuple[Kind, ...] = (Kind.V, Kind.VGL, Kind.VGH)
     dtypes: tuple[str, ...] = ("float32", "float64")
-    tier: str = TIER_EXACT
-    tolerances: tuple[tuple[str, float, float], ...] = ()
-    requires: tuple[str, ...] = ()
     install_hint: str = ""
     description: str = ""
 
-    def __post_init__(self) -> None:
-        if self.tier not in _TIERS:
-            raise ValueError(
-                f"tier must be one of {_TIERS}, got {self.tier!r}"
-            )
-        if self.tier == TIER_ALLCLOSE:
-            declared = {t[0] for t in self.tolerances}
-            missing = [d for d in self.dtypes if d not in declared]
-            if missing:
-                raise ValueError(
-                    f"allclose-tier backend {self.name!r} must declare a "
-                    f"(rtol, atol) tolerance for every supported dtype; "
-                    f"missing {missing}"
-                )
-        elif self.tolerances:
-            raise ValueError(
-                f"exact-tier backend {self.name!r} must not declare "
-                f"tolerances — exactness is the tolerance"
-            )
+    #: The tier the conformance gate holds every backend to (a class
+    #: constant, not a field).
+    tier = TIER_EXACT
 
     def supports(self, kind: Kind, dtype) -> bool:
         """Whether (kind, dtype) is inside this backend's envelope."""
         return kind in self.kinds and np.dtype(dtype).name in self.dtypes
-
-    def tolerance_for(self, dtype) -> tuple[float, float]:
-        """Declared ``(rtol, atol)`` for ``dtype``; ``(0.0, 0.0)`` if exact."""
-        if self.tier == TIER_EXACT:
-            return (0.0, 0.0)
-        name = np.dtype(dtype).name
-        for dname, rtol, atol in self.tolerances:
-            if dname == name:
-                return (rtol, atol)
-        raise KeyError(
-            f"backend {self.name!r} declares no tolerance for dtype {name}"
-        )
 
 
 @dataclass
@@ -185,21 +133,10 @@ class KernelBackend(abc.ABC):
     def availability_error(self) -> str | None:
         """Why this backend cannot run here, or ``None`` if it can.
 
-        The default checks that every module in ``capability.requires``
-        imports.  Checked live (never cached) so tests can simulate a
-        broken dependency by poisoning ``sys.modules`` — and so a fleet
-        worker whose environment differs from the parent's reaches its
-        own honest answer.
+        Checked live (never cached), so a fleet worker whose environment
+        differs from the parent's reaches its own honest answer.
+        Backends with a toolchain to find (``cc``) override it.
         """
-        for module in self.capability.requires:
-            try:
-                importlib.import_module(module)
-            except ImportError as exc:
-                hint = self.capability.install_hint
-                return (
-                    f"backend {self.name!r} needs the {module!r} module "
-                    f"({exc})." + (f" {hint}" if hint else "")
-                )
         return None
 
     def is_available(self) -> bool:

@@ -1042,8 +1042,6 @@ class CcBackend(KernelBackend):
 
     capability = BackendCapability(
         name="cc",
-        tier="exact",
-        requires=(),
         install_hint=(
             "Install a C toolchain (e.g. gcc) or point REPRO_CC at one."
         ),

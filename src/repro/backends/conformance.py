@@ -5,18 +5,12 @@ and compares every output stream of every kernel kind against the
 frozen PR4 oracle (:class:`repro.core.batched_reference
 .ReferenceBatched`) — across both table dtypes, several (chunk, tile)
 configurations (including the width-1-adjacent tile the engine's tiler
-must absorb), and positions that cross every periodic seam.  A backend
-is held to its **declared** tier:
-
-* ``exact`` — every stream must be bit-for-bit equal
-  (``np.testing.assert_array_equal`` semantics, and the same sign on
-  every zero); the check's reported ``max_error`` is the worst absolute
-  deviation (``inf`` when only a zero's sign differs) and its
-  tolerance 0.0.
-* ``allclose`` — every element must satisfy
-  ``|new - ref| <= atol + rtol * |ref|`` at the capability's declared
-  per-dtype ``(rtol, atol)``; the reported ``max_error`` is the worst
-  *normalized* error (1.0 = exactly at the declared bound).
+must absorb), and positions that cross every periodic seam.  Every
+stream must be bit-for-bit equal (``np.testing.assert_array_equal``
+semantics, and the same sign on every zero); a check's reported
+``max_error`` is the worst absolute deviation (``inf`` when only a
+zero's sign differs, or a NaN stands against a number) and its
+tolerance 0.0.
 
 A backend with a Cartesian VGL core (``cc``) is also held, inside its
 ``vgl`` check, to the oracle's VGH put through the NumPy chain rule
@@ -40,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import BackendConformanceError, KernelBackend, TIER_EXACT
+from repro.backends.base import BackendConformanceError, KernelBackend
 from repro.core.batched import _KERNEL_STREAMS, BsplineBatched, ChainRule
 from repro.core.batched_reference import ReferenceBatched
 from repro.core.grid import Grid3D
@@ -117,22 +111,15 @@ def conformance_positions(
     return np.asarray(pos, dtype=np.float64)
 
 
-def _stream_error(
-    new: np.ndarray, ref: np.ndarray, tier: str, rtol: float, atol: float
-) -> float:
-    """Normalized deviation of one output stream (see module docstring)."""
-    if tier == TIER_EXACT:
-        if np.array_equal(new, ref):
-            # Equal values; a zero of the other sign is still a miss.
-            same_signs = np.array_equal(np.signbit(new), np.signbit(ref))
-            return 0.0 if same_signs else np.inf
-        if (np.isnan(new) != np.isnan(ref)).any():
-            return np.inf  # a NaN against a number, e.g. an unwritten element
-        diff = np.abs(new - ref)
-        return float(np.nanmax(diff)) if np.isfinite(diff).any() else np.inf
-    denom = atol + rtol * np.abs(ref)
-    err = np.abs(new - ref) / denom
-    return float(err.max()) if err.size else 0.0
+def _stream_error(new: np.ndarray, ref: np.ndarray) -> float:
+    """Worst deviation of one output stream (see module docstring)."""
+    if np.array_equal(new, ref):
+        # Equal values; a zero of the other sign is still a miss.
+        return 0.0 if np.array_equal(np.signbit(new), np.signbit(ref)) else np.inf
+    if (np.isnan(new) != np.isnan(ref)).any():
+        return np.inf  # a NaN against a number, e.g. an unwritten element
+    diff = np.abs(new - ref)
+    return float(np.nanmax(diff)) if np.isfinite(diff).any() else np.inf
 
 
 def verify_backend(
@@ -169,8 +156,8 @@ def verify_backend(
     -------
     VerifyReport
         One :class:`~repro.core.verify.EngineCheck` per (dtype, kind),
-        labelled ``"<name>[<dtype>:<tier>]"``, carrying the worst
-        normalized error over all configurations and seam positions.
+        labelled ``"<name>[<dtype>:exact]"``, carrying the worst
+        deviation over all configurations and seam positions.
     """
     cap = backend.capability
     if coefficients is not None:
@@ -192,7 +179,6 @@ def verify_backend(
     report = VerifyReport()
     for grid_, table in problems:
         dtype = table.dtype
-        rtol, atol = cap.tolerance_for(dtype)
         n_splines = table.shape[3]
         pos_rng = np.random.default_rng(seed + n_splines)
         positions = conformance_positions(grid_, pos_rng, n_positions)
@@ -227,11 +213,7 @@ def verify_backend(
                     worst[kind] = max(
                         worst[kind],
                         _stream_error(
-                            getattr(out, stream),
-                            getattr(reference[kind], stream),
-                            cap.tier,
-                            rtol,
-                            atol,
+                            getattr(out, stream), getattr(reference[kind], stream)
                         ),
                     )
             if Kind.VGL in cap.kinds and eng._cores.cart is not None:
@@ -244,17 +226,14 @@ def verify_backend(
                 got = tuple(np.full_like(a, np.nan) for a in want)
                 eng.vgl_batch(positions, got, chain=chain)
                 for new, ref in zip(got, want):
-                    worst[Kind.VGL] = max(
-                        worst[Kind.VGL],
-                        _stream_error(new, ref, cap.tier, rtol, atol),
-                    )
+                    worst[Kind.VGL] = max(worst[Kind.VGL], _stream_error(new, ref))
         for kind in cap.kinds:
             report.checks.append(
                 EngineCheck(
                     engine=f"{cap.name}[{dtype.name}:{cap.tier}]",
                     kernel=kind.value,
                     max_error=worst[kind],
-                    tolerance=0.0 if cap.tier == TIER_EXACT else 1.0,
+                    tolerance=0.0,
                 )
             )
     return report
@@ -280,7 +259,7 @@ def check_backend(backend: KernelBackend, **kwargs) -> VerifyReport:
     report = verify_backend(backend, **kwargs)
     if not report.all_passed:
         raise BackendConformanceError(
-            f"backend {backend.name!r} failed its declared "
+            f"backend {backend.name!r} failed the "
             f"{backend.capability.tier!r} conformance tier against the "
             f"reference oracle:\n{report.summary()}"
         )

@@ -8,10 +8,11 @@ claims the ``exact`` tier on that evidence, and the backend conformance
 suite re-proves it through the same harness every other backend is held
 to.
 
-It is the fallback target of every resolution path: ``auto`` degrades
-here when no compiled backend is importable, and fleet workers that
-cannot honour an explicit compiled-backend request degrade here rather
-than kill the run (recorded on the ``backend_fallback_total`` counter).
+It is the fallback target of every resolution path: the default (and
+``"auto"``) lands here when ``cc`` cannot activate, and fleet workers
+that cannot honour an explicit compiled-backend request degrade here
+rather than kill the run (recorded on the ``backend_fallback_total``
+counter).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class NumpyBackend(KernelBackend):
 
     capability = BackendCapability(
         name="numpy",
-        tier="exact",
         description=(
             "ghost-padded gather + tiled einsum contractions (always "
             "available; bit-identical to the reference oracle)"

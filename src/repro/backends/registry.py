@@ -3,7 +3,7 @@
 The registry maps backend names to :class:`~repro.backends.base
 .KernelBackend` instances and enforces the conformance contract: **no
 backend serves kernels before it has passed the differential harness**
-(:mod:`repro.backends.conformance`) at its declared tier.  Verification
+(:mod:`repro.backends.conformance`) at the exact tier.  Verification
 policy is chosen at registration time:
 
 * ``"eager"`` — verified inside :func:`register_backend` (the default
@@ -11,8 +11,8 @@ policy is chosen at registration time:
   can be named anywhere).
 * ``"lazy"`` — verified on first *activation* (first time an engine or
   resolver actually asks for it), once per process.  The compiled
-  builtins register lazily so that ``import repro.backends`` never pays
-  a JIT/compiler warm-up — and never constructs engines mid-import.
+  builtin registers lazily so that ``import repro.backends`` never pays
+  a compiler warm-up — and never constructs engines mid-import.
   The verdict, pass or fail (a failed build included), is kept for the
   process, and the harness's throwaway engines record nothing into
   :data:`repro.obs.OBS`.
@@ -27,16 +27,15 @@ fleet workers:
 
 * ``None`` — the :data:`REPRO_BACKEND <ENV_VAR>` environment variable
   if set, else ``"cc"`` when it activates here, else ``"numpy"``.  The
-  default path never silently changes numerics: both candidates are
-  exact tier, and the compiled one serves only after the
-  once-per-process gate has found every output stream bit for bit
-  equal to the oracle's.  A default that falls back to NumPy
+  default path never changes numerics: the compiled backend serves only
+  after the once-per-process gate has found every output stream bit for
+  bit equal to the oracle's.  A default that falls back to NumPy
   is counted as ``backend_fallback_total{requested="default"}``; it
   warns too, unless the reason is only that no C compiler is on
   ``PATH``.
-* ``"auto"`` — the first *available and conforming* backend in
-  :data:`AUTO_ORDER` (compiled backends first).  Skipped candidates are
-  reported with a warning and a ``backend_fallback_total`` count.
+* ``"auto"`` — exactly what ``None`` means with the environment
+  variable unset.  The spelling stays valid because config files,
+  tuning-DB entries and served requests carry it.
 * an explicit name — that backend or :class:`BackendUnavailable` with
   an actionable message.  With ``fallback=True`` (fleet workers), an
   unavailable explicit backend degrades to NumPy instead of killing the
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from typing import Callable, NoReturn
 
 from repro.backends.base import (
     BackendConformanceError,
@@ -56,19 +56,15 @@ from repro.backends.base import (
 from repro.obs import OBS
 
 __all__ = [
-    "AUTO_ORDER",
     "ENV_VAR",
     "available_backends",
     "get_backend",
     "register_backend",
     "registered_backends",
     "resolve_backend",
+    "resolve_backend_name",
     "unregister_backend",
 ]
-
-#: Preference order for ``--backend auto``: compiled backends first,
-#: the always-available exact-tier NumPy path as the guaranteed floor.
-AUTO_ORDER = ("numba", "cc", "numpy")
 
 #: Environment override consulted when no backend is specified at all.
 ENV_VAR = "REPRO_BACKEND"
@@ -92,10 +88,9 @@ def register_backend(
 
     ``verify`` selects the conformance policy (module docstring).  With
     the default ``"eager"`` policy the differential harness runs here —
-    if the backend's dependencies are missing it is still registered
-    (verification defers to activation, where availability is checked
-    first), but a backend that *runs* and fails its tier is rejected
-    outright.
+    if the backend cannot run here it is still registered (verification
+    defers to activation, where availability is checked first), but a
+    backend that *runs* and fails the exact tier is rejected outright.
     """
     if verify not in _VERIFY_POLICIES:
         raise ValueError(
@@ -124,14 +119,13 @@ def unregister_backend(name: str) -> None:
 
 
 def registered_backends() -> tuple[str, ...]:
-    """All registered names, builtins first in :data:`AUTO_ORDER` order."""
-    builtin = [n for n in AUTO_ORDER if n in _REGISTRY]
-    extra = sorted(n for n in _REGISTRY if n not in AUTO_ORDER)
-    return tuple(builtin + extra)
+    """All registered names, in registration order: the builtins first,
+    in the order the default (and ``"auto"``) tries them."""
+    return tuple(_REGISTRY)
 
 
 def available_backends() -> tuple[str, ...]:
-    """Registered names whose dependencies import in this process."""
+    """Registered names that can run in this process right now."""
     return tuple(
         n for n in registered_backends() if _REGISTRY[n].is_available()
     )
@@ -199,8 +193,8 @@ def resolve_backend(
     ----------
     spec:
         ``None`` (env var, else ``"cc"`` when it activates, else
-        NumPy), ``"auto"`` (best available in
-        :data:`AUTO_ORDER`), a registered name, or an already-constructed
+        NumPy), ``"auto"`` (``None`` with the env var unset), a
+        registered name, or an already-constructed
         :class:`KernelBackend` (activated as-is, useful in tests).
     fallback:
         When true, an explicit name that cannot be served degrades to
@@ -214,28 +208,14 @@ def resolve_backend(
         Unknown name, or explicit backend unavailable with
         ``fallback=False``.
     BackendConformanceError
-        The backend runs but fails its declared tier.
+        The backend runs but some output bit differs from the oracle's.
     """
     if isinstance(spec, KernelBackend):
         return _activate(spec)
     if spec is None:
-        spec = os.environ.get(ENV_VAR)
-        if not spec:
-            return _resolve_default()
+        spec = os.environ.get(ENV_VAR) or "auto"
     if spec == "auto":
-        last_error = "no backends registered"
-        for name in AUTO_ORDER:
-            if name not in _REGISTRY:
-                continue
-            try:
-                return _activate(_REGISTRY[name])
-            except (BackendUnavailable, BackendConformanceError) as exc:
-                last_error = str(exc)
-                _note_fallback("auto", name, str(exc))
-        raise BackendUnavailable(
-            f"no backend in auto order {AUTO_ORDER} could be activated; "
-            f"last error: {last_error}"
-        )
+        return _resolve_default()
     backend = get_backend(spec)
     try:
         return _activate(backend)
@@ -244,6 +224,22 @@ def resolve_backend(
             raise
         _note_fallback(spec, spec, str(exc))
         return _activate(get_backend("numpy"))
+
+
+def resolve_backend_name(
+    spec: str | None, error: Callable[[str], NoReturn]
+) -> str:
+    """Strict, parent-side resolution for a CLI: the concrete name.
+
+    Every worker then gets the same backend (and resolves that name with
+    ``fallback=True`` itself).  An unknown name, a missing toolchain or
+    a failed gate goes to ``error`` — the CLIs pass ``parser.error`` —
+    as one actionable line, before any worker starts.
+    """
+    try:
+        return resolve_backend(spec).name
+    except (BackendUnavailable, BackendConformanceError) as exc:
+        error(str(exc))
 
 
 def _resolve_default() -> KernelBackend:

@@ -9,9 +9,8 @@ field:
 1. **explicit kwarg** — a value passed by the caller;
 2. **environment** — ``REPRO_CHUNK_SIZE``, ``REPRO_TILE_SIZE``,
    ``REPRO_BACKEND``, ``REPRO_TUNE``;
-3. **tuned database entry** — a measured winner from the per-host
-   :class:`repro.tune.db.TuneDB`, tier-filtered so a bit-gated path is
-   never served an ``allclose``-tier config;
+3. **tuned database entry** — a measured, exact-tier winner from the
+   per-host :class:`repro.tune.db.TuneDB`;
 4. **heuristic default** — the PR5 cache-budget planner
    (:func:`repro.tune.planner.plan_tiles`).
 
@@ -121,7 +120,7 @@ class RunConfig:
         contraction pass — the paper's Nb).
     backend:
         Kernel-backend spec for :func:`repro.backends.resolve_backend`
-        (name, ``"auto"``, or None).
+        (name, or None / ``"auto"`` for the default).
     tune:
         Rung-3 behaviour: ``"off"`` / ``"lookup"`` / ``"search"``
         (booleans coerce: False → off, True → lookup).
@@ -198,33 +197,6 @@ class RunConfig:
 
     # -- resolution (rungs 3-4) ----------------------------------------------
 
-    def _min_tier(self) -> str:
-        """The conformance tier this config's backend is entitled to.
-
-        The NumPy backend, and None (which resolves to an exact-tier
-        backend: ``cc`` where it activates, else NumPy), carry the
-        bitwise contract, so only ``exact``-tier DB entries may serve
-        them; a named backend takes its declared tier, and ``"auto"``
-        accepts ``allclose`` winners at the backend's declared
-        tolerances.
-        """
-        from repro.backends import TIER_ALLCLOSE, TIER_EXACT
-
-        spec = self.backend
-        cap = getattr(spec, "capability", None)
-        if cap is not None:  # an already-constructed KernelBackend
-            return cap.tier
-        if spec is None or spec == "numpy":
-            return TIER_EXACT
-        if spec == "auto":
-            return TIER_ALLCLOSE
-        try:
-            from repro.backends import get_backend
-
-            return get_backend(str(spec)).capability.tier
-        except Exception:
-            return TIER_EXACT
-
     def resolved_for(
         self,
         n_splines: int,
@@ -235,12 +207,11 @@ class RunConfig:
     ) -> "RunConfig":
         """Concretize ``chunk_size``/``tile_size`` for one problem shape.
 
-        Fields already set (rungs 1-2) pass through untouched.  For the
-        rest: a tier-eligible tuned-DB winner (rung 3, honouring the
-        :attr:`tune` mode — ``"search"`` micro-benchmarks on a miss and
-        persists), else the cache-budget heuristic (rung 4).  A
-        ``backend="auto"`` config additionally adopts the winner's
-        measured backend (the tuner's third searched axis).
+        Fields already set (rungs 1-2) pass through untouched, the
+        backend always.  For the rest: a tuned-DB winner (rung 3,
+        honouring the :attr:`tune` mode — ``"search"`` micro-benchmarks
+        on a miss and persists), else the cache-budget heuristic
+        (rung 4).
 
         Resolution happens **parent-side**: the returned config carries
         concrete ints, so shipping it to a worker process reproduces
@@ -249,30 +220,20 @@ class RunConfig:
         """
         dtype = np.dtype(dtype)
         chunk, tile = self.chunk_size, self.tile_size
-        backend = self.backend
         prov = dict(self.provenance)
         tune_mode = _normalize_tune(self.tune)
-        if (
-            chunk is None or tile is None or backend == "auto"
-        ) and tune_mode != TUNE_OFF:
+        if (chunk is None or tile is None) and tune_mode != TUNE_OFF:
             from repro.tune.db import TuneDB, TuneShape
 
             if db is None:
                 db = TuneDB()
-            hit = db.lookup(
-                int(n_splines),
-                dtype.name,
-                kind=kind,
-                batch=int(batch),
-                min_tier=self._min_tier(),
-            )
+            hit = db.lookup(int(n_splines), dtype.name, kind=kind, batch=int(batch))
             if hit is None and tune_mode == TUNE_SEARCH:
                 from repro.tune.search import autotune_shape
 
                 shape = TuneShape(int(n_splines), int(batch), dtype.name, kind)
                 outcome = autotune_shape(shape, db=db, backend=self.backend)
-                if outcome.config.serves_tier(self._min_tier()):
-                    hit = (shape, outcome.config)
+                hit = (shape, outcome.config)
             if hit is not None:
                 _, cfg = hit
                 if chunk is None:
@@ -280,11 +241,6 @@ class RunConfig:
                 if tile is None:
                     tile = min(cfg.tile, int(n_splines))
                     prov["tile_size"] = SOURCE_TUNED
-                # "auto" delegates the backend choice: concretize it to
-                # the measured winner's backend so workers inherit the
-                # parent's decision rather than re-resolving "auto".
-                if backend == "auto" and cfg.backend:
-                    backend, prov["backend"] = cfg.backend, SOURCE_TUNED
         if chunk is None or tile is None:
             from repro.tune.planner import plan_tiles
 
@@ -297,7 +253,6 @@ class RunConfig:
             self,
             chunk_size=int(chunk),
             tile_size=int(tile),
-            backend=backend,
             provenance=tuple(sorted(prov.items())),
         )
 

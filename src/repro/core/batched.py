@@ -203,16 +203,16 @@ class BsplineBatched:
         (full ``N`` unless the table is very wide); values above ``N``
         are clamped.
     backend:
-        Which compiled implementation serves the chunk-level cores: a
-        registered name (``"numpy"``, ``"numba"``, ``"cc"``), ``"auto"``
-        (best available compiled backend, degrading to NumPy with a
-        warning), a :class:`repro.backends.KernelBackend` instance
-        (used as-is — the conformance harness's hook), or ``None`` —
-        the ``REPRO_BACKEND`` environment variable if set, else the
-        compiled exact-tier ``cc`` cores when a C compiler is present
-        and their once-per-process bit-identity gate passes, else the
-        NumPy cores.  Both are exact tier, so ``None`` yields the same
-        bits on every host.  See :func:`repro.backends.resolve_backend`.
+        Which implementation serves the chunk-level cores: a registered
+        name (``"numpy"``, ``"cc"``), a
+        :class:`repro.backends.KernelBackend` instance (used as-is — the
+        conformance harness's hook), or ``None`` — the ``REPRO_BACKEND``
+        environment variable if set, else the compiled ``cc`` cores when
+        a C compiler is present and their once-per-process bit-identity
+        gate passes, else the NumPy cores.  ``"auto"`` is ``None`` with
+        the variable unset.  Both backends are exact tier, so every
+        choice yields the same bits on every host.  See
+        :func:`repro.backends.resolve_backend`.
     config:
         A :class:`repro.config.RunConfig` supplying defaults for
         ``chunk_size``/``tile_size``/``backend``; an explicit kwarg
@@ -456,8 +456,8 @@ class BsplineBatched:
         addition — no modulo wrap.  The weight matrices are ``(ns, 4)``
         contiguous arrays in the table dtype, derivative weights
         pre-scaled by the grid's inverse deltas — the front half of the
-        NumPy and numba chunk kernels (``cc`` repeats these operations
-        in C, per position).  All nine come from one
+        NumPy chunk kernels (``cc`` repeats these operations in C, per
+        position).  All nine come from one
         :func:`~repro.core.basis.bspline_fused_weights` call as views of
         one ``(axis, order, ns, 4)`` block, bitwise equal to the
         per-order :func:`~repro.core.basis.bspline_weights_batch` form.

@@ -16,6 +16,7 @@ Layouts are configurable independently, matching the paper's sequence:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from dataclasses import dataclass
@@ -140,9 +141,8 @@ def build_app(
         :class:`repro.config.RunConfig` for the batched B-spline cores
         (chunk/tile blocking, kernel backend, tune mode).  ``None``
         consults the ``REPRO_*`` environment, then the tuned DB, then
-        the cache heuristic.  Exact-tier backends keep trajectories
-        bitwise invariant; allclose-tier backends shift them within the
-        declared tolerance.
+        the cache heuristic.  Every backend is exact tier, so none of
+        these changes a trajectory bit.
     """
     pool = WalkerRngPool(seed)
     rng = pool.next_rng()
@@ -402,9 +402,10 @@ def main(argv: list[str] | None = None) -> int:
         "--backend",
         default=None,
         metavar="NAME",
-        help="kernel backend for the batched B-spline cores: 'auto', a "
-        "registered name (numpy, numba, cc), or unset for the "
-        "REPRO_BACKEND env var / exact-tier numpy default",
+        help="kernel backend for the batched B-spline cores: cc or numpy "
+        "(bit-identical); unset or 'auto' for REPRO_BACKEND, else cc "
+        "when a C compiler is present, else numpy.  The choice from "
+        "this flag, --config or REPRO_BACKEND is checked up front",
     )
     parser.add_argument(
         "--config",
@@ -437,17 +438,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.checkpoint_every is not None and args.checkpoint_path is None:
         parser.error("--checkpoint-every requires --checkpoint-path")
-    if args.backend is not None:
-        # Validate up front (and pin 'auto' to a concrete name so every
-        # population worker lands on the same backend); workers still
-        # re-resolve with the degrade-to-numpy fallback policy.
-        from repro.backends import BackendConformanceError, BackendUnavailable
-        from repro.backends import resolve_backend
-
-        try:
-            args.backend = resolve_backend(args.backend).name
-        except (BackendUnavailable, BackendConformanceError) as exc:
-            parser.error(str(exc))
     fleet_flags = args.elastic or args.worker_timeout is not None
     if fleet_flags and args.walkers is None and args.processes is None:
         parser.error(
@@ -467,6 +457,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _cli_run_config(args)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
+    # Resolve the merged choice (flag, file or REPRO_BACKEND) once.
+    from repro.backends import resolve_backend_name
+
+    cfg = dataclasses.replace(
+        cfg, backend=resolve_backend_name(cfg.backend, parser.error)
+    )
     if args.walkers is not None or args.processes is not None:
         if args.checkpoint_every is not None or args.resume is not None:
             parser.error(

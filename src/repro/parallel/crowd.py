@@ -167,10 +167,12 @@ def build_walker_range(
 
     The spec's ``backend`` is resolved *here*, in whichever process the
     shard lives in, with the fleet-worker fallback policy: a worker
-    that cannot serve the requested backend (missing JIT/toolchain on a
+    that cannot serve the requested backend (no C compiler on a
     heterogeneous node) degrades to the exact-tier NumPy path with a
     warning and a ``backend_fallback_total`` count instead of killing
-    the run.  Strict validation is the parent's job (the CLIs call
+    the run.  The config keeps the name of the backend that serves, so
+    it stays the parent's config wherever no fallback happened.  Strict
+    validation is the parent's job (the CLIs call
     :func:`repro.backends.resolve_backend` without fallback first).
     """
     cell = Cell.cubic(spec.box)
@@ -179,8 +181,8 @@ def build_walker_range(
         if cfg.backend is not None and not hasattr(cfg.backend, "capability"):
             from repro.backends import resolve_backend
 
-            cfg = cfg.replace(
-                backend=resolve_backend(cfg.backend, fallback=True)
+            cfg = dataclasses.replace(
+                cfg, backend=resolve_backend(cfg.backend, fallback=True).name
             )
         nx, ny, nz = spec.grid_shape
         grid = Grid3D(nx, ny, nz, (1.0, 1.0, 1.0))

@@ -677,9 +677,9 @@ def build_dmc_ensemble(
     in the same state build bit-identical ensembles — the property the
     checkpoint/resume CLI relies on to reconstruct walker *structure*
     before loading checkpointed positions into it.  ``config`` (a
-    :class:`repro.config.RunConfig`) carries the batched-kernel knobs:
-    blocking never changes a trajectory bit, while an allclose-tier
-    backend shifts it within its declared tolerance.
+    :class:`repro.config.RunConfig`) carries the batched-kernel knobs;
+    neither the blocking nor the (exact-tier) backend changes a
+    trajectory bit.
     """
     from repro.lattice.cell import Cell
     from repro.lattice.orbitals import PlaneWaveOrbitalSet

@@ -157,8 +157,10 @@ def decode_array(obj: dict) -> np.ndarray:
         array = np.frombuffer(raw, dtype=dtype).copy()
     elif isinstance(data, list):
         try:
-            array = np.array(data, dtype=dtype)
-        except (TypeError, ValueError, OverflowError) as exc:
+            # A number the dtype cannot hold is refused, not cast to inf.
+            with np.errstate(over="raise"):
+                array = np.array(data, dtype=dtype)
+        except (TypeError, ValueError, OverflowError, FloatingPointError) as exc:
             raise _bad_array(f"data: {exc}") from None
         if array.size != size:
             raise _bad_array(

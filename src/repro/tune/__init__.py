@@ -7,8 +7,8 @@ auto-tuner:
   (:func:`plan_tiles`): instant, deterministic, no measurement.  The
   fallback tier and the baseline every measured winner is compared to.
 * :mod:`repro.tune.search` — the **empirical** tier: micro-benchmarks
-  model-pruned candidates, gates each one against the frozen PR4 oracle
-  (so every stored config carries an ``exact``/``allclose`` conformance
+  model-pruned candidates, gates each one bit for bit against the frozen
+  PR4 oracle (every stored config carries the ``exact`` conformance
   tier), and persists winners per host.
 * :mod:`repro.tune.db` / :mod:`repro.tune.hostspec` — the persistent
   per-host tuning database and the declarative hardware spec that keys
@@ -21,7 +21,6 @@ callers that need it.
 """
 
 from repro.tune.db import (
-    TIER_ALLCLOSE,
     TIER_EXACT,
     TuneDB,
     TunedConfig,
@@ -54,5 +53,4 @@ __all__ = [
     "TuneDB",
     "default_db_path",
     "TIER_EXACT",
-    "TIER_ALLCLOSE",
 ]

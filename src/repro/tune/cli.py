@@ -61,7 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--kind", default="vgh", choices=("v", "vgl", "vgh"), help="kernel"
     )
-    run.add_argument("--backend", default=None, help="kernel backend to tune")
+    run.add_argument(
+        "--backend",
+        default=None,
+        help="kernel backend to tune: cc or numpy; unset or 'auto' for "
+        "REPRO_BACKEND, else cc when a C compiler is present, else numpy",
+    )
     run.add_argument(
         "--repeats", type=int, default=None, help="timing repeats per candidate"
     )
@@ -186,7 +191,14 @@ def _cmd_clear(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run":
+        # Resolve the flag or REPRO_BACKEND once: every candidate runs
+        # on this name.
+        from repro.backends import resolve_backend_name
+
+        args.backend = resolve_backend_name(args.backend, parser.error)
     handler = {"run": _cmd_run, "show": _cmd_show, "clear": _cmd_clear}[args.command]
     try:
         return handler(args)

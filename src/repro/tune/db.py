@@ -11,12 +11,12 @@ levels deep:
   on N (Sec. VI-B) applied literally.
 
 Every stored entry is a :class:`TunedConfig` carrying its conformance
-**tier** — ``"exact"`` means the configuration reproduced the frozen
+**tier**: ``"exact"`` means the configuration reproduced the frozen
 :class:`~repro.core.batched_reference.ReferenceBatched` oracle bit for
-bit during the search, ``"allclose"`` means it matched within the
-recorded ``(rtol, atol)`` — and lookups filter by the tier the caller
-can accept, so a bit-gated serving path can never be handed an
-allclose-tier config.
+bit during the search, the only verdict the search writes.  Files
+written when the search could also record ``"allclose"`` winners still
+load and list, but :meth:`TuneDB.get` and :meth:`TuneDB.lookup` serve
+exact entries only.
 
 Writes are atomic (temp file + ``os.replace``) and last-writer-wins:
 concurrent tuners may race, but the file is never torn, and a lost
@@ -41,12 +41,9 @@ __all__ = [
     "TuneDB",
     "default_db_path",
     "TIER_EXACT",
-    "TIER_ALLCLOSE",
 ]
 
 TIER_EXACT = "exact"
-TIER_ALLCLOSE = "allclose"
-_TIERS = (TIER_EXACT, TIER_ALLCLOSE)
 
 #: Schema version of the on-disk file; bump on incompatible change.
 #: v2 entries once carried measured ``processes``/``orbital_shards``
@@ -116,13 +113,10 @@ class TunedConfig:
     chunk, tile:
         The winning blocking parameters.
     backend:
-        The kernel-backend name the measurement ran under (``"numpy"``
-        unless the search was asked to sweep backends).
+        The kernel-backend name the measurement ran under.
     tier:
-        ``"exact"`` (bitwise vs the frozen oracle) or ``"allclose"``.
-    rtol, atol:
-        The tolerances an ``allclose``-tier config was verified at
-        (both 0.0 for exact tier).
+        ``"exact"`` (bitwise vs the frozen oracle); an entry read from
+        an older file may carry ``"allclose"``, and is never served.
     seconds:
         Best measured seconds for one kernel call at the shape.
     baseline_seconds:
@@ -140,8 +134,6 @@ class TunedConfig:
     tile: int
     backend: str = "numpy"
     tier: str = TIER_EXACT
-    rtol: float = 0.0
-    atol: float = 0.0
     seconds: float = 0.0
     baseline_seconds: float = 0.0
     speedup: float = 1.0
@@ -149,22 +141,10 @@ class TunedConfig:
     tuned_at: float = field(default_factory=time.time)
 
     def __post_init__(self) -> None:
-        if self.tier not in _TIERS:
-            raise ValueError(f"tier must be one of {_TIERS}, got {self.tier!r}")
         if self.chunk <= 0 or self.tile <= 0:
             raise ValueError(
                 f"chunk/tile must be positive, got ({self.chunk}, {self.tile})"
             )
-
-    def serves_tier(self, min_tier: str) -> bool:
-        """Whether a caller demanding ``min_tier`` may be served this.
-
-        ``min_tier="exact"`` (the bit-gated paths) accepts only exact
-        entries; ``min_tier="allclose"`` accepts both.
-        """
-        if min_tier not in _TIERS:
-            raise ValueError(f"min_tier must be one of {_TIERS}, got {min_tier!r}")
-        return self.tier == TIER_EXACT or min_tier == TIER_ALLCLOSE
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -247,9 +227,10 @@ class TuneDB:
     # -- API -----------------------------------------------------------------
 
     def get(self, shape: TuneShape) -> TunedConfig | None:
-        """The stored winner for exactly this shape, or None."""
+        """The stored exact-tier winner for exactly this shape, or None."""
         raw = self._host_entries(self._load()).get(shape.key)
-        return TunedConfig.from_dict(raw) if raw else None
+        cfg = TunedConfig.from_dict(raw) if raw else None
+        return cfg if cfg is not None and cfg.tier == TIER_EXACT else None
 
     def lookup(
         self,
@@ -257,15 +238,13 @@ class TuneDB:
         dtype: str,
         kind: str = "vgh",
         batch: int | None = None,
-        min_tier: str = TIER_EXACT,
     ) -> tuple[TuneShape, TunedConfig] | None:
-        """Best tier-eligible entry for the shape, batch-nearest.
+        """Best exact-tier entry for the shape, batch-nearest.
 
         An exact ``(n_splines, batch, dtype, kind)`` hit wins; otherwise
         the entry whose batch is nearest on a log scale (blocking
         behaviour shifts with the *magnitude* of the batch, not its
         exact value).  ``batch=None`` accepts any batch, largest first.
-        Entries whose tier fails ``min_tier`` are invisible.
         """
         entries = self._host_entries(self._load())
         matches: list[tuple[float, TuneShape, TunedConfig]] = []
@@ -281,7 +260,7 @@ class TuneDB:
                 str(kind),
             ):
                 continue
-            if not cfg.serves_tier(min_tier):
+            if cfg.tier != TIER_EXACT:
                 continue
             if batch is None:
                 rank = -float(shape.batch)

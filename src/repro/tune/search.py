@@ -15,12 +15,9 @@ cache sizes alone — a good default, but the paper's own message
    measured time picks the winner.
 2. **Gate.** Every candidate is verified against the frozen PR4 oracle
    (:class:`repro.core.batched_reference.ReferenceBatched`) **before**
-   it is timed: bit-for-bit equality (``np.testing.assert_array_equal``)
-   earns the ``exact`` tier; otherwise agreement at the backend's
-   declared ``(rtol, atol)`` earns ``allclose``; anything else is
-   discarded.  The stored :class:`~repro.tune.db.TunedConfig` carries
-   the tier, so lookups can refuse to serve an allclose winner to a
-   bit-gated path.
+   it is timed: only bit-for-bit equality
+   (``np.testing.assert_array_equal``) survives, and the stored
+   :class:`~repro.tune.db.TunedConfig` records the ``exact`` tier.
 3. **Measure.** Each survivor is timed best-of-``repeats`` on a real
    kernel call at the exact problem shape (a few ms per candidate); the
    static heuristic plan is always among the candidates, so the stored
@@ -44,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import OBS
-from repro.tune.db import (
-    TIER_ALLCLOSE,
-    TIER_EXACT,
-    TuneDB,
-    TunedConfig,
-    TuneShape,
-)
+from repro.tune.db import TuneDB, TunedConfig, TuneShape
 from repro.tune.planner import detect_caches, plan_tiles
 
 __all__ = [
@@ -176,37 +167,16 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _gate(candidate_out, reference_out, kind: str, backend) -> tuple[str, float, float] | None:
-    """Tier of a candidate's output vs the oracle's, or None if neither.
-
-    Returns ``(tier, rtol, atol)`` — ``("exact", 0, 0)`` for bitwise
-    equality across every stream the kind writes, the backend's declared
-    per-dtype tolerances for allclose, None for a failure.
-    """
+def _gate(candidate_out, reference_out, kind: str) -> bool:
+    """Whether every stream the kind writes equals the oracle's bitwise."""
     from repro.core.batched import _KERNEL_STREAMS
 
-    streams = _KERNEL_STREAMS[kind]
-    exact = all(
+    return all(
         np.array_equal(
             getattr(candidate_out, s), getattr(reference_out, s), equal_nan=True
         )
-        for s in streams
+        for s in _KERNEL_STREAMS[kind]
     )
-    if exact:
-        return TIER_EXACT, 0.0, 0.0
-    dtype = reference_out.v.dtype
-    try:
-        rtol, atol = backend.capability.tolerance_for(dtype)
-    except (AttributeError, KeyError):
-        return None
-    ok = all(
-        np.allclose(
-            getattr(candidate_out, s), getattr(reference_out, s),
-            rtol=rtol, atol=atol, equal_nan=True,
-        )
-        for s in streams
-    )
-    return (TIER_ALLCLOSE, float(rtol), float(atol)) if ok else None
 
 
 def autotune_table(
@@ -222,19 +192,15 @@ def autotune_table(
 ) -> TuneOutcome:
     """Search (chunk, tile) for a concrete table; persist the winner.
 
-    A warm database hit (same host, same shape, tier-eligible) returns
+    A warm database hit (same host, same shape, exact tier) returns
     immediately with zero measurements unless ``force``.  Positions are
     seeded from the shape, so two searches at the same shape time the
     same work.
 
-    ``backend`` selects the third searched axis: a concrete name (or
-    None, the engine default) restricts the search to that backend;
-    ``"auto"`` sweeps every *available* backend — the candidate grid is
-    measured once per backend, each candidate gated at the tier it can
-    actually earn, and the stored winner records which backend it ran
-    under.  The measured baseline is always the heuristic plan on the
-    default (exact-tier) backend, so ``speedup`` stays an honest
-    ratio against PR5 even when an ``allclose`` backend wins.
+    ``backend`` is the spec every candidate engine resolves (a name, or
+    None / ``"auto"`` for the default); the stored winner records the
+    backend it ran under.  The measured baseline is the heuristic plan,
+    so ``speedup`` is an honest ratio against PR5.
     """
     from repro.core.batched import BsplineBatched
     from repro.core.batched_reference import ReferenceBatched
@@ -265,56 +231,38 @@ def autotune_table(
 
     itemsize = np.dtype(table.dtype).itemsize
     candidates = candidate_configs(shape, itemsize, max_candidates)
-    if backend == "auto":
-        from repro.backends import available_backends
-
-        # Default (exact-tier) backend first: its heuristic-plan row is
-        # the measured PR5 baseline every speedup is quoted against.
-        backend_specs = sorted(
-            available_backends(), key=lambda name: name != "numpy"
-        )
-    else:
-        backend_specs = [backend]
-    measured = 0
-    rows: list[tuple[float, int, int, str, tuple[str, float, float]]] = []
+    rows: list[tuple[float, int, int, str]] = []
     baseline_seconds = None
-    for spec in backend_specs:
-        for i, (chunk, tile) in enumerate(candidates):
-            engine = BsplineBatched(
-                grid, table, chunk_size=chunk, tile_size=tile, backend=spec
-            )
-            out = engine.new_output(kind, n=shape.batch)
-            engine.evaluate_batch(kind, positions, out)
-            tier = _gate(out, ref_out, kind.value, engine.backend)
-            if tier is None:
-                continue  # a config that cannot reproduce the oracle is dead
-            secs = _best_of(
-                lambda: engine.evaluate_batch(kind, positions, out), repeats
-            )
-            measured += 1
-            if OBS.enabled:
-                OBS.count("tune_measurements_total")
-                OBS.observe("tune_candidate_seconds", secs, kind=kind.value)
-            if i == 0 and baseline_seconds is None:
-                baseline_seconds = secs  # candidates[0] is the heuristic plan
-            rows.append((secs, chunk, tile, engine.backend.name, tier))
+    for i, (chunk, tile) in enumerate(candidates):
+        engine = BsplineBatched(
+            grid, table, chunk_size=chunk, tile_size=tile, backend=backend
+        )
+        out = engine.new_output(kind, n=shape.batch)
+        engine.evaluate_batch(kind, positions, out)
+        if not _gate(out, ref_out, kind.value):
+            continue  # a config that cannot reproduce the oracle is dead
+        secs = _best_of(
+            lambda: engine.evaluate_batch(kind, positions, out), repeats
+        )
+        if OBS.enabled:
+            OBS.count("tune_measurements_total")
+            OBS.observe("tune_candidate_seconds", secs, kind=kind.value)
+        if i == 0:
+            baseline_seconds = secs  # candidates[0] is the heuristic plan
+        rows.append((secs, chunk, tile, engine.backend.name))
     if not rows:
         raise RuntimeError(
             f"no candidate configuration passed the conformance gate for "
             f"{shape.key} (backend={backend!r})"
         )
-    secs, chunk, tile, backend_name, (tier, rtol, atol) = min(
-        rows, key=lambda r: r[0]
-    )
+    secs, chunk, tile, backend_name = min(rows, key=lambda r: r[0])
     if baseline_seconds is None:
         baseline_seconds = secs
+    measured = len(rows)
     config = TunedConfig(
         chunk=chunk,
         tile=tile,
         backend=backend_name,
-        tier=tier,
-        rtol=rtol,
-        atol=atol,
         seconds=secs,
         baseline_seconds=baseline_seconds,
         speedup=baseline_seconds / secs if secs > 0 else 1.0,

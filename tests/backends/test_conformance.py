@@ -3,16 +3,14 @@
 The suite parametrizes over :func:`repro.backends.registered_backends`
 at collection time, so registering a new backend adds it to every test
 here with **zero edits** — the promise the stub template relies on.
-Unavailable backends (missing JIT/toolchain) skip with the backend's
-own availability message.
+Unavailable backends (no C compiler, for ``cc``) skip with the
+backend's own availability message.
 
-Each backend is held to its *declared* tier: ``exact`` streams are
-compared with ``assert_array_equal``, ``allclose`` streams with the
-capability record's per-dtype ``(rtol, atol)`` — never an unstated test
-constant.  The hypothesis property sweeps grid shapes, both dtypes,
-chunk/tile configurations (including the width-1-adjacent tile the
-engine's tiler must absorb), and positions biased onto the periodic
-seams.
+Every backend is held to the exact tier: each stream is compared with
+``assert_array_equal``.  The hypothesis property sweeps grid shapes,
+both dtypes, chunk/tile configurations (including the width-1-adjacent
+tile the engine's tiler must absorb), and positions biased onto the
+periodic seams.
 """
 
 import numpy as np
@@ -20,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import TIER_EXACT, get_backend, registered_backends
+from repro.backends import get_backend, registered_backends
 from repro.backends.conformance import conformance_positions, verify_backend
 from repro.core.batched import BsplineBatched
 from repro.core.batched_reference import ReferenceBatched
@@ -38,24 +36,13 @@ def _require(name):
     return backend
 
 
-def _assert_tier(backend, out, ref_out, kind, dtype):
-    cap = backend.capability
+def _assert_exact(backend, out, ref_out, kind):
     for stream in kind.streams:
-        new, ref = getattr(out, stream), getattr(ref_out, stream)
-        if cap.tier == TIER_EXACT:
-            np.testing.assert_array_equal(
-                new, ref, err_msg=f"{cap.name}:{kind.value}:{stream}"
-            )
-        else:
-            rtol, atol = cap.tolerance_for(dtype)
-            np.testing.assert_allclose(
-                new,
-                ref,
-                rtol=rtol,
-                atol=atol,
-                err_msg=f"{cap.name}:{kind.value}:{stream} "
-                f"(declared rtol={rtol}, atol={atol})",
-            )
+        np.testing.assert_array_equal(
+            getattr(out, stream),
+            getattr(ref_out, stream),
+            err_msg=f"{backend.name}:{kind.value}:{stream}",
+        )
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -116,7 +103,7 @@ class TestDifferentialProperty:
         ref_out = oracle.new_output(kind, n=len(positions))
         eng.evaluate_batch(kind, positions, out)
         oracle.evaluate_batch(kind, positions, ref_out)
-        _assert_tier(backend, out, ref_out, kind, np.dtype(dtype_name))
+        _assert_exact(backend, out, ref_out, kind)
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)

@@ -6,12 +6,8 @@ process boundary), so a sharded run must be ``assert_array_equal``-
 identical to the sequential run **with the same backend** — for any
 worker count, under ``fork`` and ``spawn`` alike.
 
-Cross-backend, the guarantee is tiered: only an ``exact``-tier backend
-promises the same trajectory as the NumPy floor.  An ``allclose``-tier
-backend's rounding differences flip Metropolis accepts, so its
-trajectory legitimately diverges from NumPy's — comparing those would
-test chaos, not correctness.  Hence: same-backend comparisons are
-always bitwise; vs-NumPy comparisons only for exact-tier backends.
+Cross-backend, every backend is exact tier, so each one's trajectory is
+also the NumPy floor's, bit for bit.
 
 Parametrized over the live registry — a new backend is covered with
 zero edits here.
@@ -23,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends import TIER_EXACT, get_backend, registered_backends
+from repro.backends import get_backend, registered_backends
 from repro.config import RunConfig
 from repro.parallel import (
     CrowdSpec,
@@ -111,12 +107,7 @@ class TestDmcSharded:
 
     def test_exact_tier_matches_numpy_trajectory(self, backend_name):
         """Exact-tier backends reproduce the NumPy floor's trajectory."""
-        backend = _require(backend_name)
-        if backend.capability.tier != TIER_EXACT:
-            pytest.skip(
-                f"{backend_name} is {backend.capability.tier}-tier: its "
-                "trajectory may legitimately diverge from numpy's"
-            )
+        _require(backend_name)
         baseline = run_dmc_sharded(
             _dmc_spec("numpy"),  # not None: the default may itself be cc
             n_workers=1,

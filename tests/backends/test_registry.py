@@ -1,7 +1,7 @@
 """Registry semantics: capability validation, gating, resolution.
 
 The registry's core promise: **no backend serves kernels before passing
-the differential harness at its declared tier.**  These tests register
+the differential harness at the exact tier.**  These tests register
 deliberately broken backends and watch the gate reject them — eagerly
 at registration, or lazily at first resolution — plus the selection
 policy details (env override, instance pass-through, kind envelope).
@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    AUTO_ORDER,
     BackendCapability,
     BackendConformanceError,
     BackendCores,
@@ -19,6 +18,7 @@ from repro.backends import (
     ENV_VAR,
     KernelBackend,
     NumpyBackend,
+    TIER_EXACT,
     available_backends,
     get_backend,
     register_backend,
@@ -37,7 +37,6 @@ class _OffByOneBackend(KernelBackend):
 
     capability = BackendCapability(
         name="off-by-one",
-        tier="exact",
         description="deliberately wrong (test double)",
     )
 
@@ -61,7 +60,6 @@ class _NegativeZeroBackend(KernelBackend):
 
     capability = BackendCapability(
         name="negative-zero",
-        tier="exact",
         description="flips the sign of zeros (test double)",
     )
 
@@ -85,7 +83,6 @@ class _UnwrittenLastSplineBackend(KernelBackend):
 
     capability = BackendCapability(
         name="unwritten-last-spline",
-        tier="exact",
         description="leaves the last spline unwritten (test double)",
     )
 
@@ -114,7 +111,6 @@ class _VOnlyBackend(KernelBackend):
     capability = BackendCapability(
         name="v-only",
         kinds=(Kind.V,),
-        tier="exact",
         description="V-kernel-only (test double)",
     )
 
@@ -137,33 +133,17 @@ def scratch_registry():
 
 
 class TestCapabilityValidation:
-    def test_allclose_requires_tolerance_per_dtype(self):
-        with pytest.raises(ValueError, match="must declare"):
-            BackendCapability(
-                name="x",
-                tier="allclose",
-                tolerances=(("float64", 1e-12, 1e-12),),  # float32 missing
-            )
-
     def test_exact_forbids_tolerances(self):
-        with pytest.raises(ValueError, match="must not declare"):
-            BackendCapability(
-                name="x", tier="exact", tolerances=(("float64", 1e-9, 0.0),)
-            )
+        """Exactness is the only tolerance: a capability has no field
+        to declare another one in."""
+        with pytest.raises(TypeError, match="tolerances"):
+            BackendCapability(name="x", tolerances=(("float64", 1e-9, 0.0),))
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="tier"):
+        """The tier is a constant of every capability, not an argument."""
+        with pytest.raises(TypeError, match="tier"):
             BackendCapability(name="x", tier="bitwise-ish")
-
-    def test_tolerance_lookup(self):
-        cap = BackendCapability(
-            name="x",
-            tier="allclose",
-            tolerances=(("float64", 1e-12, 1e-13), ("float32", 1e-4, 1e-5)),
-        )
-        assert cap.tolerance_for(np.float32) == (1e-4, 1e-5)
-        exact = BackendCapability(name="y", tier="exact")
-        assert exact.tolerance_for(np.float64) == (0.0, 0.0)
+        assert BackendCapability(name="x").tier == TIER_EXACT
 
     def test_supports_envelope(self):
         cap = BackendCapability(name="x", kinds=(Kind.V,), dtypes=("float64",))
@@ -174,8 +154,9 @@ class TestCapabilityValidation:
 
 class TestRegistration:
     def test_builtins_registered_in_auto_order(self):
-        names = registered_backends()
-        assert names[: len(AUTO_ORDER)] == AUTO_ORDER
+        """Builtins first, in the order ``"auto"`` (the default) tries
+        them: the compiled backend, then the NumPy floor."""
+        assert registered_backends()[:2] == ("cc", "numpy")
         assert "numpy" in available_backends()
 
     def test_duplicate_name_rejected(self):

@@ -23,7 +23,7 @@ from repro.config import (
     RunConfig,
     load_run_config,
 )
-from repro.tune.db import TIER_ALLCLOSE, TuneDB, TunedConfig, TuneShape
+from repro.tune.db import TuneDB, TunedConfig, TuneShape
 from repro.tune.planner import plan_tiles
 
 
@@ -135,41 +135,34 @@ class TestRungOrder:
         assert (warm.chunk_size, warm.tile_size) == (cfg.chunk_size, cfg.tile_size)
 
     def test_allclose_entry_invisible_to_exact_path(self, tmp_path):
+        """Every backend is exact tier, so an allclose winner an older
+        search stored is served to none of them."""
         db = TuneDB(path=tmp_path / "db.json")
         db.put(
             TuneShape(32, 8, "float64", "vgh"),
-            TunedConfig(chunk=8, tile=4, tier=TIER_ALLCLOSE, rtol=1e-6, atol=1e-9),
+            TunedConfig(chunk=8, tile=4, tier="allclose"),
         )
-        # backend=None resolves to the bit-exact numpy path: the
-        # allclose winner must not be served.
-        cfg = RunConfig().resolved_for(32, batch=8, dtype=np.float64, db=db)
-        assert cfg.source_of("chunk_size") == "heuristic"
-        # An allclose-tier backend spec accepts it.
-        cfg = RunConfig(backend="auto").resolved_for(
-            32, batch=8, dtype=np.float64, db=db
-        )
-        assert cfg.source_of("chunk_size") == "tuned"
+        for backend in (None, "auto", "cc", "numpy"):
+            cfg = RunConfig(backend=backend).resolved_for(
+                32, batch=8, dtype=np.float64, db=db
+            )
+            assert cfg.source_of("chunk_size") == "heuristic"
 
-    def test_auto_backend_adopts_tuned_winner(self, tmp_path):
+    def test_auto_backend_never_adopts_a_tuned_winner(self, tmp_path):
         db = TuneDB(path=tmp_path / "db.json")
         db.put(
             TuneShape(32, 8, "float64", "vgh"),
             TunedConfig(chunk=8, tile=4, backend="numpy"),
         )
-        # "auto" delegates the backend axis: the resolved config carries
-        # the winner's concrete backend so workers never re-resolve —
-        # also when chunk and tile are both explicit.
-        for auto in (
-            RunConfig(backend="auto"),
-            RunConfig(chunk_size=8, tile_size=4, backend="auto"),
-        ):
-            cfg = auto.resolved_for(32, batch=8, dtype=np.float64, db=db)
-            assert cfg.backend == "numpy"
-            assert cfg.source_of("backend") == "tuned"
-        # backend=None keeps meaning "engine default" — never overridden.
-        cfg = RunConfig().resolved_for(32, batch=8, dtype=np.float64, db=db)
-        assert cfg.backend is None
-        assert cfg.source_of("backend") == "default"
+        # The winner's blocking is served; the backend stays as asked:
+        # "auto" resolves as the default does, never to a DB entry.
+        for backend in ("auto", None):
+            cfg = RunConfig(backend=backend).resolved_for(
+                32, batch=8, dtype=np.float64, db=db
+            )
+            assert (cfg.chunk_size, cfg.tile_size) == (8, 4)
+            assert cfg.backend == backend
+            assert cfg.source_of("backend") == "default"
 
 
 class TestSerialization:

@@ -16,14 +16,14 @@ pins the library side):
   the same connection keeps serving other requests — one tenant's bad
   backend never reaches (let alone kills) a worker.
 
-Availability is controlled by poisoning ``sys.modules`` (the pattern
-from ``tests/backends/test_fallback.py``), so these tests pass whether
-or not numba is actually installed.
+An unavailable backend is ``cc`` with the C compiler hidden
+(``REPRO_CC=/nonexistent/compiler``, the pattern from
+``tests/backends/test_fallback.py``), so these tests pass on hosts with
+and without a compiler.  ``"auto"`` is served exactly as the default
+backend.
 """
 
 from __future__ import annotations
-
-import sys
 
 import numpy as np
 import pytest
@@ -37,10 +37,14 @@ from .conftest import TINY_SYSTEM
 from .test_server import direct_eval
 
 
+#: The cc capability's install hint, which every refusal must carry.
+INSTALL_HINT = "Install a C toolchain"
+
+
 @pytest.fixture
-def no_numba(monkeypatch):
-    """Make ``import numba`` raise ImportError, even if it is installed."""
-    monkeypatch.setitem(sys.modules, "numba", None)
+def no_compiler(monkeypatch):
+    """Hide the C compiler from the cc backend's toolchain discovery."""
+    monkeypatch.setenv("REPRO_CC", "/nonexistent/compiler")
     _reset_for_tests()
     yield
     _reset_for_tests()
@@ -48,7 +52,7 @@ def no_numba(monkeypatch):
 
 class TestStartupPrecedence:
     def test_explicit_backend_beats_env_var(
-        self, no_numba, monkeypatch, make_server
+        self, no_compiler, monkeypatch, make_server
     ):
         """REPRO_BACKEND names an unusable backend; the explicit config
         wins, so the server starts and serves NumPy bits."""
@@ -56,7 +60,7 @@ class TestStartupPrecedence:
         # Reference computed before the env poisoning (it resolves the
         # default backend too, and must not see the bad REPRO_BACKEND).
         reference = direct_eval(TINY_SYSTEM, Kind.V, positions)
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        monkeypatch.setenv("REPRO_BACKEND", "cc")
         server = make_server(backend="numpy", workers=1)
         assert server.server.default_backend == "numpy"
         with ServeClient(server.address) as client:
@@ -73,15 +77,15 @@ class TestStartupPrecedence:
         assert server.server.default_backend == "numpy"
 
     def test_unusable_env_backend_fails_startup_cleanly(
-        self, no_numba, monkeypatch
+        self, no_compiler, monkeypatch
     ):
         """No explicit backend + poisoned REPRO_BACKEND: the server
         refuses to start with the actionable library error — strict
         validation happens in the parent, before any worker exists."""
         from repro.serve import ServeConfig, ServerThread
 
-        monkeypatch.setenv("REPRO_BACKEND", "numba")
-        with pytest.raises(BackendUnavailable, match="pip install numba"):
+        monkeypatch.setenv("REPRO_BACKEND", "cc")
+        with pytest.raises(BackendUnavailable, match=INSTALL_HINT):
             ServerThread(ServeConfig(workers=1))
 
     def test_unknown_explicit_backend_fails_startup(self):
@@ -93,7 +97,7 @@ class TestStartupPrecedence:
 
 class TestPerRequestBackends:
     def test_unavailable_tenant_backend_is_a_protocol_error(
-        self, no_numba, make_server
+        self, no_compiler, make_server
     ):
         """The rejection is parent-side: the error carries the install
         hint, the worker never sees the request, and the very next
@@ -101,9 +105,9 @@ class TestPerRequestBackends:
         server = make_server(workers=1)
         positions = np.random.default_rng(5).random((4, 3))
         with ServeClient(server.address, tenant="hopeful") as client:
-            with pytest.raises(ServeError, match="pip install numba") as excinfo:
+            with pytest.raises(ServeError, match=INSTALL_HINT) as excinfo:
                 client.evaluate(
-                    positions, kind="vgh", system=TINY_SYSTEM, backend="numba"
+                    positions, kind="vgh", system=TINY_SYSTEM, backend="cc"
                 )
             assert excinfo.value.code == "backend_unavailable"
             # No worker crashed: the pool still serves, same connection.
@@ -137,13 +141,18 @@ class TestPerRequestBackends:
         for name in Kind.VGL.streams:
             np.testing.assert_array_equal(by_default[name], by_name[name])
 
-    def test_auto_resolves_to_a_concrete_backend(self, make_server):
-        """``backend="auto"`` is resolved parent-side to a concrete
-        name; the request is served (whatever tier the host has)."""
+    def test_auto_resolves_to_a_concrete_backend(self, monkeypatch, make_server):
+        """``backend="auto"`` is resolved parent-side to the backend the
+        server resolves with ``REPRO_BACKEND`` unset, and served with
+        its bits (without a warning: the suite errors on any
+        ``RuntimeWarning``)."""
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         server = make_server(workers=1)
         positions = np.random.default_rng(17).random((3, 3))
         with ServeClient(server.address) as client:
-            streams, _ = client.evaluate(
+            by_auto, _ = client.evaluate(
                 positions, kind="v", system=TINY_SYSTEM, backend="auto"
             )
-        assert streams["v"].shape == (3, TINY_SYSTEM["n_orbitals"])
+            by_default, _ = client.evaluate(positions, kind="v", system=TINY_SYSTEM)
+        assert server.server._backend_names["auto"] == server.server.default_backend
+        np.testing.assert_array_equal(by_auto["v"], by_default["v"])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends import resolve_backend
 from repro.core.batched import BsplineBatched
 from repro.core.grid import Grid3D
 from repro.core.kinds import Kind
@@ -91,10 +91,9 @@ class TestBasics:
         assert stats["workers"] == 2
         assert stats["max_batch"] == 8
         assert stats["draining"] is False
-        # The registry's default rule: cc wherever a compiler is present.
-        assert stats["default_backend"] == (
-            "cc" if get_backend("cc").is_available() else "numpy"
-        )
+        # The registry's default rule: REPRO_BACKEND if set, else cc
+        # wherever a compiler is present, else numpy.
+        assert stats["default_backend"] == resolve_backend(None).name
         assert any(
             "serve_requests_total" in name for name in stats["metrics"]
         )

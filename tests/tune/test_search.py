@@ -93,40 +93,25 @@ class TestAutotuneTable:
         )
         assert db.get(SHAPE) is None
 
-    def test_auto_sweeps_the_backend_axis(self, tmp_path):
-        """backend="auto" measures the candidate grid once per available
-        backend and crowns a winner that names the backend it ran on."""
-        from repro.backends import available_backends, get_backend
+    def test_auto_measures_the_default_backend_only(self, monkeypatch, tmp_path):
+        """backend="auto" searches the grid once, on the backend None
+        resolves to with ``REPRO_BACKEND`` unset: no backend axis."""
+        from repro.backends import ENV_VAR, resolve_backend
 
+        monkeypatch.delenv(ENV_VAR, raising=False)
         grid, table = _table_and_grid()
-        db = TuneDB(path=tmp_path / "db.json")
+        kwargs = dict(repeats=1, max_candidates=4, persist=False)
         solo = autotune_table(
-            grid, table, SHAPE, db=db, repeats=1, max_candidates=4, persist=False
+            grid, table, SHAPE, db=TuneDB(path=tmp_path / "a.json"), **kwargs
         )
-        swept = autotune_table(
-            grid,
-            table,
-            SHAPE,
-            db=db,
-            repeats=1,
-            max_candidates=4,
-            backend="auto",
+        auto = autotune_table(
+            grid, table, SHAPE, db=TuneDB(path=tmp_path / "b.json"),
+            backend="auto", **kwargs,
         )
-        avail = available_backends()
-        assert swept.config.backend in avail
-        if len(avail) > 1:
-            # More backends, strictly more measurements (gate rejections
-            # can shave candidates, never a whole conforming backend).
-            assert swept.measured > solo.measured
-        # The winner earns its backend's declared tier (cc and numpy are
-        # exact; numba, where installed, is allclose).
-        if get_backend(swept.config.backend).capability.tier == TIER_EXACT:
-            assert swept.config.tier == TIER_EXACT
-        else:
-            assert swept.config.tier == "allclose"
-            assert swept.config.rtol > 0 or swept.config.atol > 0
-        stored = db.get(SHAPE)
-        assert stored.backend == swept.config.backend
+        assert auto.measured == solo.measured
+        assert auto.config.backend == solo.config.backend
+        assert auto.config.backend == resolve_backend(None).name
+        assert auto.config.tier == TIER_EXACT
 
     def test_gate_rejects_wrong_kernels(self, tmp_path, monkeypatch):
         """Poison the engine under test; the oracle must veto every
